@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .conditions import FAIL, check_conditions
@@ -176,28 +175,24 @@ def _cmd_analyze(args):
         if args.out is not None:
             os.makedirs(args.out, exist_ok=True)
         code = 0
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_analyze_file, p, tol, args.timings) for p in paths
-            ]
-            for path, future in zip(paths, futures):
-                try:
-                    document = future.result()
-                except (BiorthoError, OSError) as exc:
-                    print("%s: error: %s" % (path, exc), file=sys.stderr)
-                    code = 1
-                    continue
-                text = _render(document, args.format)
-                if args.out is not None:
-                    stem = os.path.splitext(os.path.basename(path))[0]
-                    ext = ".json" if args.format == "json" else ".txt"
-                    with open(os.path.join(args.out, stem + ext), "w") as handle:
-                        handle.write(text)
-                else:
-                    sys.stdout.write("== %s ==\n" % path)
-                    sys.stdout.write(text)
-                if code != 1:
-                    code = max(code, _report_exit_code(document))
+        for path in paths:
+            try:
+                document = _analyze_file(path, tol, args.timings)
+            except (BiorthoError, ValueError, OSError) as exc:
+                print("%s: error: %s" % (path, exc), file=sys.stderr)
+                code = 1
+                continue
+            text = _render(document, args.format)
+            if args.out is not None:
+                stem = os.path.splitext(os.path.basename(path))[0]
+                ext = ".json" if args.format == "json" else ".txt"
+                with open(os.path.join(args.out, stem + ext), "w") as handle:
+                    handle.write(text)
+            else:
+                sys.stdout.write("== %s ==\n" % path)
+                sys.stdout.write(text)
+            if code != 1:
+                code = max(code, _report_exit_code(document))
         return code
     document = _analyze_file(args.path, tol, args.timings)
     text = _render(document, args.format)
@@ -298,8 +293,6 @@ def _build_parser():
                          help="output file (or directory with --dir)")
     analyze.add_argument("--timings", action="store_true",
                          help="include wall-clock timings in the report")
-    analyze.add_argument("--jobs", type=int, default=None,
-                         help="parallel workers for --dir (default: cpu count)")
     _add_tolerance_flags(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 

@@ -7,6 +7,11 @@ adjoint (C3) and whether eigenvectors span the whole space on both sides
 (C4).  The primed checks C2'/C3'/C4' ask the same questions of root
 subspaces.  Every verdict carries the witnesses that decided it, so a
 FAIL names the clusters responsible.
+
+A^* is never factorized: its eigenvectors and root vectors at
+conj(lambda) are the left null vectors of A - lambda I and its powers,
+which A's own SVDs already hold.  Only its spectrum is computed, by one
+eigvals call, so that C1 and C3' compare independent computations.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorthogonal import biorthonormalize, multiplicity_match, skew_link_check
-from .errors import NotDiagonalizableError, SkewLinkFailureError
+from .biorthogonal import multiplicity_match, skew_link_check
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -28,8 +32,8 @@ from .linalg import (
 )
 from .rootspace import root_space, span_report
 from .spectral import (
-    adjoint_point_spectrum,
     collapsed_at_resolution,
+    eigenvalue_groups,
     eigvec_matrix,
     point_spectrum,
 )
@@ -88,7 +92,7 @@ class NormalityReport:
 
 @dataclass(frozen=True)
 class DiagnosisReport:
-    """Everything the checker found out about one matrix."""
+    """Everything the checker found out about one matrix; skew_links is per cluster."""
 
     ambient_dim: int
     spectrum: object
@@ -99,6 +103,7 @@ class DiagnosisReport:
     diagonalizable: bool
     biorthonormal_basis_exists: bool
     residual_identity_angle: float
+    skew_links: tuple
 
     def condition(self, cid):
         for v in self.conditions:
@@ -127,6 +132,9 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL):
 
     The two subspaces coincide for every lambda in exact arithmetic, so
     the returned angle measures how consistently the ranks were decided.
+    Ran(A - lambda I) comes from an SVD of the shifted matrix itself,
+    while the left kernel comes from the SVD of its adjoint; reading both
+    off one factorization would make the angle zero by construction.
     """
     a = as_matrix(a)
     if spectrum is None:
@@ -136,7 +144,7 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL):
     worst = 0.0
     for c in spectrum.clusters:
         shifted = a - c.value * eye
-        if collapsed_at_resolution(shifted, c.value, c.scatter, tol):
+        if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, c.value, c.scatter, tol):
             ran = Subspace(n, np.zeros((n, 0), dtype=complex))
         else:
             ran = range_space(shifted, tol, scale_floor=abs(c.value))
@@ -152,9 +160,9 @@ def _hausdorff(p, q):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _check_c1(ps, aps, radius):
+def _check_c1(ps, adjoint_values, radius):
     pvals = ps.values()
-    qvals = np.conj(aps.values())
+    qvals = np.conj(np.array(adjoint_values))
     dist = np.abs(pvals[:, None] - qvals[None, :])
     match = dist.argmin(axis=1)
     haus = _hausdorff(pvals, qvals)
@@ -167,17 +175,11 @@ def _check_c1(ps, aps, radius):
     return ConditionVerdict("C1", status, detail, bad), match
 
 
-def _check_skew(cid, members, left_right_pairs, tol, empty_detail):
+def _check_skew(cid, members, verdicts, empty_detail):
     if not members:
         return ConditionVerdict(cid, VACUOUS, empty_detail, ())
-    fails = []
-    worst = np.inf
-    for i in members:
-        right, left = left_right_pairs[i]
-        verdict = skew_link_check(right, left, tol, i)
-        worst = min(worst, verdict.self_orthogonality)
-        if not verdict.linked:
-            fails.append(i)
+    fails = [i for i in members if not verdicts[i].linked]
+    worst = min(verdicts[i].self_orthogonality for i in members)
     if fails:
         detail = (
             "cross-Gram singular for cluster(s) %s; smallest "
@@ -204,20 +206,17 @@ def check_conditions(a, tol=DEFAULT_TOL):
         raise ValueError("diagnosis requires a square matrix")
     ps = point_spectrum(a, tol)
     adj = a.conj().T
-    aps = adjoint_point_spectrum(a, tol)
+    adj_groups = eigenvalue_groups(as_matrix(adj), tol)
     radius = tol.cluster_eps * ps.scale
 
-    c1, match = _check_c1(ps, aps, radius)
+    c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], radius)
 
     sig = sigma_set(ps, tol)
-    kernel_pairs = {
-        i: (c.right_kernel, c.left_kernel) for i, c in enumerate(ps.clusters)
-    }
+    links = tuple(skew_link_check(c.right_kernel, c.left_kernel, tol, i) for i, c in enumerate(ps.clusters))
     c2 = _check_skew(
         "C2",
         sig,
-        kernel_pairs,
-        tol,
+        links,
         "no cluster distinguishes its left kernel from its right kernel",
     )
 
@@ -233,22 +232,13 @@ def check_conditions(a, tol=DEFAULT_TOL):
     )
 
     roots = [root_space(a, c, tol) for c in ps.clusters]
-    adj_roots = [root_space(adj, c, tol) for c in aps.clusters]
 
     c3_bad = []
     sig_root = []
-    root_pairs = {}
-    for i in range(len(ps.clusters)):
-        j = int(match[i]) if len(aps.clusters) else -1
-        if j < 0:
+    for i, (c, r) in enumerate(zip(ps.clusters, roots)):
+        if c.algebraic_multiplicity != adj_groups[match[i]][2]:
             c3_bad.append(i)
-            continue
-        mine, theirs = roots[i].space, adj_roots[j].space
-        root_pairs[i] = (mine, theirs)
-        if mine.dim != theirs.dim:
-            c3_bad.append(i)
-            sig_root.append(i)
-        elif subspace_angle(mine, theirs) > 10.0 * tol.residual_eps:
+        if subspace_angle(r.space, r.adjoint_space) > 10.0 * tol.residual_eps:
             sig_root.append(i)
     c3p = ConditionVerdict(
         "C3'",
@@ -260,28 +250,26 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     c2p = _check_skew(
         "C2'",
-        tuple(i for i in sig_root if i in root_pairs),
-        root_pairs,
-        tol,
+        sig_root,
+        {i: skew_link_check(roots[i].space, roots[i].adjoint_space, tol, i) for i in sig_root},
         "no cluster distinguishes its root subspace from the adjoint's",
     )
 
     spans = span_report(a, tol, spectrum=ps, root_spaces=roots)
-    adj_spans = span_report(adj, tol, spectrum=aps, root_spaces=adj_roots)
-    eigen_ok = spans.eigen_span_dim == n and adj_spans.eigen_span_dim == n
+    eigen_ok = spans.eigen_span_dim == n and spans.adjoint_eigen_span_dim == n
     c4 = ConditionVerdict(
         "C4",
         PASS if eigen_ok else FAIL,
         "eigenvectors span %d/%d dimensions (adjoint side %d/%d)"
-        % (spans.eigen_span_dim, n, adj_spans.eigen_span_dim, n),
+        % (spans.eigen_span_dim, n, spans.adjoint_eigen_span_dim, n),
         tuple(i for i, c in enumerate(ps.clusters) if not c.semi_simple),
     )
-    root_ok = spans.root_span_dim == n and adj_spans.root_span_dim == n
+    root_ok = spans.root_span_dim == n and spans.adjoint_root_span_dim == n
     c4p = ConditionVerdict(
         "C4'",
         PASS if root_ok else FAIL,
         "root subspaces span %d/%d dimensions (adjoint side %d/%d)"
-        % (spans.root_span_dim, n, adj_spans.root_span_dim, n),
+        % (spans.root_span_dim, n, spans.adjoint_root_span_dim, n),
         (),
     )
 
@@ -307,11 +295,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
     v = eigvec_matrix(ps)
     kappa = condition_number(v, tol) if v.shape[0] == v.shape[1] else float("inf")
     diagonalizable = all(c.semi_simple for c in ps.clusters)
-    try:
-        biorthonormalize(a, ps, tol)
-        exists = True
-    except (SkewLinkFailureError, NotDiagonalizableError):
-        exists = False
+    # exactly when biorthonormalize(a, ps, tol) succeeds
+    exists = diagonalizable and all(link.linked for link in links)
     angle = residual_identity_check(a, ps, tol)
 
     return DiagnosisReport(
@@ -324,4 +309,5 @@ def check_conditions(a, tol=DEFAULT_TOL):
         diagonalizable=diagonalizable,
         biorthonormal_basis_exists=exists,
         residual_identity_angle=angle,
+        skew_links=links,
     )

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .biorthogonal import skew_link_check
 from .conditions import check_conditions
 from .errors import BiorthoError, StudyError
 from .linalg import DEFAULT_TOL, as_matrix
@@ -137,6 +136,9 @@ def generate(spec):
         cond = float(p.get("cond", 10.0))
         if cond < 1.0:
             raise ValueError("cond must be at least 1")
+        covered = sum(int(sum(segre)) for _, segre in blocks)
+        if covered != n:
+            raise ValueError("blocks cover %d of %d dimensions" % (covered, n))
         j = np.zeros((n, n), dtype=complex)
         pos = 0
         for lam, segre in blocks:
@@ -145,8 +147,6 @@ def generate(spec):
                 complex(lam), segre, width
             )
             pos += width
-        if pos != n:
-            raise ValueError("blocks cover %d of %d dimensions" % (pos, n))
         u = _haar_unitary(n, rng)
         v = _haar_unitary(n, rng)
         s = np.logspace(0.0, np.log10(cond), n) if n > 1 else np.ones(1)
@@ -197,10 +197,7 @@ def truncation_study(template, sizes, probe_grid=(), tol=DEFAULT_TOL):
                 float(np.linalg.svd(a - z * eye, compute_uv=False)[-1])
                 for z in probe_grid
             )
-            min_self = 1.0
-            for i, c in enumerate(report.spectrum.clusters):
-                verdict = skew_link_check(c.right_kernel, c.left_kernel, tol, i)
-                min_self = min(min_self, verdict.self_orthogonality)
+            min_self = min([1.0] + [v.self_orthogonality for v in report.skew_links])
             verdicts = {v.id: v.status for v in report.conditions}
         except (BiorthoError, ValueError) as exc:
             raise StudyError(size, str(exc)) from exc

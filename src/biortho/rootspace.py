@@ -6,6 +6,9 @@ stable level is the height, its kernel is the root subspace, and the
 consecutive differences (the Weyr characteristic) conjugate into the
 Jordan block sizes.  Powers are rescaled by their operator norm between
 multiplications so rank cutoffs stay relative to the power itself.
+The left singular vectors past each power's rank span
+Ker((A^* - conj(lambda) I)^k), so the same SVDs give the adjoint's root
+subspace at conj(lambda) without a second staircase.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ class RootSpace:
     staircase holds d_1 .. d_p where p is the height; segre lists the
     Jordan block sizes in non-increasing order.  space.dim equals the
     cluster's algebraic multiplicity (enforced at construction time by
-    root_space).
+    root_space).  adjoint_space is the adjoint's root subspace at
+    conj(eigenvalue), the orthogonal complement of Ran((A - lambda I)^height).
     """
 
     eigenvalue: complex
@@ -36,6 +40,7 @@ class RootSpace:
     height: int
     space: Subspace
     segre: tuple
+    adjoint_space: Subspace
 
 
 def _segre_from_staircase(staircase, eigenvalue):
@@ -71,18 +76,17 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
     m_a = cluster.algebraic_multiplicity
     scatter = float(getattr(cluster, "scatter", 0.0))
     shifted = a - lam * np.eye(n, dtype=complex)
-    if collapsed_at_resolution(shifted, lam, scatter, tol):
+    norm0 = float(np.linalg.norm(shifted, 2))
+    if collapsed_at_resolution(norm0, n, lam, scatter, tol):
         # the matrix is lam * I up to cancellation noise and in-cluster
         # eigenvalue scatter, so the root space is everything
         full = Subspace(n, phase_normalize(np.eye(n, dtype=complex)))
         if n != m_a:
             raise RootSpaceMismatchError(lam, n, m_a)
-        return RootSpace(lam, (n,), 1, full, tuple([1] * n))
-    norm0 = float(np.linalg.norm(shifted, 2))
+        return RootSpace(lam, (n,), 1, full, tuple([1] * n), full)
     base = shifted / norm0
     power = base
     staircase = []
-    kernel = None
     height = n
     for k in range(1, n + 1):
         u, s, vh = np.linalg.svd(power)
@@ -96,24 +100,29 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
             height = k - 1
             break
         staircase.append(d)
-        kernel = Subspace(n, phase_normalize(vh[rank:].conj().T))
+        stable = (u, vh, rank)
         if d == n:
             height = k
             break
         power = (power / s[0]) @ base
-    if kernel is None or kernel.dim != m_a:
-        raise RootSpaceMismatchError(lam, 0 if kernel is None else kernel.dim, m_a)
+    u, vh, rank = stable
+    kernel = Subspace(n, phase_normalize(vh[rank:].conj().T))
+    if kernel.dim != m_a:
+        raise RootSpaceMismatchError(lam, kernel.dim, m_a)
+    adjoint = Subspace(n, phase_normalize(u[:, rank:]))
     segre = _segre_from_staircase(staircase, lam)
-    return RootSpace(lam, tuple(staircase), height, kernel, segre)
+    return RootSpace(lam, tuple(staircase), height, kernel, segre, adjoint)
 
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Dimensions of the eigenvector span and the root-subspace span."""
+    """Eigenvector and root-subspace span dimensions of A and (adjoint_) of A^*."""
 
     eigen_span_dim: int
     root_span_dim: int
     ambient_dim: int
+    adjoint_eigen_span_dim: int
+    adjoint_root_span_dim: int
 
 
 def _stacked_rank(blocks, n, tol):
@@ -126,7 +135,7 @@ def _stacked_rank(blocks, n, tol):
 
 
 def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
-    """Ranks of the stacked eigenvector and root bases of a matrix.
+    """Ranks of the stacked eigenvector and root bases of a matrix and its adjoint.
 
     spectrum and root_spaces may be passed to reuse existing results;
     they must belong to the same matrix and tolerance.
@@ -137,6 +146,10 @@ def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
         spectrum = point_spectrum(a, tol)
     if root_spaces is None:
         root_spaces = [root_space(a, c, tol) for c in spectrum.clusters]
-    eigen_dim = _stacked_rank([c.right_kernel.basis for c in spectrum.clusters], n, tol)
-    root_dim = _stacked_rank([r.space.basis for r in root_spaces], n, tol)
-    return SpanReport(eigen_span_dim=eigen_dim, root_span_dim=root_dim, ambient_dim=n)
+    return SpanReport(
+        eigen_span_dim=_stacked_rank([c.right_kernel.basis for c in spectrum.clusters], n, tol),
+        root_span_dim=_stacked_rank([r.space.basis for r in root_spaces], n, tol),
+        ambient_dim=n,
+        adjoint_eigen_span_dim=_stacked_rank([c.left_kernel.basis for c in spectrum.clusters], n, tol),
+        adjoint_root_span_dim=_stacked_rank([r.adjoint_space.basis for r in root_spaces], n, tol),
+    )

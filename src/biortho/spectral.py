@@ -22,6 +22,7 @@ __all__ = [
     "PointSpectrum",
     "point_spectrum",
     "adjoint_point_spectrum",
+    "eigenvalue_groups",
     "eigvec_matrix",
     "collapsed_at_resolution",
 ]
@@ -31,18 +32,17 @@ __all__ = [
 _SCATTER_MARGIN = 1.25
 
 
-def collapsed_at_resolution(shifted, value, scatter, tol):
+def collapsed_at_resolution(shifted_norm, n, value, scatter, tol):
     """True when ``A - value * I`` is zero at the cluster's resolution.
 
-    A merged cluster cannot distinguish eigenvalues closer to its centroid
+    shifted_norm is the 2-norm of the shifted matrix and n its size.  A
+    merged cluster cannot distinguish eigenvalues closer to its centroid
     than ``scatter``, and cancellation noise in the shift itself reaches
     ``rank_eps * n * |value|``.  When the entire shifted matrix sits at or
     below that scale, every direction belongs to the kernel and the root
     space is the full ambient space.
     """
-    n = max(shifted.shape)
-    norm0 = float(np.linalg.norm(shifted, 2))
-    return norm0 <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(value)
+    return float(shifted_norm) <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(value)
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,25 @@ def _single_linkage_groups(values, radius):
     return list(groups.values())
 
 
+def eigenvalue_groups(a, tol=DEFAULT_TOL):
+    """Eigenvalues of a square matrix grouped by single linkage.
+
+    Returns one (centroid, scatter, multiplicity) triple per group.
+    Raises EigenIterationError if the QR iteration fails to converge.
+    """
+    try:
+        raw = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenIterationError(str(exc)) from exc
+    radius = tol.cluster_eps * max(1.0, float(np.abs(raw).max()))
+    groups = []
+    for idx in _single_linkage_groups(raw, radius):
+        lam = complex(raw[idx].mean())
+        scatter = float(np.abs(raw[idx] - lam).max()) if len(idx) > 1 else 0.0
+        groups.append((lam, scatter, len(idx)))
+    return groups
+
+
 def point_spectrum(a, tol=DEFAULT_TOL):
     """Compute the clustered point spectrum of a square matrix.
 
@@ -132,19 +151,11 @@ def point_spectrum(a, tol=DEFAULT_TOL):
     n, m = a.shape
     if n != m:
         raise ValueError("point spectrum requires a square matrix")
-    try:
-        raw = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenIterationError(str(exc)) from exc
-    scale = max(1.0, float(np.abs(raw).max()))
-    radius = tol.cluster_eps * scale
     eye = np.eye(n, dtype=complex)
     clusters = []
-    for idx in _single_linkage_groups(raw, radius):
-        lam = complex(raw[idx].mean())
-        scatter = float(np.abs(raw[idx] - lam).max()) if len(idx) > 1 else 0.0
+    for lam, scatter, m_a in eigenvalue_groups(a, tol):
         shifted = a - lam * eye
-        if collapsed_at_resolution(shifted, lam, scatter, tol):
+        if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, lam, scatter, tol):
             # the whole shifted matrix sits at the in-cluster scatter
             # scale, so every direction is kernel at merge resolution
             right = left = Subspace(n, phase_normalize(eye.copy()))
@@ -154,7 +165,6 @@ def point_spectrum(a, tol=DEFAULT_TOL):
             # largest singular value is no longer a trustworthy scale
             right = nullspace(shifted, tol, scale_floor=abs(lam))
             left = nullspace(shifted.conj().T, tol, scale_floor=abs(lam))
-        m_a = len(idx)
         m_g = right.dim
         clusters.append(
             EigenvalueCluster(

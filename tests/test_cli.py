@@ -91,7 +91,7 @@ def test_analyze_dir_batch(tmp_path, gaussian_path, nilpotent_path, capsys):
     out = tmp_path / "reports"
     code = main(
         ["analyze", "--dir", str(tmp_path), "--format", "json",
-         "--out", str(out), "--jobs", "2"]
+         "--out", str(out)]
     )
     # the nilpotent file fails conditions, so the batch reports 2
     assert code == 2
@@ -110,6 +110,17 @@ def test_analyze_dir_with_corrupt_member_exits_one(tmp_path, gaussian_path, caps
     (tmp_path / "bad.mtx").write_text("not a matrix\n")
     assert main(["analyze", "--dir", str(tmp_path)]) == 1
     assert "bad.mtx" in capsys.readouterr().err
+
+
+def test_analyze_dir_with_non_square_member_reports_it_and_goes_on(tmp_path, capsys):
+    # "a_wide.mtx" sorts before "b_gauss.mtx", which must still get its report
+    write_matrix(np.ones((2, 3)), str(tmp_path / "a_wide.mtx"))
+    write_matrix(generate(FamilySpec("random_gaussian", 4, {}, 3)), str(tmp_path / "b_gauss.mtx"))
+    out = tmp_path / "reports"
+    code = main(["analyze", "--dir", str(tmp_path), "--format", "json", "--out", str(out)])
+    assert code == 1
+    assert "a_wide.mtx: error:" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["b_gauss.json"]
 
 
 def test_analyze_dir_without_matches_errors(tmp_path, capsys):

@@ -119,6 +119,8 @@ def test_block_jordan_validates_inputs():
         generate(FamilySpec("block_jordan", 3, {"blocks": ((0.0, (2,)),)}))
     with pytest.raises(ValueError):
         generate(FamilySpec("block_jordan", 2, {"blocks": ((0.0, (2,)),), "cond": 0.5}))
+    with pytest.raises(ValueError, match="blocks cover 6 of 4 dimensions"):
+        generate(FamilySpec("block_jordan", 4, {"blocks": ((0, (3,)), (1, (3,)))}))
 
 
 def test_family_spec_validates_name_and_size():
