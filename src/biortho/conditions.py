@@ -8,10 +8,14 @@ adjoint (C3) and whether eigenvectors span the whole space on both sides
 subspaces.  Every verdict carries the witnesses that decided it, so a
 FAIL names the clusters responsible.
 
-A^* is never factorized: its eigenvectors and root vectors at
-conj(lambda) are the left null vectors of A - lambda I and its powers,
-which A's own SVDs already hold.  Only its spectrum is computed, by one
-eigvals call, so that C1 and C3' compare independent computations.
+A^* has no kernel, staircase or span of its own.  Its eigenvectors at
+conj(lambda) are the clusters' left kernels: for a simple cluster the
+certified eig vector of A^* (see spectral), otherwise the left null
+vectors of A - lambda I.  Its root vectors are the left null vectors of
+the powers in A's staircase, or the left kernel again for a simple
+cluster.  Its spectrum comes from a separate computation, so that C1 and
+C3' compare independent results: the eig(A^*) call point_spectrum already
+made when some cluster is simple, else one eigvals call.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .rootspace import root_space, span_report
 from .spectral import (
     collapsed_at_resolution,
     eigenvalue_groups,
+    eigenvalues,
     eigvec_matrix,
     point_spectrum,
 )
@@ -127,30 +132,71 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
     return tuple(out)
 
 
-def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL):
+def _orthonormal(block):
+    if block.shape[1] == 1:
+        return block / np.linalg.norm(block)
+    return np.linalg.qr(block)[0]
+
+
+def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None):
     """Largest angle between Ran(A - lambda I)-perp and Ker(A* - conj(lambda) I).
 
     The two subspaces coincide for every lambda in exact arithmetic, so
     the returned angle measures how consistently the ranks were decided.
-    Ran(A - lambda I) comes from an SVD of the shifted matrix itself,
-    while the left kernel comes from the SVD of its adjoint; reading both
-    off one factorization would make the angle zero by construction.
+    Ran(A - lambda I)-perp must come from A's own right side, apart from
+    the left kernel it is compared with; reading both off one
+    factorization would make the angle zero by construction.  When the
+    eigenvector matrix V is square with finite condition number kappa_v
+    (computed here unless given), A = V D V^-1 and a cluster's rows of
+    V^-1 span Ran(A - lambda I)-perp, so one solve serves every cluster.
+    Otherwise each cluster takes an SVD of its shifted matrix.
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
     n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    worst = 0.0
-    for c in spectrum.clusters:
-        shifted = a - c.value * eye
-        if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, c.value, c.scatter, tol):
-            ran = Subspace(n, np.zeros((n, 0), dtype=complex))
-        else:
-            ran = range_space(shifted, tol, scale_floor=abs(c.value))
-        angle = subspace_angle(complement(ran, tol), c.left_kernel)
-        worst = max(worst, angle)
-    return worst
+    v = eigvec_matrix(spectrum)
+    if v.shape[1] == n and kappa_v is None:
+        kappa_v = condition_number(v, tol)
+    if v.shape[1] == n and np.isfinite(kappa_v):
+        # the columns of (V^-1)^* = (V^*)^-1, one block per cluster
+        dual = np.linalg.solve(v.conj().T, np.eye(n, dtype=complex))
+        dims = [c.geometric_multiplicity for c in spectrum.clusters]
+        perps = [Subspace(n, _orthonormal(dual[:, end - d:end])) for d, end in zip(dims, np.cumsum(dims))]
+    else:
+        eye = np.eye(n, dtype=complex)
+        perps = []
+        for c in spectrum.clusters:
+            shifted = a - c.value * eye
+            if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, c.value, c.scatter, tol):
+                ran = Subspace(n, np.zeros((n, 0), dtype=complex))
+            else:
+                ran = range_space(shifted, tol, scale_floor=abs(c.value))
+            perps.append(complement(ran, tol))
+    return max(subspace_angle(p, c.left_kernel) for p, c in zip(perps, spectrum.clusters))
+
+
+def _eigenspace_overlap(v, dims):
+    """Largest 2-norm of a block V_i^* V_j (i != j) of the eigenvector Gram.
+
+    dims lists the clusters' kernel dimensions in the column order of v.
+    A block with a side of length 1 is a vector, whose 2-norm is its
+    Euclidean length: 1x1 blocks are read off the Gram at once, and only
+    blocks between two multiple kernels take an SVD.
+    """
+    gram = v.conj().T @ v
+    dims = np.array(dims)
+    owner = np.repeat(np.arange(len(dims)), dims)
+    single = dims[owner] == 1
+    pairs = (owner[:, None] != owner[None, :]) & single[:, None] & single[None, :]
+    overlap = float(np.abs(gram[pairs]).max(initial=0.0))
+    cols = [slice(end - d, end) for d, end in zip(dims, np.cumsum(dims))]
+    for i in np.flatnonzero(dims > 1):
+        for j in range(len(dims)):
+            if j != i and (dims[j] == 1 or j > i):
+                block = gram[cols[i], cols[j]]
+                overlap = max(overlap, float(np.linalg.norm(block, 2) if dims[j] > 1 else np.linalg.norm(block)))
+    return overlap
 
 
 def _hausdorff(p, q):
@@ -206,7 +252,10 @@ def check_conditions(a, tol=DEFAULT_TOL):
         raise ValueError("diagnosis requires a square matrix")
     ps = point_spectrum(a, tol)
     adj = a.conj().T
-    adj_groups = eigenvalue_groups(as_matrix(adj), tol)
+    adj_values = ps.adjoint_eigenvalues
+    if adj_values is None:
+        adj_values = eigenvalues(adj)
+    adj_groups = eigenvalue_groups(adj_values, tol)
     radius = tol.cluster_eps * ps.scale
 
     c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], radius)
@@ -236,7 +285,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
     c3_bad = []
     sig_root = []
     for i, (c, r) in enumerate(zip(ps.clusters, roots)):
-        if c.algebraic_multiplicity != adj_groups[match[i]][2]:
+        if c.algebraic_multiplicity != len(adj_groups[match[i]][2]):
             c3_bad.append(i)
         if subspace_angle(r.space, r.adjoint_space) > 10.0 * tol.residual_eps:
             sig_root.append(i)
@@ -277,12 +326,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
     commutator_norm = float(np.linalg.norm(commutator, "fro"))
     norm_a = float(np.linalg.norm(a, 2))
     is_normal = commutator_norm <= tol.residual_eps * max(1.0, norm_a * norm_a)
-    overlap = 0.0
-    for i in range(len(ps.clusters)):
-        for j in range(i + 1, len(ps.clusters)):
-            cross = ps.clusters[i].right_kernel.basis.conj().T @ ps.clusters[j].right_kernel.basis
-            if cross.size:
-                overlap = max(overlap, float(np.linalg.norm(cross, 2)))
+    v = eigvec_matrix(ps)
+    overlap = _eigenspace_overlap(v, [c.geometric_multiplicity for c in ps.clusters])
     properties = {
         "a": PASS if overlap <= 10.0 * tol.residual_eps else FAIL,
         "b": PASS if all(c.semi_simple for c in ps.clusters) else FAIL,
@@ -292,12 +337,11 @@ def check_conditions(a, tol=DEFAULT_TOL):
     }
     normality = NormalityReport(is_normal, commutator_norm, properties)
 
-    v = eigvec_matrix(ps)
     kappa = condition_number(v, tol) if v.shape[0] == v.shape[1] else float("inf")
     diagonalizable = all(c.semi_simple for c in ps.clusters)
     # exactly when biorthonormalize(a, ps, tol) succeeds
     exists = diagonalizable and all(link.linked for link in links)
-    angle = residual_identity_check(a, ps, tol)
+    angle = residual_identity_check(a, ps, tol, kappa_v=kappa)
 
     return DiagnosisReport(
         ambient_dim=n,

@@ -9,6 +9,12 @@ multiplications so rank cutoffs stay relative to the power itself.
 The left singular vectors past each power's rank span
 Ker((A^* - conj(lambda) I)^k), so the same SVDs give the adjoint's root
 subspace at conj(lambda) without a second staircase.
+
+Two cases take no further level.  A simple cluster (m_a = 1) has height
+1 and its root spaces are its kernels, so no SVD runs: the right kernel
+and the left kernel that point_spectrum holds, from eig or from the SVD
+fallback.  A cluster whose first level already reaches m_a is
+semi-simple, so the staircase stops there.
 """
 
 from __future__ import annotations
@@ -64,16 +70,19 @@ def _segre_from_staircase(staircase, eigenvalue):
 def root_space(a, cluster, tol=DEFAULT_TOL):
     """Compute the root subspace for one eigenvalue cluster.
 
+    A simple cluster's root spaces are its kernels, so a is not read.
     Raises RootSpaceMismatchError when the stabilized kernel dimension
     differs from the cluster's algebraic multiplicity, which signals
     that the rank and cluster tolerances disagree about this matrix.
     """
+    lam = complex(cluster.value)
+    m_a = cluster.algebraic_multiplicity
+    if m_a == 1 and cluster.left_kernel.dim == 1:
+        return RootSpace(lam, (1,), 1, cluster.right_kernel, (1,), cluster.left_kernel)
     a = as_matrix(a)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError("root space requires a square matrix")
-    lam = complex(cluster.value)
-    m_a = cluster.algebraic_multiplicity
     scatter = float(getattr(cluster, "scatter", 0.0))
     shifted = a - lam * np.eye(n, dtype=complex)
     norm0 = float(np.linalg.norm(shifted, 2))
@@ -101,7 +110,7 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
             break
         staircase.append(d)
         stable = (u, vh, rank)
-        if d == n:
+        if d == n or (k == 1 and d == m_a):
             height = k
             break
         power = (power / s[0]) @ base

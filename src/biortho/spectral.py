@@ -1,16 +1,36 @@
 """Clustered point spectrum with right and left kernel bases.
 
-Eigenvalues are computed by the QR iteration and then grouped by
-single-linkage with radius ``cluster_eps * max(1, max |lambda|)``: two
-eigenvalues land in the same cluster whenever a chain of pairwise-close
-eigenvalues connects them.  The closure is order independent.  Each
-cluster carries the kernels of ``A - lambda I`` and ``A^* - conj(lambda) I``
-at the cluster centroid, computed independently via the SVD.
+Eigenvalues and right eigenvectors come from one ``np.linalg.eig`` call
+and are grouped by single linkage with radius ``cluster_eps * max(1, max
+|lambda|)``: two eigenvalues land in the same cluster whenever a chain of
+pairwise-close eigenvalues connects them.  The closure is order
+independent.  Each cluster carries the kernels of ``A - lambda I`` and
+``A^* - conj(lambda) I`` at the cluster centroid.
+
+A simple cluster (one raw eigenvalue) needs no rank decision, since
+1 <= m_g <= m_a forces m_g = 1.  Its right kernel is the eig vector of
+``A`` and its left kernel the eig vector of ``A^*`` (one more eig call)
+at the nearest conjugate eigenvalue.  When every cluster is simple, each
+side's vectors first take one correction against their own residuals
+(see _refined).  Each unit vector v must then certify itself: its
+residual ||(A - lambda I) v|| must lie at or below ``rank_eps * n *
+max(||A - lambda I||_F / sqrt(n), |lambda|)``.  The Frobenius norm over
+sqrt(n) bounds sigma_max from below, so this never exceeds the SVD rank
+cutoff, and a certified v proves the SVD would find a kernel there too.
+When either side fails, the cluster takes the SVD route that every
+multiple cluster takes: the kernels of the shifted matrix and of its
+adjoint, computed independently.
+
+For a simple cluster the self-orthogonality |(chi, psi)| of the unit
+left and right vectors is Wilkinson's reciprocal condition number of the
+eigenvalue (The Algebraic Eigenvalue Problem, 1965): a perturbation E
+moves the eigenvalue by about ||E|| / |(chi, psi)|, and the value tends
+to 0 as the eigenvalue nears a defective coalescence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +42,7 @@ __all__ = [
     "PointSpectrum",
     "point_spectrum",
     "adjoint_point_spectrum",
+    "eigenvalues",
     "eigenvalue_groups",
     "eigvec_matrix",
     "collapsed_at_resolution",
@@ -83,10 +104,15 @@ class EigenvalueCluster:
 
 @dataclass(frozen=True)
 class PointSpectrum:
-    """All eigenvalue clusters of one matrix, sorted by (Re, Im)."""
+    """All eigenvalue clusters of one matrix, sorted by (Re, Im).
+
+    adjoint_eigenvalues holds the raw eigenvalues of the adjoint when the
+    simple-cluster fast path computed them, and is None otherwise.
+    """
 
     ambient_dim: int
     clusters: tuple
+    adjoint_eigenvalues: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def scale(self):
@@ -98,46 +124,110 @@ class PointSpectrum:
 
 
 def _single_linkage_groups(values, radius):
-    """Connected components of the graph linking values within radius."""
-    n = len(values)
-    parent = list(range(n))
+    """Connected components of the graph linking values within radius.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    diff = np.abs(values[:, None] - values[None, :])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if diff[i, j] <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def eigenvalue_groups(a, tol=DEFAULT_TOL):
-    """Eigenvalues of a square matrix grouped by single linkage.
-
-    Returns one (centroid, scatter, multiplicity) triple per group.
-    Raises EigenIterationError if the QR iteration fails to converge.
+    Groups come in order of their smallest index, members in increasing
+    index order.  Every value repeatedly takes the smallest label among
+    its neighbours and then that label's own label; the labels settle on
+    each component's smallest index.
     """
+    n = len(values)
+    linked = np.abs(values[:, None] - values[None, :]) <= radius
+    labels = np.arange(n)
+    while True:
+        lowest = np.where(linked, labels[None, :], n).min(axis=1)
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [group.tolist() for group in np.split(order, cuts)]
+
+
+def _lapack(solver, a):
     try:
-        raw = np.linalg.eigvals(a)
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise EigenIterationError(str(exc)) from exc
-    radius = tol.cluster_eps * max(1.0, float(np.abs(raw).max()))
+
+
+def eigenvalues(a):
+    """Raw eigenvalues of a square matrix by one eigvals call.
+
+    Raises EigenIterationError if the QR iteration fails to converge.
+    """
+    return _lapack(np.linalg.eigvals, a)
+
+
+def eigenvalue_groups(values, tol=DEFAULT_TOL):
+    """Raw eigenvalues grouped by single linkage.
+
+    Returns one (centroid, scatter, member indices) triple per group.
+    """
+    radius = tol.cluster_eps * max(1.0, float(np.abs(values).max()))
     groups = []
-    for idx in _single_linkage_groups(raw, radius):
-        lam = complex(raw[idx].mean())
-        scatter = float(np.abs(raw[idx] - lam).max()) if len(idx) > 1 else 0.0
-        groups.append((lam, scatter, len(idx)))
+    for idx in _single_linkage_groups(values, radius):
+        lam = complex(values[idx].mean())
+        scatter = float(np.abs(values[idx] - lam).max()) if len(idx) > 1 else 0.0
+        groups.append((lam, scatter, idx))
     return groups
+
+
+def _refined(a, values, vectors):
+    """Unit eigenvectors after one first-order correction by their residuals.
+
+    eig's vectors are exact for a matrix some multiple of eps ||A|| away,
+    so each leans towards the eigenvectors of nearby eigenvalues by about
+    that much over the gap, several times more than an SVD null vector
+    does.  With the residuals expanded in the eigenvector basis,
+    D = V^-1 (A V - V diag(values)), the lean of v_i towards v_j is
+    D_ji / (lambda_j - lambda_i), which is taken off.  The values must be
+    distinct; a singular V leaves the vectors as they are.
+    """
+    residual = a @ vectors - vectors * values
+    try:
+        lean = np.linalg.solve(vectors, residual)
+    except np.linalg.LinAlgError:
+        return vectors
+    gaps = values[:, None] - values[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        refined = vectors - vectors @ (lean / gaps)
+        return refined / np.linalg.norm(refined, axis=0)
+
+
+def _simple_kernels(a, raw, vecs, adj_raw, adj_vecs, simple, tol):
+    """Certified right and left kernels of simple clusters, by raw index.
+
+    When every cluster is simple, each side's vectors are first refined
+    against that side's own residuals.  An index is left out when either
+    unit vector's residual exceeds the cutoff (or is not finite), so the
+    caller falls back to the SVD route for it.
+    """
+    n = a.shape[0]
+    adj = a.conj().T
+    if len(simple) == n:
+        vecs = _refined(a, raw, vecs)
+        adj_vecs = _refined(adj, adj_raw, adj_vecs)
+    lam = raw[simple]
+    partner = np.abs(adj_raw[None, :] - lam.conj()[:, None]).argmin(axis=1)
+    right = vecs[:, simple]
+    left = adj_vecs[:, partner]
+    right = right / np.linalg.norm(right, axis=0)
+    left = left / np.linalg.norm(left, axis=0)
+    right_res = np.linalg.norm(a @ right - right * lam, axis=0)
+    left_res = np.linalg.norm(adj @ left - left * lam.conj(), axis=0)
+    diag = np.diag(a)
+    off = a - np.diag(diag)
+    fro = np.sqrt(np.vdot(off, off).real + (np.abs(diag[None, :] - lam[:, None]) ** 2).sum(axis=1))
+    cutoff = tol.rank_eps * n * np.maximum(fro / np.sqrt(n), np.abs(lam))
+    certified = (right_res <= cutoff) & (left_res <= cutoff)
+    return {
+        i: (Subspace(n, phase_normalize(right[:, [k]])), Subspace(n, phase_normalize(left[:, [k]])))
+        for k, i in enumerate(simple)
+        if certified[k]
+    }
 
 
 def point_spectrum(a, tol=DEFAULT_TOL):
@@ -151,20 +241,32 @@ def point_spectrum(a, tol=DEFAULT_TOL):
     n, m = a.shape
     if n != m:
         raise ValueError("point spectrum requires a square matrix")
+    raw, vecs = _lapack(np.linalg.eig, a)
+    groups = eigenvalue_groups(raw, tol)
+    simple = [idx[0] for _, _, idx in groups if len(idx) == 1]
+    adj_raw = None
+    fast = {}
+    if simple:
+        adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
+        fast = _simple_kernels(a, raw, vecs, adj_raw, adj_vecs, simple, tol)
     eye = np.eye(n, dtype=complex)
     clusters = []
-    for lam, scatter, m_a in eigenvalue_groups(a, tol):
-        shifted = a - lam * eye
-        if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, lam, scatter, tol):
-            # the whole shifted matrix sits at the in-cluster scatter
-            # scale, so every direction is kernel at merge resolution
-            right = left = Subspace(n, phase_normalize(eye.copy()))
+    for lam, scatter, idx in groups:
+        if len(idx) == 1 and idx[0] in fast:
+            right, left = fast[idx[0]]
         else:
-            # |lam| anchors the rank cutoff: when a is close to lam * I
-            # the shifted matrix is pure cancellation noise and its own
-            # largest singular value is no longer a trustworthy scale
-            right = nullspace(shifted, tol, scale_floor=abs(lam))
-            left = nullspace(shifted.conj().T, tol, scale_floor=abs(lam))
+            shifted = a - lam * eye
+            if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, lam, scatter, tol):
+                # the whole shifted matrix sits at the in-cluster scatter
+                # scale, so every direction is kernel at merge resolution
+                right = left = Subspace(n, phase_normalize(eye.copy()))
+            else:
+                # |lam| anchors the rank cutoff: when a is close to lam * I
+                # the shifted matrix is pure cancellation noise and its own
+                # largest singular value is no longer a trustworthy scale
+                right = nullspace(shifted, tol, scale_floor=abs(lam))
+                left = nullspace(shifted.conj().T, tol, scale_floor=abs(lam))
+        m_a = len(idx)
         m_g = right.dim
         clusters.append(
             EigenvalueCluster(
@@ -178,7 +280,7 @@ def point_spectrum(a, tol=DEFAULT_TOL):
             )
         )
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters))
+    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw)
 
 
 def adjoint_point_spectrum(a, tol=DEFAULT_TOL):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,14 @@ from biortho import (
     check_conditions,
     generate,
     point_spectrum,
+    read_matrix,
     residual_identity_check,
     sigma_set,
 )
 
 from conftest import random_complex
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +199,49 @@ def test_verdict_details_name_witnesses(nilpotent_report):
     assert "0" in c2.detail
     c4 = nilpotent_report.condition("C4")
     assert "1/2" in c4.detail
+
+
+def _pairwise_overlap_marks(report, tol):
+    # reference: mark (a) from one 2-norm per pair of clusters, as before
+    # the single Gram; marks (b)-(e) are read straight off the report
+    clusters = report.spectrum.clusters
+    overlap = 0.0
+    for i in range(len(clusters)):
+        for j in range(i + 1, len(clusters)):
+            cross = clusters[i].right_kernel.basis.conj().T @ clusters[j].right_kernel.basis
+            overlap = max(overlap, float(np.linalg.norm(cross, 2)))
+    return PASS if overlap <= 10.0 * tol.residual_eps else FAIL
+
+
+def _unitary(n, seed):
+    q, _ = np.linalg.qr(random_complex(n, None, seed))
+    return q
+
+
+NORMALITY_CASES = (
+    [pytest.param(str(p), Tolerance(), id=p.name) for p in CORPUS]
+    + [pytest.param(str(p), Tolerance(cluster_eps=1e-2), id=p.name + "-wide") for p in CORPUS]
+    + [
+        pytest.param(random_complex(7, None, 31), Tolerance(), id="gaussian7"),
+        pytest.param(generate(FamilySpec("random_normal", 9, {}, 32)), Tolerance(), id="normal9"),
+        pytest.param(_unitary(3, 33) @ np.diag([1.0, 1.0, 2.0]) @ _unitary(3, 33).conj().T,
+                     Tolerance(), id="diag112-unitary"),
+        pytest.param(generate(FamilySpec("block_jordan", 7, {"blocks": ((0.0, (1, 1)), (1.0, (1, 1, 1)),
+                                                                       (2.0, (1,)), (3.0, (1,))),
+                                                            "cond": 10.0}, 34)),
+                     Tolerance(cluster_eps=1e-2), id="semi-simple-oblique"),
+        # only blocks larger than 1x1 can fail mark (a) in these two
+        pytest.param(generate(FamilySpec("block_jordan", 5, {"blocks": ((0.0, (1, 1)), (1.0, (1, 1, 1))),
+                                                            "cond": 10.0}, 35)),
+                     Tolerance(cluster_eps=1e-2), id="multiple-clusters-only"),
+        pytest.param(random_complex(3, None, 36) @ np.diag([1.0, 1.0, 2.0])
+                     @ np.linalg.inv(random_complex(3, None, 36)), Tolerance(), id="diag112-similar"),
+    ]
+)
+
+
+@pytest.mark.parametrize("source, tol", NORMALITY_CASES)
+def test_normality_mark_a_from_one_gram_matches_pairwise_norms(source, tol):
+    a = read_matrix(source) if isinstance(source, str) else source
+    report = check_conditions(a, tol)
+    assert report.normality.properties["a"] == _pairwise_overlap_marks(report, tol)

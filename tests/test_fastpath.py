@@ -1,0 +1,221 @@
+"""The simple-cluster fast path against the SVD route it replaces.
+
+A cluster with one raw eigenvalue takes its right kernel from eig(A) and
+its left kernel from eig(A^*), each certified by its residual; the
+references here are the SVD kernels of the shifted matrix and its
+adjoint, which every cluster took before and which the fallback still
+takes.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from biortho import (
+    FamilySpec,
+    Tolerance,
+    check_conditions,
+    generate,
+    nullspace,
+    point_spectrum,
+    read_matrix,
+    residual_identity_check,
+    root_space,
+    subspace_angle,
+)
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
+DEFAULT = Tolerance()
+
+
+def _svd_kernels(a, c, tol=DEFAULT):
+    shifted = a - c.value * np.eye(a.shape[0])
+    return (nullspace(shifted, tol, scale_floor=abs(c.value)),
+            nullspace(shifted.conj().T, tol, scale_floor=abs(c.value)))
+
+
+class _Calls:
+    """Counts numpy.linalg calls by name and by the shape of their first argument."""
+
+    def __init__(self, monkeypatch, names=("svd", "eig", "eigvals")):
+        self.shapes = {name: [] for name in names}
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
+
+    def _counted(self, name, fn):
+        def counted(m, *args, **kwargs):
+            self.shapes[name].append(np.shape(m))
+            return fn(m, *args, **kwargs)
+        return counted
+
+    def square(self, name, n):
+        return sum(1 for shape in self.shapes[name] if shape == (n, n))
+
+
+GENERIC = [
+    pytest.param(FamilySpec(family, n, {}, seed), id="%s%d" % (family, n))
+    for family, seed in (("random_gaussian", 3), ("random_normal", 4))
+    for n in (4, 16, 48)
+]
+
+
+@pytest.mark.parametrize("spec", GENERIC)
+def test_fast_kernels_match_svd_kernels_without_an_svd(spec, monkeypatch):
+    a = generate(spec)
+    calls = _Calls(monkeypatch)
+    ps = point_spectrum(a)
+    assert calls.shapes["svd"] == []
+    assert calls.shapes["eig"] == [(spec.size, spec.size)] * 2
+    monkeypatch.undo()
+    assert len(ps.clusters) == spec.size
+    for c in ps.clusters:
+        right, left = _svd_kernels(a, c)
+        assert subspace_angle(c.right_kernel, right) <= 1e-10
+        assert subspace_angle(c.left_kernel, left) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [DEFAULT, Tolerance(cluster_eps=1e-2)], ids=["default", "wide"])
+@pytest.mark.parametrize("path", CORPUS, ids=[p.name for p in CORPUS])
+def test_corpus_kernels_match_svd_kernels(path, tol):
+    a = read_matrix(str(path))
+    for c in point_spectrum(a, tol).clusters:
+        right, left = _svd_kernels(a, c, tol)
+        assert subspace_angle(c.right_kernel, right) <= 1e-10
+        assert subspace_angle(c.left_kernel, left) <= 1e-10
+
+
+MIXED = FamilySpec("block_jordan", 5, {"blocks": ((0.0, (1, 1)), (1.0, (1,)), (2.0, (1,)), (3.0, (1,))),
+                                        "cond": 10.0}, 8)
+
+
+def _spoil_lean(values, vectors):
+    # lean the vector at 1 towards the one at 2; with a multiple cluster
+    # present no refinement runs, so the lean stays
+    k = int(np.abs(values - 1.0).argmin())
+    vectors[:, k] += 1e-6 * vectors[:, int(np.abs(values - 2.0).argmin())]
+    return values[k]
+
+
+def _spoil_duplicate(values, vectors):
+    # a copy of another eigenvector: V is singular, so no refinement can
+    # repair it, and its residual is of the size of the eigenvalue gap
+    vectors[:, 0] = vectors[:, 1]
+    return values[0]
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["right", "left"])
+@pytest.mark.parametrize("spec, spoil", [(MIXED, _spoil_lean),
+                                         (FamilySpec("random_gaussian", 6, {}, 8), _spoil_duplicate)],
+                         ids=["lean-mixed", "duplicate-generic"])
+def test_failed_certificate_falls_back_to_svd_route(spec, spoil, side, monkeypatch):
+    a = generate(spec)
+    reference = point_spectrum(a)
+    eig = np.linalg.eig
+    spoiled = []
+
+    def perturbed(m):
+        values, vectors = eig(m)
+        if len(spoiled) == side:
+            vectors = vectors.copy()
+            value = spoil(values, vectors)
+            spoiled.append(value if side == 0 else np.conj(value))
+        else:
+            spoiled.append(None)
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    ps = point_spectrum(a)
+    monkeypatch.undo()
+    target = min(range(len(ps.clusters)), key=lambda i: abs(ps.clusters[i].value - spoiled[side]))
+    assert ps.clusters[target].algebraic_multiplicity == 1
+    for i, (c, ref) in enumerate(zip(ps.clusters, reference.clusters)):
+        if i == target:
+            right, left = _svd_kernels(a, c)
+            assert np.array_equal(c.right_kernel.basis, right.basis)
+            assert np.array_equal(c.left_kernel.basis, left.basis)
+        else:
+            assert subspace_angle(c.right_kernel, ref.right_kernel) <= 1e-10
+            assert subspace_angle(c.left_kernel, ref.left_kernel) <= 1e-10
+
+
+def test_refinement_takes_off_the_lean_towards_near_eigenvectors():
+    # eig's vectors of a normal matrix are orthogonal only to about
+    # eps ||A|| / gap times a modest multiple; after one correction they
+    # are as orthogonal as the SVD null vectors
+    a = generate(FamilySpec("random_normal", 48, {}, 10))
+    v = np.hstack([c.right_kernel.basis for c in point_spectrum(a).clusters])
+    assert np.linalg.norm(v.conj().T @ v - np.eye(48), 2) <= 4 * 48 * np.finfo(float).eps
+
+
+def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
+    counts = {}
+    for n in (16, 32):
+        a = generate(FamilySpec("random_gaussian", n, {}, 2))
+        calls = _Calls(monkeypatch)
+        check_conditions(a)
+        monkeypatch.undo()
+        counts[n] = calls.square("svd", n)
+        # eig(A) and eig(A^*) serve the clusters and C1/C3' alike
+        assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
+    assert counts[32] <= counts[16]
+
+
+def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):
+    a = generate(FamilySpec("jordan", 4, {"eigenvalue": 0.0, "segre": (3, 1)}))
+    calls = _Calls(monkeypatch)
+    check_conditions(a)
+    assert len(calls.shapes["eig"]) + len(calls.shapes["eigvals"]) == 2
+
+
+def test_simple_root_space_takes_its_kernels_without_an_svd(monkeypatch):
+    a = generate(FamilySpec("random_gaussian", 8, {}, 6))
+    ps = point_spectrum(a)
+    calls = _Calls(monkeypatch)
+    for c in ps.clusters:
+        rs = root_space(a, c)
+        assert (rs.staircase, rs.height, rs.segre) == ((1,), 1, (1,))
+        assert rs.space is c.right_kernel and rs.adjoint_space is c.left_kernel
+    assert calls.shapes["svd"] == []
+
+
+def test_semi_simple_staircase_stops_at_its_first_level(monkeypatch):
+    spec = FamilySpec("block_jordan", 6, {"blocks": ((0.0, (1, 1)), (1.0, (1, 1, 1)), (2.0, (1,))),
+                                           "cond": 10.0}, 3)
+    a = generate(spec)
+    tol = Tolerance(cluster_eps=1e-2)
+    ps = point_spectrum(a, tol)
+    calls = _Calls(monkeypatch)
+    got = {}
+    for c in ps.clusters:
+        rs = root_space(a, c, tol)
+        got[round(c.value.real)] = (rs.staircase, rs.height, rs.segre)
+    assert got == {0: ((2,), 1, (1, 1)), 1: ((3,), 1, (1, 1, 1)), 2: ((1,), 1, (1,))}
+    # one staircase level for each multiple cluster, none for the simple one
+    assert len(calls.shapes["svd"]) == 2
+
+
+@pytest.mark.parametrize("source", [str(p) for p in CORPUS] + [FamilySpec("random_gaussian", 24, {}, 7)],
+                         ids=[p.name for p in CORPUS] + ["gaussian24"])
+def test_residual_identity_routes_agree(source):
+    a = read_matrix(source) if isinstance(source, str) else generate(source)
+    ps = point_spectrum(a)
+    report = check_conditions(a)
+    # an infinite kappa_v sends every cluster down the range-space SVD route
+    by_svd = residual_identity_check(a, ps, kappa_v=float("inf"))
+    assert report.residual_identity_angle <= 1e-10
+    assert by_svd <= 1e-10
+
+
+def test_residual_identity_through_the_inverse_catches_a_wrong_left_kernel():
+    a = generate(FamilySpec("random_gaussian", 5, {}, 9))
+    ps = point_spectrum(a)
+    assert residual_identity_check(a, ps) <= 1e-10
+    # the inverse of V knows nothing of the left kernels, so swapping one
+    # for the right kernel of the same (oblique) cluster must show
+    bad = list(ps.clusters)
+    bad[2] = dataclasses.replace(bad[2], left_kernel=bad[2].right_kernel)
+    wrong = dataclasses.replace(ps, clusters=tuple(bad))
+    assert residual_identity_check(a, wrong) == pytest.approx(
+        subspace_angle(ps.clusters[2].left_kernel, ps.clusters[2].right_kernel), rel=1e-6)

@@ -144,6 +144,48 @@ def test_subspace_angle_unequal_dimensions_is_maximal():
     assert subspace_angle(one, two) == pytest.approx(np.pi / 2)
 
 
+def _projector_gap_angle(s1, s2):
+    gap = np.linalg.norm(s1.projector() - s2.projector(), 2)
+    return float(np.arcsin(min(1.0, gap)))
+
+
+def _orthonormal_basis(m):
+    q, _ = np.linalg.qr(m)
+    return q
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 9),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 1e-8, 1e-6, 1e-3, 0.1, 1.0, 10.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_subspace_angle_matches_projector_gap(seed, n, k1, extra, tilt):
+    k1 = min(k1, n - 1)
+    k2 = min(k1 + extra, n)
+    rng = np.random.default_rng(seed)
+    b1 = _orthonormal_basis(random_complex(n, k1, seed))
+    # the second subspace is the first, tilted and possibly widened
+    b2 = np.hstack([b1 + tilt * random_complex(n, k1, seed + 1),
+                    random_complex(n, k2 - k1, seed + 2)])
+    s1 = Subspace(n, b1)
+    s2 = Subspace(n, _orthonormal_basis(b2 @ np.diag(np.exp(1j * rng.uniform(0, 6, k2)))))
+    expected = _projector_gap_angle(s1, s2)
+    assert subspace_angle(s1, s2) == pytest.approx(expected, rel=1e-6, abs=1e-14)
+    assert subspace_angle(s2, s1) == pytest.approx(expected, rel=1e-6, abs=1e-14)
+    if k1 != k2:
+        assert subspace_angle(s1, s2) == np.pi / 2
+
+
+def test_subspace_angle_resolves_small_angles():
+    for theta in (1e-8, 1e-6, 1e-3):
+        s1 = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+        s2 = Subspace(3, np.array([[np.cos(theta)], [0.0], [np.sin(theta)]], dtype=complex))
+        assert subspace_angle(s1, s2) == pytest.approx(theta, rel=1e-9)
+
+
 def test_subspace_angle_ambient_mismatch():
     s2 = Subspace(2, np.eye(2, dtype=complex)[:, :1])
     s3 = Subspace(3, np.eye(3, dtype=complex)[:, :1])

@@ -16,6 +16,8 @@ from biortho import (
     subspace_angle,
 )
 
+from biortho.spectral import _single_linkage_groups
+
 from conftest import random_complex
 
 
@@ -110,6 +112,53 @@ def test_single_linkage_chains_across_radius():
     tol = Tolerance(cluster_eps=1e-8)
     m = np.diag([0.0, 0.8e-8, 1.6e-8])
     assert len(point_spectrum(m, tol).clusters) == 1
+
+
+def _union_find_groups(values, radius):
+    # reference: the pairwise union-find the vectorized grouping replaced
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    diff = np.abs(values[:, None] - values[None, :])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if diff[i, j] <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+@settings(max_examples=80, deadline=None)
+def test_single_linkage_matches_union_find(seed, n, radius):
+    rng = np.random.default_rng(seed)
+    # coarse grid points put many pairs exactly at the radius
+    values = (rng.integers(0, 6, n) + 1j * rng.integers(0, 6, n)) * 0.2 if seed % 2 else (
+        rng.uniform(0, 1, n) + 1j * rng.uniform(0, 1, n))
+    assert _single_linkage_groups(values, radius) == _union_find_groups(values, radius)
+
+
+def test_single_linkage_chains_in_scrambled_order():
+    # a long chain, visited out of order, joins into one group only through
+    # many hops; a second chain breaks where one link is just past the radius
+    rng = np.random.default_rng(3)
+    chain = np.arange(30) * 0.5 + 0j
+    broken = 100.0 + np.concatenate([np.arange(10) * 0.5, 5.0 + 1e-9 + np.arange(10) * 0.5]) + 0j
+    values = np.concatenate([chain, broken])[rng.permutation(50)]
+    groups = _single_linkage_groups(values, 0.5)
+    assert groups == _union_find_groups(values, 0.5)
+    assert sorted(len(g) for g in groups) == [10, 10, 30]
+    assert len(_single_linkage_groups(values, 0.4999)) == 50
 
 
 @given(st.integers(0, 200), st.integers(1, 8))
