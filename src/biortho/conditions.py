@@ -12,9 +12,10 @@ A^* has no kernel, staircase or span of its own.  Its eigenvectors at
 conj(lambda) are the clusters' left kernels: for a simple cluster the
 certified eig vector of A^* (see spectral), otherwise the left null
 vectors of A - lambda I.  Its root vectors are the left null vectors of
-the powers in A's staircase, or the left kernel again for a simple
-cluster.  Its spectrum comes from a separate computation, so that C1 and
-C3' compare independent results: the eig(A^*) call point_spectrum already
+the powers in A's staircase, or the left kernel again where a cluster's
+kernels are its root subspaces, and C2' then reuses its C2 verdict.
+Its spectrum comes from a separate computation, so that C1 and C3'
+compare independent results: the eig(A^*) call point_spectrum already
 made when some cluster is simple, else one eigvals call.
 """
 
@@ -120,16 +121,11 @@ class DiagnosisReport:
 def sigma_set(spectrum, tol=DEFAULT_TOL):
     """Indices of clusters whose left and right kernels differ.
 
-    A cluster enters the set when the kernel dimensions differ or the
-    subspaces sit at an angle above 10 * residual_eps.
+    A cluster enters the set when its kernels sit at an angle above
+    10 * residual_eps, as kernels of unequal dimension always do (pi/2).
     """
-    out = []
-    for i, c in enumerate(spectrum.clusters):
-        if c.right_kernel.dim != c.left_kernel.dim:
-            out.append(i)
-        elif subspace_angle(c.right_kernel, c.left_kernel) > 10.0 * tol.residual_eps:
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i, c in enumerate(spectrum.clusters)
+                 if subspace_angle(c.right_kernel, c.left_kernel) > 10.0 * tol.residual_eps)
 
 
 def _orthonormal(block):
@@ -221,11 +217,12 @@ def _check_c1(ps, adjoint_values, radius):
     return ConditionVerdict("C1", status, detail, bad), match
 
 
-def _check_skew(cid, members, verdicts, empty_detail):
-    if not members:
+def _check_skew(cid, verdicts, empty_detail):
+    """Verdict over the differing clusters, given as {cluster index: SkewLinkVerdict}."""
+    if not verdicts:
         return ConditionVerdict(cid, VACUOUS, empty_detail, ())
-    fails = [i for i in members if not verdicts[i].linked]
-    worst = min(verdicts[i].self_orthogonality for i in members)
+    fails = [i for i, v in verdicts.items() if not v.linked]
+    worst = min(v.self_orthogonality for v in verdicts.values())
     if fails:
         detail = (
             "cross-Gram singular for cluster(s) %s; smallest "
@@ -233,10 +230,16 @@ def _check_skew(cid, members, verdicts, empty_detail):
         )
         return ConditionVerdict(cid, FAIL, detail, tuple(fails))
     detail = "all %d differing cluster(s) pair skewly; smallest self-orthogonality %.3e" % (
-        len(members),
+        len(verdicts),
         worst,
     )
-    return ConditionVerdict(cid, PASS, detail, tuple(members))
+    return ConditionVerdict(cid, PASS, detail, tuple(verdicts))
+
+
+def _check_span(cid, what, dim, adjoint_dim, n, witnesses):
+    status = PASS if dim == adjoint_dim == n else FAIL
+    detail = "%s span %d/%d dimensions (adjoint side %d/%d)" % (what, dim, n, adjoint_dim, n)
+    return ConditionVerdict(cid, status, detail, witnesses)
 
 
 def check_conditions(a, tol=DEFAULT_TOL):
@@ -264,8 +267,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
     links = tuple(skew_link_check(c.right_kernel, c.left_kernel, tol, i) for i, c in enumerate(ps.clusters))
     c2 = _check_skew(
         "C2",
-        sig,
-        links,
+        {i: links[i] for i in sig},
         "no cluster distinguishes its left kernel from its right kernel",
     )
 
@@ -283,12 +285,15 @@ def check_conditions(a, tol=DEFAULT_TOL):
     roots = [root_space(a, c, tol) for c in ps.clusters]
 
     c3_bad = []
-    sig_root = []
+    root_links = {}  # C2' verdicts of the root sigma set
     for i, (c, r) in enumerate(zip(ps.clusters, roots)):
         if c.algebraic_multiplicity != len(adj_groups[match[i]][2]):
             c3_bad.append(i)
-        if subspace_angle(r.space, r.adjoint_space) > 10.0 * tol.residual_eps:
-            sig_root.append(i)
+        if c.kernels_are_root_spaces:
+            if i in sig:
+                root_links[i] = links[i]
+        elif subspace_angle(r.space, r.adjoint_space) > 10.0 * tol.residual_eps:
+            root_links[i] = skew_link_check(r.space, r.adjoint_space, tol, i)
     c3p = ConditionVerdict(
         "C3'",
         FAIL if c3_bad else PASS,
@@ -299,49 +304,32 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     c2p = _check_skew(
         "C2'",
-        sig_root,
-        {i: skew_link_check(roots[i].space, roots[i].adjoint_space, tol, i) for i in sig_root},
+        root_links,
         "no cluster distinguishes its root subspace from the adjoint's",
     )
 
     spans = span_report(a, tol, spectrum=ps, root_spaces=roots)
-    eigen_ok = spans.eigen_span_dim == n and spans.adjoint_eigen_span_dim == n
-    c4 = ConditionVerdict(
-        "C4",
-        PASS if eigen_ok else FAIL,
-        "eigenvectors span %d/%d dimensions (adjoint side %d/%d)"
-        % (spans.eigen_span_dim, n, spans.adjoint_eigen_span_dim, n),
-        tuple(i for i, c in enumerate(ps.clusters) if not c.semi_simple),
-    )
-    root_ok = spans.root_span_dim == n and spans.adjoint_root_span_dim == n
-    c4p = ConditionVerdict(
-        "C4'",
-        PASS if root_ok else FAIL,
-        "root subspaces span %d/%d dimensions (adjoint side %d/%d)"
-        % (spans.root_span_dim, n, spans.adjoint_root_span_dim, n),
-        (),
-    )
+    defective = tuple(i for i, c in enumerate(ps.clusters) if not c.semi_simple)
+    c4 = _check_span("C4", "eigenvectors", spans.eigen_span_dim, spans.adjoint_eigen_span_dim, n, defective)
+    c4p = _check_span("C4'", "root subspaces", spans.root_span_dim, spans.adjoint_root_span_dim, n, ())
 
     commutator = a @ adj - adj @ a
     commutator_norm = float(np.linalg.norm(commutator, "fro"))
     norm_a = float(np.linalg.norm(a, 2))
     is_normal = commutator_norm <= tol.residual_eps * max(1.0, norm_a * norm_a)
-    v = eigvec_matrix(ps)
-    overlap = _eigenspace_overlap(v, [c.geometric_multiplicity for c in ps.clusters])
+    overlap = _eigenspace_overlap(eigvec_matrix(ps), [c.geometric_multiplicity for c in ps.clusters])
     properties = {
         "a": PASS if overlap <= 10.0 * tol.residual_eps else FAIL,
-        "b": PASS if all(c.semi_simple for c in ps.clusters) else FAIL,
+        "b": FAIL if defective else PASS,
         "c": c1.status,
         "d": PASS if spans.eigen_span_dim == n else FAIL,
         "e": PASS if not sig else FAIL,
     }
     normality = NormalityReport(is_normal, commutator_norm, properties)
 
-    kappa = condition_number(v, tol) if v.shape[0] == v.shape[1] else float("inf")
-    diagonalizable = all(c.semi_simple for c in ps.clusters)
     # exactly when biorthonormalize(a, ps, tol) succeeds
-    exists = diagonalizable and all(link.linked for link in links)
-    angle = residual_identity_check(a, ps, tol, kappa_v=kappa)
+    exists = not defective and all(link.linked for link in links)
+    angle = residual_identity_check(a, ps, tol, kappa_v=spans.kappa_v)
 
     return DiagnosisReport(
         ambient_dim=n,
@@ -349,8 +337,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
         sigma_set=sig,
         conditions=(c1, c2, c3, c4, c2p, c3p, c4p),
         normality=normality,
-        kappa_v=kappa,
-        diagonalizable=diagonalizable,
+        kappa_v=spans.kappa_v,
+        diagonalizable=not defective,
         biorthonormal_basis_exists=exists,
         residual_identity_angle=angle,
         skew_links=links,

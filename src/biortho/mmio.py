@@ -42,12 +42,23 @@ def read_matrix(source):
     """
     if hasattr(source, "read"):
         return _read_stream(source)
-    with open(source, "r", encoding="ascii") as handle:
+    # surrogateescape: a non-ASCII byte reaches _read_stream's position check
+    with open(source, "r", encoding="ascii", errors="surrogateescape") as handle:
         return _read_stream(handle)
 
 
+def _ascii_lines(text):
+    if not text.isascii():
+        # keepends, so that a non-ASCII line break belongs to a line too
+        lineno, line = next((i, s) for i, s in enumerate(text.splitlines(True), 1) if not s.isascii())
+        column = next(i for i, ch in enumerate(line, 1) if not ch.isascii())
+        raise MatrixParseError("non-ASCII character in a Matrix Market file", lineno, column)
+    return text.splitlines()
+
+
 def _read_stream(handle):
-    lines = handle.read().splitlines()
+    # the text is dropped once split, so a large file is not held twice
+    lines = _ascii_lines(handle.read())
     if not lines:
         raise MatrixParseError("empty file", 1)
     banner = lines[0].split()

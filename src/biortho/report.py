@@ -139,10 +139,14 @@ class ReportDocument:
         missing = [k for k in ("input_digest", "tolerance", *_BODY_KEYS) if k not in data]
         if missing:
             raise MatrixParseError("report JSON lacks key(s) %s" % ", ".join(missing), 1)
+        try:
+            tolerance = Tolerance(**data["tolerance"])
+        except (TypeError, ValueError) as exc:
+            raise MatrixParseError("invalid report tolerance: %s" % exc, 1) from exc
         return cls(
             schema_version=data["schema_version"],
             input_digest=data["input_digest"],
-            tolerance=Tolerance(**data["tolerance"]),
+            tolerance=tolerance,
             body={k: data[k] for k in _BODY_KEYS},
             timings=data.get("timings"),
         )

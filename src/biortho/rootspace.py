@@ -10,11 +10,11 @@ The left singular vectors past each power's rank span
 Ker((A^* - conj(lambda) I)^k), so the same SVDs give the adjoint's root
 subspace at conj(lambda) without a second staircase.
 
-Two cases take no further level.  A simple cluster (m_a = 1) has height
-1 and its root spaces are its kernels, so no SVD runs: the right kernel
-and the left kernel that point_spectrum holds, from eig or from the SVD
-fallback.  A cluster whose first level already reaches m_a is
-semi-simple, so the staircase stops there.
+A cluster whose kernels both have dimension m_a, as every simple or
+collapsed one does, has them for root subspaces and takes no staircase
+(EigenvalueCluster.kernels_are_root_spaces).  When all clusters do, the
+root spans are the eigenvector spans; the SVD that ranks V also gives
+kappa_v, infinite exactly when the rank falls short of n.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, RootSpaceMismatchError
-from .linalg import DEFAULT_TOL, Subspace, as_matrix, phase_normalize
-from .spectral import collapsed_at_resolution, point_spectrum
+from .linalg import DEFAULT_TOL, Subspace, _rank_from_singular_values, as_matrix, phase_normalize
+from .spectral import point_spectrum
 
 __all__ = ["RootSpace", "SpanReport", "root_space", "span_report"]
 
@@ -50,54 +50,42 @@ class RootSpace:
 
 
 def _segre_from_staircase(staircase, eigenvalue):
-    weyr = [staircase[0]] + [b - a for a, b in zip(staircase, staircase[1:])]
-    weyr.append(0)
-    segre = []
-    for k in range(len(staircase), 0, -1):
-        count = weyr[k - 1] - weyr[k]
-        if count < 0:
-            raise ClusteringError(
-                "kernel staircase at %.6g%+.6gj grew by increasing steps, "
-                "which no matrix admits; rank decisions are inconsistent "
-                "for this matrix, retry with different tolerances"
-                % (eigenvalue.real, eigenvalue.imag)
-            )
-        segre.extend([k] * count)
-    segre.sort(reverse=True)
-    return tuple(segre)
+    # the Weyr characteristic w_k = d_k - d_(k-1) counts the blocks of size
+    # at least k, so w_k - w_(k+1) of them have size exactly k
+    weyr = np.diff([0, *staircase, staircase[-1]])
+    counts = weyr[:-1] - weyr[1:]
+    if (counts < 0).any():
+        raise ClusteringError(
+            "kernel staircase at %.6g%+.6gj grew by increasing steps, "
+            "which no matrix admits; rank decisions are inconsistent "
+            "for this matrix, retry with different tolerances"
+            % (eigenvalue.real, eigenvalue.imag)
+        )
+    return tuple(k for k in range(len(counts), 0, -1) for _ in range(counts[k - 1]))
 
 
 def root_space(a, cluster, tol=DEFAULT_TOL):
     """Compute the root subspace for one eigenvalue cluster.
 
-    A simple cluster's root spaces are its kernels, so a is not read.
+    When the cluster's kernels are its root spaces, a is not read.
     Raises RootSpaceMismatchError when the stabilized kernel dimension
     differs from the cluster's algebraic multiplicity, which signals
     that the rank and cluster tolerances disagree about this matrix.
     """
     lam = complex(cluster.value)
     m_a = cluster.algebraic_multiplicity
-    if m_a == 1 and cluster.left_kernel.dim == 1:
-        return RootSpace(lam, (1,), 1, cluster.right_kernel, (1,), cluster.left_kernel)
+    if cluster.kernels_are_root_spaces:
+        return RootSpace(lam, (m_a,), 1, cluster.right_kernel, (1,) * m_a, cluster.left_kernel)
     a = as_matrix(a)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError("root space requires a square matrix")
-    scatter = float(getattr(cluster, "scatter", 0.0))
+    # a collapsed cluster has full kernels and returned above
     shifted = a - lam * np.eye(n, dtype=complex)
-    norm0 = float(np.linalg.norm(shifted, 2))
-    if collapsed_at_resolution(norm0, n, lam, scatter, tol):
-        # the matrix is lam * I up to cancellation noise and in-cluster
-        # eigenvalue scatter, so the root space is everything
-        full = Subspace(n, phase_normalize(np.eye(n, dtype=complex)))
-        if n != m_a:
-            raise RootSpaceMismatchError(lam, n, m_a)
-        return RootSpace(lam, (n,), 1, full, tuple([1] * n), full)
-    base = shifted / norm0
+    base = shifted / np.linalg.norm(shifted, 2)
     power = base
     staircase = []
-    height = n
-    for k in range(1, n + 1):
+    for _ in range(n):
         u, s, vh = np.linalg.svd(power)
         # the chain is normalized so every stored power has norm at most 1;
         # flooring the cutoff at rank_eps keeps a fully collapsed power (all
@@ -106,12 +94,10 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
         rank = int(np.count_nonzero(s > cutoff))
         d = n - rank
         if staircase and d <= staircase[-1]:
-            height = k - 1
             break
         staircase.append(d)
         stable = (u, vh, rank)
-        if d == n or (k == 1 and d == m_a):
-            height = k
+        if d == n:
             break
         power = (power / s[0]) @ base
     u, vh, rank = stable
@@ -120,27 +106,25 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
         raise RootSpaceMismatchError(lam, kernel.dim, m_a)
     adjoint = Subspace(n, phase_normalize(u[:, rank:]))
     segre = _segre_from_staircase(staircase, lam)
-    return RootSpace(lam, tuple(staircase), height, kernel, segre, adjoint)
+    return RootSpace(lam, tuple(staircase), len(staircase), kernel, segre, adjoint)
 
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Eigenvector and root-subspace span dimensions of A and (adjoint_) of A^*."""
+    """Eigenvector and root span dimensions of A and (adjoint_) of A^*, and kappa_v of V."""
 
     eigen_span_dim: int
     root_span_dim: int
     ambient_dim: int
     adjoint_eigen_span_dim: int
     adjoint_root_span_dim: int
+    kappa_v: float
 
 
-def _stacked_rank(blocks, n, tol):
-    basis = np.hstack([b for b in blocks]) if blocks else np.zeros((n, 0), dtype=complex)
-    if basis.shape[1] == 0:
-        return 0
+def _stacked_rank(blocks, tol):
+    basis = np.hstack(blocks)
     s = np.linalg.svd(basis, compute_uv=False)
-    cutoff = tol.rank_eps * s[0] * max(basis.shape) if s[0] > 0.0 else 0.0
-    return int(np.count_nonzero(s > cutoff))
+    return _rank_from_singular_values(s, basis.shape, tol), s
 
 
 def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
@@ -149,16 +133,23 @@ def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
     spectrum and root_spaces may be passed to reuse existing results;
     they must belong to the same matrix and tolerance.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
-    if root_spaces is None:
-        root_spaces = [root_space(a, c, tol) for c in spectrum.clusters]
+    n = spectrum.ambient_dim
+    clusters = spectrum.clusters
+    eigen, s = _stacked_rank([c.right_kernel.basis for c in clusters], tol)
+    adjoint_eigen, _ = _stacked_rank([c.left_kernel.basis for c in clusters], tol)
+    root, adjoint_root = eigen, adjoint_eigen
+    if not all(c.kernels_are_root_spaces for c in clusters):
+        if root_spaces is None:
+            root_spaces = [root_space(a, c, tol) for c in clusters]
+        root, _ = _stacked_rank([r.space.basis for r in root_spaces], tol)
+        adjoint_root, _ = _stacked_rank([r.adjoint_space.basis for r in root_spaces], tol)
     return SpanReport(
-        eigen_span_dim=_stacked_rank([c.right_kernel.basis for c in spectrum.clusters], n, tol),
-        root_span_dim=_stacked_rank([r.space.basis for r in root_spaces], n, tol),
+        eigen_span_dim=eigen,
+        root_span_dim=root,
         ambient_dim=n,
-        adjoint_eigen_span_dim=_stacked_rank([c.left_kernel.basis for c in spectrum.clusters], n, tol),
-        adjoint_root_span_dim=_stacked_rank([r.adjoint_space.basis for r in root_spaces], n, tol),
+        adjoint_eigen_span_dim=adjoint_eigen,
+        adjoint_root_span_dim=adjoint_root,
+        kappa_v=float(s[0] / s[-1]) if eigen == n else float("inf"),
     )

@@ -101,6 +101,11 @@ class EigenvalueCluster:
         if self.semi_simple != (m_a == m_g):
             raise ClusteringError("semi_simple flag disagrees with multiplicities")
 
+    @property
+    def kernels_are_root_spaces(self):
+        """True when both kernels have dimension m_a, so they are the root subspaces."""
+        return self.right_kernel.dim == self.algebraic_multiplicity == self.left_kernel.dim
+
 
 @dataclass(frozen=True)
 class PointSpectrum:

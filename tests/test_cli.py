@@ -248,3 +248,11 @@ def test_analyze_of_gallery_file_matches_in_memory_diagnosis(tmp_path, capsys):
         check_conditions(a), DEFAULT_TOL, matrix_digest(a)
     )
     assert via_cli == direct.to_json()
+
+
+def test_analyze_non_ascii_file_exits_one_with_its_position(tmp_path, capsys):
+    p = tmp_path / "accent.mtx"
+    p.write_bytes(J2_TEXT.replace("2 2\n", "% é\n2 2\n").encode("utf-8"))
+    assert main(["analyze", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "non-ASCII character" in err and "(line 2, column 3)" in err

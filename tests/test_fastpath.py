@@ -23,8 +23,10 @@ from biortho import (
     read_matrix,
     residual_identity_check,
     root_space,
+    skew_link_check,
     subspace_angle,
 )
+from biortho import conditions
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
@@ -150,16 +152,25 @@ def test_refinement_takes_off_the_lean_towards_near_eigenvectors():
 
 
 def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
-    counts = {}
     for n in (16, 32):
         a = generate(FamilySpec("random_gaussian", n, {}, 2))
         calls = _Calls(monkeypatch)
-        check_conditions(a)
+        linked = []
+
+        def counted_link(s1, s2, tol, cluster_index):
+            linked.append(cluster_index)
+            return skew_link_check(s1, s2, tol, cluster_index)
+
+        monkeypatch.setattr(conditions, "skew_link_check", counted_link)
+        report = check_conditions(a)
         monkeypatch.undo()
-        counts[n] = calls.square("svd", n)
+        # one SVD of V gives C4's span and kappa_v, one of W the adjoint
+        # span; C4' reuses both, since every root space is a kernel
+        assert calls.square("svd", n) == 2
         # eig(A) and eig(A^*) serve the clusters and C1/C3' alike
         assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
-    assert counts[32] <= counts[16]
+        # one skew link per cluster: C2' takes C2's instead of judging again
+        assert linked == list(range(n)) == list(report.condition("C2'").witnesses)
 
 
 def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):
@@ -191,9 +202,11 @@ def test_semi_simple_staircase_stops_at_its_first_level(monkeypatch):
     for c in ps.clusters:
         rs = root_space(a, c, tol)
         got[round(c.value.real)] = (rs.staircase, rs.height, rs.segre)
+        assert rs.space is c.right_kernel and rs.adjoint_space is c.left_kernel
     assert got == {0: ((2,), 1, (1, 1)), 1: ((3,), 1, (1, 1, 1)), 2: ((1,), 1, (1,))}
-    # one staircase level for each multiple cluster, none for the simple one
-    assert len(calls.shapes["svd"]) == 2
+    # every cluster is semi-simple on both sides, so its kernels are its
+    # root spaces and no staircase level runs
+    assert calls.shapes["svd"] == []
 
 
 @pytest.mark.parametrize("source", [str(p) for p in CORPUS] + [FamilySpec("random_gaussian", 24, {}, 7)],

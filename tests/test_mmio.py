@@ -151,3 +151,32 @@ def test_error_message_mentions_position():
     err = MatrixParseError("boom", 4, 7)
     assert "line 4" in str(err)
     assert "column 7" in str(err)
+
+
+NON_ASCII = "%%MatrixMarket matrix array real general\n% café au lait\n1 1\n2\n"
+
+
+def test_non_ascii_character_is_a_parse_error_with_its_position(tmp_path):
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix(io.StringIO(NON_ASCII))
+    assert (info.value.line, info.value.column) == (2, 6)
+    # on disk, as UTF-8 and as Latin-1: the first byte of the character
+    # sits at the same column either way
+    for encoding in ("utf-8", "latin-1"):
+        path = tmp_path / ("bad-%s.mtx" % encoding)
+        path.write_bytes(NON_ASCII.encode(encoding))
+        with pytest.raises(MatrixParseError) as info:
+            read_matrix(str(path))
+        assert (info.value.line, info.value.column) == (2, 6)
+        assert "non-ASCII" in str(info.value)
+
+
+@pytest.mark.parametrize("body, position", [("٣\n", (3, 1)), ("2\u2028", (3, 2))],
+                         ids=["arabic-indic-digit", "line-separator"])
+def test_non_ascii_in_a_stream_is_refused_where_it_would_parse(body, position):
+    # float() accepts other scripts' digits, and splitlines() swallows a
+    # non-ASCII line break; a Matrix Market file may hold neither
+    text = "%%MatrixMarket matrix array real general\n1 1\n" + body
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix(io.StringIO(text))
+    assert (info.value.line, info.value.column) == position

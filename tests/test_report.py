@@ -120,6 +120,16 @@ def test_from_json_rejects_bad_documents(gaussian_doc):
     assert "kappa_v" in str(info.value)
 
 
+@pytest.mark.parametrize("tolerance", [{"foo": 1}, [1, 2], {"rank_eps": 5}],
+                         ids=["unknown-key", "not-an-object", "out-of-range"])
+def test_from_json_rejects_a_malformed_tolerance(gaussian_doc, tolerance):
+    data = json.loads(gaussian_doc.to_json())
+    data["tolerance"] = tolerance
+    with pytest.raises(MatrixParseError) as info:
+        ReportDocument.from_json(json.dumps(data))
+    assert "tolerance" in str(info.value)
+
+
 def test_tolerance_roundtrips_through_json(gaussian_doc):
     tol = Tolerance(rank_eps=1e-9, cluster_eps=1e-7, residual_eps=1e-6)
     a = random_complex(2, None, seed=8)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from biortho import (
+    ClusteringError,
     FamilySpec,
     RootSpaceMismatchError,
     Subspace,
@@ -12,6 +15,7 @@ from biortho import (
     span_report,
 )
 
+from biortho.rootspace import _segre_from_staircase
 from conftest import random_complex
 
 JORDAN_TOL = Tolerance(cluster_eps=1e-2)
@@ -121,6 +125,19 @@ def test_mismatch_against_cluster_multiplicity():
     assert err.value.algebraic_multiplicity == 2
 
 
+def test_only_kernels_of_full_dimension_on_both_sides_are_root_spaces():
+    # a left kernel that disagrees with m_a is no root space of A^*, so
+    # the cluster climbs the staircase, which finds the adjoint's own
+    m = np.diag([0.0, 1.0]).astype(complex)
+    c = point_spectrum(m).clusters[0]
+    assert c.kernels_are_root_spaces
+    lost = dataclasses.replace(c, left_kernel=Subspace(2, np.zeros((2, 0), dtype=complex)))
+    assert not lost.kernels_are_root_spaces
+    rs = root_space(m, lost)
+    assert rs.staircase == (1,) and rs.space.dim == rs.adjoint_space.dim == 1
+    assert abs(rs.adjoint_space.basis[0, 0]) == pytest.approx(1.0)
+
+
 def test_span_report_oracles():
     # defective: eigenvectors span 1 of 2, root vectors everything
     sr = span_report(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -142,3 +159,21 @@ def test_span_report_reuses_precomputed_spectrum():
     roots = [root_space(m, c) for c in ps.clusters]
     sr = span_report(m, spectrum=ps, root_spaces=roots)
     assert sr == span_report(m)
+
+
+def test_segre_is_the_conjugate_of_the_weyr_characteristic():
+    # every partition of m <= 7: its staircase d_k = sum(min(s, k)) gives it back
+    def partitions(m, top):
+        if m == 0:
+            yield ()
+        for first in range(min(m, top), 0, -1):
+            for rest in partitions(m - first, first):
+                yield (first,) + rest
+
+    for m in range(1, 8):
+        for segre in partitions(m, m):
+            staircase = [sum(min(s, k) for s in segre) for k in range(1, segre[0] + 1)]
+            got = _segre_from_staircase(staircase, 0j)
+            assert got == segre and all(type(k) is int for k in got)
+    with pytest.raises(ClusteringError, match="increasing steps"):
+        _segre_from_staircase([1, 3], 0j)
