@@ -3,12 +3,21 @@
 The writer emits the complex array format in column-major order with
 ``repr`` floats, so a write/read cycle reproduces the matrix bit for
 bit and a read/write cycle reproduces the file byte for byte.  The
-reader additionally accepts real and integer fields; parse failures
-carry one-based line and column positions.
+reader additionally accepts real and integer fields.
+
+A number is an ASCII decimal or exponent literal as ``float`` reads it,
+without ``_`` digit groups, and it must be finite: ``nan``, ``inf`` and
+overflowing literals such as ``1e999`` are refused.  After the header
+and size line are checked, the body is parsed in one ``numpy.loadtxt``
+call.  Only when that call refuses the body, or returns the wrong
+number of values or a non-finite one, does the line-by-line parser run.
+It is the reference grammar: it either reads the same matrix or raises
+MatrixParseError with the one-based line and column of the first fault.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -27,11 +36,23 @@ def _tokens(line):
 
 def _parse_float(token, lineno, column):
     try:
-        return float(token)
+        if "_" in token:  # float() reads digit groups such as 1_0; Matrix Market has none
+            raise ValueError(token)
+        value = float(token)
     except ValueError:
         raise MatrixParseError(
             "expected a number, found %r" % token, lineno, column
         ) from None
+    if not math.isfinite(value):
+        raise MatrixParseError(
+            "matrix entries must be finite, found %r" % token, lineno, column
+        )
+    return value
+
+
+def _is_data_line(line):
+    """Whether a line after the banner holds data: not blank and not a comment."""
+    return line.lstrip()[:1] not in ("", "%")
 
 
 def read_matrix(source):
@@ -59,6 +80,16 @@ def _ascii_lines(text):
 def _read_stream(handle):
     # the text is dropped once split, so a large file is not held twice
     lines = _ascii_lines(handle.read())
+    field, per_entry = _read_banner(lines)
+    size_lineno, rows, cols = _read_size_line(lines)
+    values = _parse_body(lines[size_lineno:], rows * cols, per_entry)
+    if values is None:
+        values = _parse_body_by_line(lines, size_lineno, field, per_entry, rows, cols)
+    return values.reshape((cols, rows)).T.copy()
+
+
+def _read_banner(lines):
+    """The field and the number of values per entry, from line 1."""
     if not lines:
         raise MatrixParseError("empty file", 1)
     banner = lines[0].split()
@@ -77,19 +108,15 @@ def _read_stream(handle):
         raise MatrixParseError("unsupported field %r" % field, 1)
     if symmetry != "general":
         raise MatrixParseError("unsupported symmetry %r" % symmetry, 1)
-    per_entry = 2 if field == "complex" else 1
+    return field, 2 if field == "complex" else 1
 
-    body = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        body.append((lineno, line))
-    if not body:
+
+def _read_size_line(lines):
+    """The size line's one-based number and the two dimensions it states."""
+    lineno = next((i for i, line in enumerate(lines[1:], start=2) if _is_data_line(line)), None)
+    if lineno is None:
         raise MatrixParseError("missing size line", len(lines))
-
-    lineno, size_line = body[0]
-    toks = _tokens(size_line)
+    toks = _tokens(lines[lineno - 1])
     if len(toks) != 2:
         raise MatrixParseError(
             "size line must hold exactly two integers", lineno,
@@ -106,10 +133,37 @@ def _read_stream(handle):
         if value < 1:
             raise MatrixParseError("dimensions must be positive", lineno, column)
         dims.append(value)
-    rows, cols = dims
+    return lineno, dims[0], dims[1]
 
+
+def _parse_body(body, count, per_entry):
+    """The entries in file order from one loadtxt call, or None if it cannot vouch for them.
+
+    None sends the body to the line parser, which reads or refuses it.
+    """
+    # loadtxt gets the lines already split: fed the text, it would also
+    # take a \v or \f inside a line as a separator, where splitlines breaks
+    data = [line for line in body if _is_data_line(line)]
+    if len(data) != count:
+        return None
+    try:
+        values = np.loadtxt(data, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (count, per_entry) or not np.isfinite(values).all():
+        return None
+    # a (re, im) float pair has complex128's memory layout, so the view is exact
+    return values.view(complex)[:, 0] if per_entry == 2 else values[:, 0].astype(complex)
+
+
+def _parse_body_by_line(lines, size_lineno, field, per_entry, rows, cols):
+    """The entries in file order, token by token; raises at the first fault."""
     values = []
-    for lineno, line in body[1:]:
+    last = size_lineno
+    for lineno, line in enumerate(lines[size_lineno:], start=size_lineno + 1):
+        if not _is_data_line(line):
+            continue
+        last = lineno
         toks = _tokens(line)
         if len(toks) != per_entry:
             raise MatrixParseError(
@@ -128,10 +182,9 @@ def _read_stream(handle):
         values.append(complex(parts[0], parts[1]) if per_entry == 2 else complex(parts[0]))
     if len(values) < rows * cols:
         raise MatrixParseError(
-            "file ends after %d of %d entries" % (len(values), rows * cols),
-            body[-1][0] if body else 1,
+            "file ends after %d of %d entries" % (len(values), rows * cols), last
         )
-    return np.array(values, dtype=complex).reshape((cols, rows)).T.copy()
+    return np.array(values, dtype=complex)
 
 
 def write_matrix(m, destination):
@@ -152,7 +205,7 @@ def _write_stream(m, handle):
     rows, cols = m.shape
     handle.write("%%MatrixMarket matrix array complex general\n")
     handle.write("%d %d\n" % (rows, cols))
-    for j in range(cols):
-        for i in range(rows):
-            z = complex(m[i, j])
-            handle.write("%r %r\n" % (z.real, z.imag))
+    # one format call per column, so the file is never held whole as text
+    column_format = "%r %r\n" * rows
+    for column in np.ascontiguousarray(m.T):
+        handle.write(column_format % tuple(column.view(float).tolist()))

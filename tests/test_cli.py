@@ -256,3 +256,11 @@ def test_analyze_non_ascii_file_exits_one_with_its_position(tmp_path, capsys):
     assert main(["analyze", str(p)]) == 1
     err = capsys.readouterr().err
     assert "non-ASCII character" in err and "(line 2, column 3)" in err
+
+
+def test_analyze_non_finite_entry_exits_one_with_its_position(tmp_path, capsys):
+    p = tmp_path / "nan.mtx"
+    p.write_text(J2_TEXT.replace("1.0 0.0", "1.0 nan"))
+    assert main(["analyze", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite, found 'nan'" in err and "(line 5, column 5)" in err

@@ -1,11 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biortho import MatrixParseError, read_matrix, write_matrix
+from biortho import MatrixParseError, mmio, read_matrix, write_matrix
 
 from conftest import random_complex
 
@@ -180,3 +181,115 @@ def test_non_ascii_in_a_stream_is_refused_where_it_would_parse(body, position):
     with pytest.raises(MatrixParseError) as info:
         read_matrix(io.StringIO(text))
     assert (info.value.line, info.value.column) == position
+
+
+@pytest.mark.parametrize("entry, position, message", [
+    ("nan 0", (3, 1), "must be finite, found 'nan'"),
+    ("1e999 0", (3, 1), "must be finite, found '1e999'"),
+    ("infinity -0", (3, 1), "must be finite, found 'infinity'"),
+    ("0 -Inf", (3, 3), "must be finite, found '-Inf'"),
+    ("1_0 0", (3, 1), "expected a number, found '1_0'"),
+    ("0 2_5.0", (3, 3), "expected a number, found '2_5.0'"),
+])
+def test_non_finite_and_digit_grouped_numbers_are_refused_with_position(entry, position, message):
+    text = "%%MatrixMarket matrix array complex general\n1 1\n" + entry + "\n"
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix(io.StringIO(text))
+    assert (info.value.line, info.value.column) == position
+    assert message in str(info.value)
+
+
+def test_extreme_finite_values_write_read_write_byte_for_byte():
+    a = random_complex(64, seed=5)
+    specials = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+    a.real.flat[:len(specials)] = specials
+    a.imag.flat[-len(specials):] = specials
+    first = io.StringIO()
+    write_matrix(a, first)
+    b = read_matrix(io.StringIO(first.getvalue()))
+    assert b.tobytes() == a.tobytes()
+    second = io.StringIO()
+    write_matrix(b, second)
+    assert second.getvalue() == first.getvalue()
+
+
+def test_valid_file_is_read_without_the_line_parser():
+    a = random_complex(128, seed=3)
+    buf = io.StringIO()
+    write_matrix(a, buf)
+
+    def per_token(*args):
+        raise AssertionError("the line parser ran on a valid file")
+
+    with mock.patch.object(mmio, "_parse_float", per_token):
+        m = read_matrix(io.StringIO(buf.getvalue()))
+    assert m.tobytes() == a.tobytes()
+
+
+# Differential test of the two reading routes.  The texts are valid files
+# and mutations of them; the line parser alone is the reference.
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_GOOD_TOKENS = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda x: "%.6E" % x),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0.0", "+.5", "-.5e-3", "5.", "1e3", "1E+03", "-4.9e-324", "1e-400",
+                     "1.7976931348623157e308", "007", "+0", "-0"]),
+)
+_BAD_TOKENS = st.sampled_from([
+    "nan", "NaN", "-nan", "inf", "-Infinity", "1e999", "-1e400", "1_0", "_1", "1__0.5",
+    "abc", "0x1p3", "1.0.0", "--1", "1e", ".", "+", "1d0", "1,5", "1\x00", "\x01", "1j",
+    "%", "%1", "1%", "0%x", '"1"',
+])
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\x1f", "\v", "\f", "\r", "\x1c"])
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1e"])
+_FILLER = st.sampled_from(["", "   ", "\t", "% comment", "  % indented", "%%", "%1 2"])
+
+
+@st.composite
+def _matrix_market_texts(draw):
+    field = draw(st.sampled_from(["complex", "real", "integer"]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    per_entry = 2 if field == "complex" else 1
+    entries = [[draw(_GOOD_TOKENS) for _ in range(per_entry)] for _ in range(rows * cols)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(entries) - 1)) if entries else None
+        kind = draw(st.sampled_from(["bad token", "extra token", "drop token",
+                                     "drop entry", "extra entry"]))
+        if i is None or kind == "extra entry":
+            entries.append([draw(_GOOD_TOKENS) for _ in range(per_entry)])
+        elif kind == "bad token" and entries[i]:
+            entries[i][draw(st.integers(0, len(entries[i]) - 1))] = draw(_BAD_TOKENS)
+        elif kind == "extra token":
+            entries[i].append(draw(_GOOD_TOKENS))
+        elif kind == "drop token" and entries[i]:
+            entries[i].pop()
+        elif kind == "drop entry":
+            del entries[i]
+    lines = ["%%MatrixMarket matrix array " + field + " general", "%d %d" % (rows, cols)]
+    fillers = draw(st.booleans())
+    for tokens in entries:
+        lines.extend(draw(st.lists(_FILLER, max_size=int(fillers))))
+        lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+        lines.append(lead + "".join(t + draw(_SEPARATORS) for t in tokens[:-1])
+                     + "".join(tokens[-1:]) + trail)
+    return "".join(line + draw(_LINE_ENDS) for line in lines)
+
+
+def _outcome(text):
+    try:
+        m = read_matrix(io.StringIO(text))
+    except MatrixParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return m.shape, m.tobytes()
+
+
+@given(_matrix_market_texts())
+@settings(max_examples=400, deadline=None)
+def test_one_call_reader_agrees_with_the_line_parser(text):
+    fast = _outcome(text)
+    with mock.patch.object(mmio, "_parse_body", lambda *args: None):
+        reference = _outcome(text)
+    assert fast == reference
