@@ -26,23 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biorthogonal import multiplicity_match, skew_link_check
-from .linalg import (
-    DEFAULT_TOL,
-    Subspace,
-    as_matrix,
-    complement,
-    condition_number,
-    range_space,
-    subspace_angle,
-)
+from .linalg import DEFAULT_TOL, Subspace, as_matrix, condition_number, subspace_angle
 from .rootspace import root_space, span_report
-from .spectral import (
-    collapsed_at_resolution,
-    eigenvalue_groups,
-    eigenvalues,
-    eigvec_matrix,
-    point_spectrum,
-)
+from .spectral import eigenvalue_groups, eigenvalues, eigvec_matrix, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -145,7 +131,8 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None):
     eigenvector matrix V is square with finite condition number kappa_v
     (computed here unless given), A = V D V^-1 and a cluster's rows of
     V^-1 span Ran(A - lambda I)-perp, so one solve serves every cluster.
-    Otherwise each cluster takes an SVD of its shifted matrix.
+    Otherwise each cluster takes one SVD of its shifted matrix and reads
+    Ran(A - lambda I)-perp off its left singular vectors (kernel_split).
     """
     a = as_matrix(a)
     if spectrum is None:
@@ -160,15 +147,7 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None):
         dims = [c.geometric_multiplicity for c in spectrum.clusters]
         perps = [Subspace(n, _orthonormal(dual[:, end - d:end])) for d, end in zip(dims, np.cumsum(dims))]
     else:
-        eye = np.eye(n, dtype=complex)
-        perps = []
-        for c in spectrum.clusters:
-            shifted = a - c.value * eye
-            if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, c.value, c.scatter, tol):
-                ran = Subspace(n, np.zeros((n, 0), dtype=complex))
-            else:
-                ran = range_space(shifted, tol, scale_floor=abs(c.value))
-            perps.append(complement(ran, tol))
+        perps = [kernel_split(a, c.value, c.scatter, tol)[0] for c in spectrum.clusters]
     return max(subspace_angle(p, c.left_kernel) for p, c in zip(perps, spectrum.clusters))
 
 

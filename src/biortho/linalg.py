@@ -2,8 +2,10 @@
 
 Every rank decision in the package flows through the same rule: a singular
 value counts as zero iff it is at most ``rank_eps * sigma_max * max(rows,
-cols)``.  Subspaces are always carried as orthonormal column bases produced
-by the SVD, so downstream overlap computations stay well conditioned.
+cols)``.  The one exception is A - lambda I, whose cutoff is anchored to
+|lambda| as well; spectral.kernel_split holds that rule.  Subspaces are
+always carried as orthonormal column bases produced by the SVD, so
+downstream overlap computations stay well conditioned.
 """
 
 from __future__ import annotations
@@ -136,38 +138,31 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def _rank_from_singular_values(s, shape, tol, scale_floor=0.0):
+def _rank_from_singular_values(s, shape, tol):
     if s.size == 0:
         return 0
-    cutoff = tol.rank_eps * max(float(s[0]), scale_floor) * max(shape)
+    cutoff = tol.rank_eps * float(s[0]) * max(shape)
     return int(np.count_nonzero(s > cutoff))
 
 
-def nullspace(m, tol=DEFAULT_TOL, scale_floor=0.0):
+def nullspace(m, tol=DEFAULT_TOL):
     """Orthonormal basis of Ker(m) as a Subspace of the column space.
 
     Rank is decided by the package-wide cutoff rule applied to the
-    singular values of ``m``.  When ``m`` is a difference that may
-    cancel entirely, such as ``a - lam * I`` with ``a`` close to
-    ``lam * I``, pass the magnitude of the subtrahend as scale_floor so
-    the cutoff stays anchored to the data scale instead of collapsing
-    with the difference.
+    singular values of ``m``.
     """
     m = as_matrix(m)
     _, s, vh = np.linalg.svd(m)
-    rank = _rank_from_singular_values(s, m.shape, tol, scale_floor)
+    rank = _rank_from_singular_values(s, m.shape, tol)
     basis = phase_normalize(vh[rank:].conj().T)
     return Subspace(m.shape[1], basis)
 
 
-def range_space(m, tol=DEFAULT_TOL, scale_floor=0.0):
-    """Orthonormal basis of Ran(m) as a Subspace of the row space.
-
-    scale_floor plays the same role as in nullspace.
-    """
+def range_space(m, tol=DEFAULT_TOL):
+    """Orthonormal basis of Ran(m) as a Subspace of the row space."""
     m = as_matrix(m)
     u, s, _ = np.linalg.svd(m)
-    rank = _rank_from_singular_values(s, m.shape, tol, scale_floor)
+    rank = _rank_from_singular_values(s, m.shape, tol)
     basis = phase_normalize(u[:, :rank])
     return Subspace(m.shape[0], basis)
 
@@ -217,6 +212,6 @@ def condition_number(m, tol=DEFAULT_TOL):
     if m.shape[0] != m.shape[1]:
         raise ValueError("condition number requires a square matrix")
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol.rank_eps * s[0] * m.shape[0]:
+    if _rank_from_singular_values(s, m.shape, tol) < m.shape[0]:
         return float("inf")
     return float(s[0] / s[-1])

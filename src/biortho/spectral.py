@@ -21,6 +21,11 @@ When either side fails, the cluster takes the SVD route that every
 multiple cluster takes: the kernels of the shifted matrix and of its
 adjoint, computed independently.
 
+The rule that decides Ker(A - lambda I) and Ran(A - lambda I)-perp
+lives in kernel_split alone: one SVD of the shifted matrix, the collapse
+test on its sigma_max and the |lambda|-anchored rank cutoff.  The SVD
+route and the per-cluster residual identity of conditions both call it.
+
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
 eigenvalue (The Algebraic Eigenvalue Problem, 1965): a perturbation E
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClusteringError, EigenIterationError
-from .linalg import DEFAULT_TOL, Subspace, as_matrix, nullspace, phase_normalize
+from .linalg import DEFAULT_TOL, Subspace, as_matrix, phase_normalize
 
 __all__ = [
     "EigenvalueCluster",
@@ -45,25 +50,12 @@ __all__ = [
     "eigenvalues",
     "eigenvalue_groups",
     "eigvec_matrix",
-    "collapsed_at_resolution",
+    "kernel_split",
 ]
 
 # headroom over the exact scatter so a singular value computed through a
 # different route (SVD vs eigenvalue subtraction) cannot straddle the line
 _SCATTER_MARGIN = 1.25
-
-
-def collapsed_at_resolution(shifted_norm, n, value, scatter, tol):
-    """True when ``A - value * I`` is zero at the cluster's resolution.
-
-    shifted_norm is the 2-norm of the shifted matrix and n its size.  A
-    merged cluster cannot distinguish eigenvalues closer to its centroid
-    than ``scatter``, and cancellation noise in the shift itself reaches
-    ``rank_eps * n * |value|``.  When the entire shifted matrix sits at or
-    below that scale, every direction belongs to the kernel and the root
-    space is the full ambient space.
-    """
-    return float(shifted_norm) <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(value)
 
 
 @dataclass(frozen=True)
@@ -155,6 +147,27 @@ def _lapack(solver, a):
         return solver(a)
     except np.linalg.LinAlgError as exc:
         raise EigenIterationError(str(exc)) from exc
+
+
+def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
+    """Ran(a - lam I)-perp and Ker(a - lam I) from one SVD, as two Subspaces.
+
+    A merged cluster cannot distinguish eigenvalues closer to lam than
+    its scatter, and cancellation noise in the shift itself reaches
+    ``rank_eps * n * |lam|``.  When sigma_max sits at or below that
+    scale the shifted matrix is zero at the cluster's resolution and
+    both spaces are everything.  Otherwise |lam| anchors the rank
+    cutoff: when a is close to lam * I the shifted matrix is pure
+    cancellation noise and its own sigma_max is no trustworthy scale.
+    Raises EigenIterationError if the SVD fails to converge.
+    """
+    n = a.shape[0]
+    u, s, vh = _lapack(np.linalg.svd, a - lam * np.eye(n, dtype=complex))
+    if s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n))
+    return Subspace(n, phase_normalize(u[:, rank:])), Subspace(n, phase_normalize(vh[rank:].conj().T))
 
 
 def eigenvalues(a):
@@ -254,23 +267,15 @@ def point_spectrum(a, tol=DEFAULT_TOL):
     if simple:
         adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
         fast = _simple_kernels(a, raw, vecs, adj_raw, adj_vecs, simple, tol)
-    eye = np.eye(n, dtype=complex)
     clusters = []
     for lam, scatter, idx in groups:
         if len(idx) == 1 and idx[0] in fast:
             right, left = fast[idx[0]]
         else:
-            shifted = a - lam * eye
-            if collapsed_at_resolution(np.linalg.norm(shifted, 2), n, lam, scatter, tol):
-                # the whole shifted matrix sits at the in-cluster scatter
-                # scale, so every direction is kernel at merge resolution
-                right = left = Subspace(n, phase_normalize(eye.copy()))
-            else:
-                # |lam| anchors the rank cutoff: when a is close to lam * I
-                # the shifted matrix is pure cancellation noise and its own
-                # largest singular value is no longer a trustworthy scale
-                right = nullspace(shifted, tol, scale_floor=abs(lam))
-                left = nullspace(shifted.conj().T, tol, scale_floor=abs(lam))
+            _, right = kernel_split(a, lam, scatter, tol)
+            # a full right kernel means A - lam I is zero at this
+            # resolution; otherwise the left side takes its own SVD
+            left = right if right.dim == n else kernel_split(a.conj().T, lam.conjugate(), scatter, tol)[1]
         m_a = len(idx)
         m_g = right.dim
         clusters.append(

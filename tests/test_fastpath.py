@@ -4,7 +4,9 @@ A cluster with one raw eigenvalue takes its right kernel from eig(A) and
 its left kernel from eig(A^*), each certified by its residual; the
 references here are the SVD kernels of the shifted matrix and its
 adjoint, which every cluster took before and which the fallback still
-takes.
+takes.  The SVD route itself, kernel_split, is checked against a
+reference that takes the 2-norm collapse test, the null space and the
+complement of the range each on its own.
 """
 
 import dataclasses
@@ -15,10 +17,12 @@ import pytest
 
 from biortho import (
     FamilySpec,
+    Subspace,
     Tolerance,
     check_conditions,
+    complement,
     generate,
-    nullspace,
+    phase_normalize,
     point_spectrum,
     read_matrix,
     residual_identity_check,
@@ -27,15 +31,40 @@ from biortho import (
     subspace_angle,
 )
 from biortho import conditions
+from biortho.spectral import kernel_split
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
 
 
+def _svd_null(m, floor, tol):
+    # the SVD null space with the rank cutoff anchored to the shift's |lambda|
+    _, s, vh = np.linalg.svd(m)
+    rank = np.count_nonzero(s > tol.rank_eps * max(float(s[0]), floor) * m.shape[0])
+    return Subspace(m.shape[0], phase_normalize(vh[rank:].conj().T))
+
+
 def _svd_kernels(a, c, tol=DEFAULT):
     shifted = a - c.value * np.eye(a.shape[0])
-    return (nullspace(shifted, tol, scale_floor=abs(c.value)),
-            nullspace(shifted.conj().T, tol, scale_floor=abs(c.value)))
+    return (_svd_null(shifted, abs(c.value), tol),
+            _svd_null(shifted.conj().T, abs(c.value), tol))
+
+
+def _reference_split(m, lam, scatter, tol):
+    """Ran(m - lam I)-perp and Ker(m - lam I), each decided on its own.
+
+    A 2-norm at or below the cluster's resolution makes both spaces
+    everything; otherwise the range and the null space take the rank
+    cutoff anchored to |lam|, and Ran-perp is the range's complement.
+    """
+    n = m.shape[0]
+    shifted = m - lam * np.eye(n)
+    if np.linalg.norm(shifted, 2) <= 1.25 * scatter + tol.rank_eps * n * abs(lam):
+        full = Subspace(n, np.eye(n, dtype=complex))
+        return full, full
+    u, s, _ = np.linalg.svd(shifted)
+    rank = np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n)
+    return complement(Subspace(n, phase_normalize(u[:, :rank])), tol), _svd_null(shifted, abs(lam), tol)
 
 
 class _Calls:
@@ -232,3 +261,87 @@ def test_residual_identity_through_the_inverse_catches_a_wrong_left_kernel():
     wrong = dataclasses.replace(ps, clusters=tuple(bad))
     assert residual_identity_check(a, wrong) == pytest.approx(
         subspace_angle(ps.clusters[2].left_kernel, ps.clusters[2].right_kernel), rel=1e-6)
+
+
+def _under_unitary(m):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+    return q @ m @ q.conj().T
+
+
+def _near_scalar():
+    j = 3.0 * np.eye(4)
+    j[0, 1] = 1e-6
+    return _under_unitary(j)
+
+
+# inputs whose one cluster is zero at its own resolution: a - lam I is
+# pure cancellation noise, or smaller than the merged scatter
+COLLAPSED = {
+    "scalar-unitary": _under_unitary(3.0 * np.eye(4)),
+    "coincident": np.diag([1.0, 1.0 + 1e-15]),
+    "tiny": np.diag([0.0, 1e-12]),
+}
+# noise plus a 1e-6 nilpotent part: only the cutoff anchored to |lam|
+# keeps the noise out of the rank, for m_g = 3
+EXTRA = dict(COLLAPSED, **{"near-scalar": _near_scalar()})
+SPLIT_INPUTS = [pytest.param(str(p), tol, id="%s-%s" % (p.name, name))
+                for p in CORPUS for name, tol in (("default", DEFAULT), ("wide", Tolerance(cluster_eps=1e-2)))]
+SPLIT_INPUTS += [pytest.param(name, DEFAULT, id=name) for name in EXTRA]
+
+
+@pytest.mark.parametrize("source, tol", SPLIT_INPUTS)
+def test_kernel_split_matches_the_separate_decisions(source, tol):
+    a = EXTRA[source] if source in EXTRA else read_matrix(source)
+    for c in point_spectrum(a, tol).clusters:
+        for m, lam in ((a, c.value), (a.conj().T, np.conj(c.value))):
+            perp, kernel = kernel_split(m, lam, c.scatter, tol)
+            ref_perp, ref_kernel = _reference_split(m, lam, c.scatter, tol)
+            assert subspace_angle(kernel, ref_kernel) <= 1e-12
+            assert subspace_angle(perp, ref_perp) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(COLLAPSED))
+def test_collapsed_cluster_takes_one_full_kernel_for_both_sides(name):
+    a = COLLAPSED[name]
+    (c,) = point_spectrum(a).clusters
+    assert c.left_kernel is c.right_kernel
+    assert c.right_kernel.dim == a.shape[0]
+
+
+def _count_norm2(monkeypatch):
+    """Shapes of the matrices numpy.linalg.norm takes a 2-norm of."""
+    shapes = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return shapes
+
+
+def test_one_svd_per_side_and_one_per_cluster_for_the_residual_identity(monkeypatch):
+    spec = FamilySpec("block_jordan", 9, {"blocks": ((0.0, (2, 1)), (1.0, (1, 1)), (2.0, (3,)), (3.0, (1,))),
+                                           "cond": 10.0}, 4)
+    a = generate(spec)
+    tol = Tolerance(cluster_eps=1e-2)
+    calls = _Calls(monkeypatch)
+    norms = _count_norm2(monkeypatch)
+    ps = point_spectrum(a, tol)
+    kinds = sorted((c.algebraic_multiplicity, c.geometric_multiplicity) for c in ps.clusters)
+    assert kinds == [(1, 1), (2, 2), (3, 1), (3, 2)]
+    # each multiple cluster: one SVD of A - lambda I and one of its
+    # adjoint, with the collapse test read off the first; no 2-norm
+    assert calls.square("svd", 9) == 2 * 3
+    assert len(calls.shapes["svd"]) == 6 and norms == []
+
+    calls = _Calls(monkeypatch)
+    norms = _count_norm2(monkeypatch)
+    # V is not square, so every cluster takes the SVD route
+    assert residual_identity_check(a, ps, tol) <= 1e-10
+    assert calls.square("svd", 9) == len(ps.clusters) == len(calls.shapes["svd"])
+    # the only 2-norms are subspace_angle's, one per kernel of dimension 2
+    assert sorted(norms) == [(9, 2), (9, 2)]

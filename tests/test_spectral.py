@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from biortho import (
     ClusteringError,
+    EigenIterationError,
     EigenvalueCluster,
     FamilySpec,
     Subspace,
@@ -59,6 +60,20 @@ def test_scalar_matrix_under_unitary_conjugation():
     (c,) = ps.clusters
     assert c.geometric_multiplicity == 4
     assert c.semi_simple
+
+
+def test_unconverged_kernel_svd_is_a_typed_error(monkeypatch):
+    svd = np.linalg.svd
+
+    def failing(m, *args, **kwargs):
+        if np.shape(m) == (2, 2):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    # a 2x2 Jordan block is one multiple cluster, so it takes the SVD route
+    with pytest.raises(EigenIterationError, match="SVD did not converge"):
+        point_spectrum([[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_cluster_radius_merges_and_splits():
