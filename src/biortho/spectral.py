@@ -156,17 +156,20 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     its scatter, and cancellation noise in the shift itself reaches
     ``rank_eps * n * |lam|``.  When sigma_max sits at or below that
     scale the shifted matrix is zero at the cluster's resolution and
-    both spaces are everything.  Otherwise |lam| anchors the rank
-    cutoff: when a is close to lam * I the shifted matrix is pure
-    cancellation noise and its own sigma_max is no trustworthy scale.
+    both spaces are everything: one Subspace spanned by the identity,
+    returned twice, so its basis carries no rounding of the SVD.
+    Otherwise |lam| anchors the rank cutoff: when a is close to lam * I
+    the shifted matrix is pure cancellation noise and its own sigma_max
+    is no trustworthy scale.
     Raises EigenIterationError if the SVD fails to converge.
     """
     n = a.shape[0]
-    u, s, vh = _lapack(np.linalg.svd, a - lam * np.eye(n, dtype=complex))
+    eye = np.eye(n, dtype=complex)
+    u, s, vh = _lapack(np.linalg.svd, a - lam * eye)
     if s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n))
+        full = Subspace(n, phase_normalize(eye))
+        return full, full
+    rank = int(np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n))
     return Subspace(n, phase_normalize(u[:, rank:])), Subspace(n, phase_normalize(vh[rank:].conj().T))
 
 

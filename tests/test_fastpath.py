@@ -307,6 +307,12 @@ def test_collapsed_cluster_takes_one_full_kernel_for_both_sides(name):
     (c,) = point_spectrum(a).clusters
     assert c.left_kernel is c.right_kernel
     assert c.right_kernel.dim == a.shape[0]
+    # the full space is spanned by the identity itself, free of SVD
+    # rounding, so the report's figures for it are exact
+    assert np.array_equal(c.right_kernel.basis, np.eye(a.shape[0]))
+    d = check_conditions(a)
+    assert d.kappa_v == 1.0
+    assert d.residual_identity_angle == 0.0
 
 
 def _count_norm2(monkeypatch):
