@@ -11,9 +11,11 @@ FAIL names the clusters responsible.
 A^* has no kernel, staircase or span of its own.  Its eigenvectors at
 conj(lambda) are the clusters' left kernels: for a simple cluster the
 certified eig vector of A^* (see spectral), otherwise the left null
-vectors of A - lambda I.  Its root vectors are the left null vectors of
-the powers in A's staircase, or the left kernel again where a cluster's
-kernels are its root subspaces, and C2' then reuses its C2 verdict.
+vectors of A - lambda I.  Its root vectors come from the deflation that
+climbs A's staircase, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its
+final form Q*(A - lambda I)Q = [[N, X], [0, T]] (see rootspace), or are
+the left kernel again where a cluster's kernels are its root subspaces,
+and C2' then reuses its C2 verdict.
 Its spectrum comes from a separate computation, so that C1 and C3'
 compare independent results: the eig(A^*) call point_spectrum already
 made when some cluster is simple, else one eigvals call.

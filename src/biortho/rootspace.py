@@ -1,14 +1,14 @@
 """Root (generalized eigen) subspaces via kernel staircases.
 
-For a cluster at lambda the staircase is d_k = dim Ker((A - lambda I)^k),
-k = 1, 2, ...  It strictly increases until it stabilizes; the first
-stable level is the height, its kernel is the root subspace, and the
-consecutive differences (the Weyr characteristic) conjugate into the
-Jordan block sizes.  Powers are rescaled by their operator norm between
-multiplications so rank cutoffs stay relative to the power itself.
-The left singular vectors past each power's rank span
-Ker((A^* - conj(lambda) I)^k), so the same SVDs give the adjoint's root
-subspace at conj(lambda) without a second staircase.
+For a cluster at lambda the staircase is d_k = dim Ker(B^k), B = A - lambda I.
+It rises to the height h, where Ker(B^h) is the root subspace; its steps (the
+Weyr characteristic) conjugate into the Jordan block sizes.  Kublanovskaya's
+deflation (Kagstrom & Ruhe, ACM TOMS 6(3), 1980) climbs it with no power of B:
+the SVD of the trailing block of Q*BQ rotates that block's kernel to the
+front; each step is its nullity at one cutoff, rank_eps * n * ||B||_2 off
+the first SVD.  At the top Q*BQ = [[N, X], [0, T]], N nilpotent, T
+nonsingular; Ran(B^h) = Q[-S; I] with S = -sum_(i<h) N^i X T^-(i+1), and its
+complement Ker((B^*)^h) is the adjoint's root space: A^* climbs no staircase.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and takes no staircase
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ClusteringError, RootSpaceMismatchError
 from .linalg import DEFAULT_TOL, Subspace, _rank_from_singular_values, as_matrix, phase_normalize
-from .spectral import point_spectrum
+from .spectral import _lapack, point_spectrum
 
 __all__ = ["RootSpace", "SpanReport", "root_space", "span_report"]
 
@@ -34,11 +34,9 @@ __all__ = ["RootSpace", "SpanReport", "root_space", "span_report"]
 class RootSpace:
     """Root subspace of one cluster.
 
-    staircase holds d_1 .. d_p where p is the height; segre lists the
-    Jordan block sizes in non-increasing order.  space.dim equals the
-    cluster's algebraic multiplicity (enforced at construction time by
-    root_space).  adjoint_space is the adjoint's root subspace at
-    conj(eigenvalue), the orthogonal complement of Ran((A - lambda I)^height).
+    staircase holds d_1 .. d_h, h the height; segre lists the Jordan block
+    sizes in non-increasing order; space.dim is the algebraic multiplicity,
+    adjoint_space the adjoint's root subspace at conj(eigenvalue).
     """
 
     eigenvalue: complex
@@ -67,46 +65,48 @@ def _segre_from_staircase(staircase, eigenvalue):
 def root_space(a, cluster, tol=DEFAULT_TOL):
     """Compute the root subspace for one eigenvalue cluster.
 
-    When the cluster's kernels are its root spaces, a is not read.
-    Raises RootSpaceMismatchError when the stabilized kernel dimension
-    differs from the cluster's algebraic multiplicity, which signals
-    that the rank and cluster tolerances disagree about this matrix.
+    When the cluster's kernels are its root spaces, a is not read.  Raises
+    RootSpaceMismatchError when the stabilized kernel dimension is not the
+    cluster's algebraic multiplicity (the rank and cluster tolerances
+    disagree about this matrix), EigenIterationError when an SVD fails.
     """
-    lam = complex(cluster.value)
-    m_a = cluster.algebraic_multiplicity
+    lam, m_a = complex(cluster.value), cluster.algebraic_multiplicity
     if cluster.kernels_are_root_spaces:
         return RootSpace(lam, (m_a,), 1, cluster.right_kernel, (1,) * m_a, cluster.left_kernel)
     a = as_matrix(a)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError("root space requires a square matrix")
-    # a collapsed cluster has full kernels and returned above
     shifted = a - lam * np.eye(n, dtype=complex)
-    base = shifted / np.linalg.norm(shifted, 2)
-    power = base
-    staircase = []
-    for _ in range(n):
-        u, s, vh = np.linalg.svd(power)
-        # the chain is normalized so every stored power has norm at most 1;
-        # flooring the cutoff at rank_eps keeps a fully collapsed power (all
-        # entries roundoff) from masquerading as full rank
-        cutoff = tol.rank_eps * max(n * float(s[0]), 1.0)
+    q = np.eye(n, dtype=complex)
+    trailing, cutoff, d, staircase = shifted, None, 0, []
+    while d < n:
+        u, s, vh = _lapack(np.linalg.svd, trailing, lam)
+        cutoff = tol.rank_eps * n * float(s[0]) if cutoff is None else cutoff
         rank = int(np.count_nonzero(s > cutoff))
+        if rank == n - d:
+            break
+        if m_a < n:  # else the root space is C^n, spanned by Q = I
+            q[:, d:] = q[:, d:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T
+        trailing = vh[:rank] @ (u[:, :rank] * s[:rank])
         d = n - rank
-        if staircase and d <= staircase[-1]:
-            break
         staircase.append(d)
-        stable = (u, vh, rank)
-        if d == n:
-            break
-        power = (power / s[0]) @ base
-    u, vh, rank = stable
-    kernel = Subspace(n, phase_normalize(vh[rank:].conj().T))
-    if kernel.dim != m_a:
-        raise RootSpaceMismatchError(lam, kernel.dim, m_a)
-    adjoint = Subspace(n, phase_normalize(u[:, rank:]))
+    if d != m_a:
+        raise RootSpaceMismatchError(lam, d, m_a)
     segre = _segre_from_staircase(staircase, lam)
-    return RootSpace(lam, tuple(staircase), len(staircase), kernel, segre, adjoint)
+    space = adjoint = Subspace(n, phase_normalize(q[:, :d]))
+    if d < n:
+        # Y = -S by Horner's rule, Y <- (X + N Y) T^-1, kept at most 1 by exact
+        # powers of 2, since Ran(B^h) = Q[Y; lead I] at any scale and S may overflow
+        nil, x = np.hsplit(q[:, :d].conj().T @ shifted @ q, [d])
+        y, lead = np.zeros_like(x), 1.0
+        for _ in staircase:
+            y = ((lead * x + nil @ y) @ vh.conj().T / s) @ u.conj().T
+            k = 2.0 ** -max(0, int(np.frexp(np.abs(y).max())[1]))
+            y, lead = y * k, lead * k
+        ran, _ = np.linalg.qr(np.vstack([y, lead * np.eye(n - d)]), mode="complete")
+        adjoint = Subspace(n, phase_normalize(q @ ran[:, n - d:]))
+    return RootSpace(lam, tuple(staircase), len(staircase), space, segre, adjoint)
 
 
 @dataclass(frozen=True)

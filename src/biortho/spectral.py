@@ -142,11 +142,13 @@ def _single_linkage_groups(values, radius):
     return [group.tolist() for group in np.split(order, cuts)]
 
 
-def _lapack(solver, a):
+def _lapack(solver, a, lam=None):
+    # lam, when given, names the eigenvalue whose shifted matrix failed
     try:
         return solver(a)
     except np.linalg.LinAlgError as exc:
-        raise EigenIterationError(str(exc)) from exc
+        where = "" if lam is None else " at %.6g%+.6gj" % (lam.real, lam.imag)
+        raise EigenIterationError(str(exc) + where) from exc
 
 
 def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
@@ -165,7 +167,7 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     """
     n = a.shape[0]
     eye = np.eye(n, dtype=complex)
-    u, s, vh = _lapack(np.linalg.svd, a - lam * eye)
+    u, s, vh = _lapack(np.linalg.svd, a - lam * eye, lam)
     if s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
         full = Subspace(n, phase_normalize(eye))
         return full, full

@@ -1,9 +1,12 @@
-"""The adjoint side derived from A's own SVDs, against a second pass over A*.
+"""The adjoint side derived from A's own staircase, against a second pass over A*.
 
-check_conditions reads the adjoint's root spaces off the staircase SVDs
-of A and decides biorthonormal_basis_exists from the skew links it has
-already computed.  The references here take the long way round: a full
-point spectrum and root staircase of A*, and an actual construction.
+check_conditions takes the adjoint's root spaces from the deflation of
+A - lambda I, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its final
+form Q*(A - lambda I)Q = [[N, X], [0, T]], and decides
+biorthonormal_basis_exists from the skew links it has already computed.
+The references here take the long way round: a full point spectrum and
+root staircase of A*, an actual construction, and the defining
+properties of a root space of A*.
 """
 
 from pathlib import Path
@@ -39,9 +42,24 @@ CASES = [pytest.param(str(p), DEFAULT, id=p.name) for p in CORPUS] + [
     ),
     pytest.param(FamilySpec("shift_trunc", 10), DEFAULT, id="shift10"),
 ]
+# 28 blocks at 0, 1, ..., 27 cycling through four Segre patterns: n = 63
+MIXED = tuple((float(k), ((2, 1), (1,), (3,), (1, 1))[k % 4]) for k in range(28))
+
+
+def _chain_into(size, gap):
+    """A Jordan chain at 0 that runs into one eigenvalue gap away.
+
+    S in Q[I; S*] grows like gap^-size, past what [I; S*] can hold
+    accurately, and at (61, 1e-6) past the largest double.
+    """
+    a = np.diag(np.ones(size - 1), 1).astype(complex)
+    a[-1, -1] = gap
+    return a
 
 
 def _matrix(source):
+    if isinstance(source, np.ndarray):
+        return source
     return read_matrix(source) if isinstance(source, str) else generate(source)
 
 
@@ -74,3 +92,27 @@ def test_adjoint_swaps_sides_but_keeps_statuses(source, tol):
     mine = {v.id: v.status for v in check_conditions(a, tol).conditions}
     theirs = {v.id: v.status for v in check_conditions(a.conj().T, tol).conditions}
     assert mine == theirs
+
+
+@pytest.mark.parametrize("source, tol", CASES + [
+    pytest.param(FamilySpec("block_jordan", 63, {"blocks": MIXED, "cond": 100.0}, 5), WIDE, id="mixed63"),
+    pytest.param(_chain_into(12, 1e-3), DEFAULT, id="chain12"),
+    pytest.param(_chain_into(61, 1e-6), DEFAULT, id="chain61"),
+])
+def test_adjoint_root_space_is_invariant_and_orthogonal_to_the_other_root_spaces(source, tol):
+    # no staircase of A* here: W must be invariant under A*, and
+    # Ker((A^* - conj(lambda) I)^h) is orthogonal to every root space of
+    # A at another eigenvalue
+    a = _matrix(source)
+    scale = np.linalg.norm(a, 2)
+    clusters = point_spectrum(a, tol).clusters
+    roots = [root_space(a, c, tol) for c in clusters]
+    for i, c in enumerate(clusters):
+        if c.kernels_are_root_spaces:
+            continue
+        w = roots[i].adjoint_space.basis
+        image = a.conj().T @ w
+        assert np.linalg.norm(image - w @ (w.conj().T @ image), 2) <= 1e-10 * scale
+        for j, other in enumerate(roots):
+            if j != i:
+                assert np.linalg.norm(w.conj().T @ other.space.basis, 2) <= 1e-10

@@ -32,6 +32,7 @@ from biortho import (
 )
 from biortho import conditions
 from biortho.spectral import kernel_split
+from conftest import Calls, count_norm2
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
@@ -67,24 +68,6 @@ def _reference_split(m, lam, scatter, tol):
     return complement(Subspace(n, phase_normalize(u[:, :rank])), tol), _svd_null(shifted, abs(lam), tol)
 
 
-class _Calls:
-    """Counts numpy.linalg calls by name and by the shape of their first argument."""
-
-    def __init__(self, monkeypatch, names=("svd", "eig", "eigvals")):
-        self.shapes = {name: [] for name in names}
-        for name in names:
-            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
-
-    def _counted(self, name, fn):
-        def counted(m, *args, **kwargs):
-            self.shapes[name].append(np.shape(m))
-            return fn(m, *args, **kwargs)
-        return counted
-
-    def square(self, name, n):
-        return sum(1 for shape in self.shapes[name] if shape == (n, n))
-
-
 GENERIC = [
     pytest.param(FamilySpec(family, n, {}, seed), id="%s%d" % (family, n))
     for family, seed in (("random_gaussian", 3), ("random_normal", 4))
@@ -95,7 +78,7 @@ GENERIC = [
 @pytest.mark.parametrize("spec", GENERIC)
 def test_fast_kernels_match_svd_kernels_without_an_svd(spec, monkeypatch):
     a = generate(spec)
-    calls = _Calls(monkeypatch)
+    calls = Calls(monkeypatch)
     ps = point_spectrum(a)
     assert calls.shapes["svd"] == []
     assert calls.shapes["eig"] == [(spec.size, spec.size)] * 2
@@ -183,7 +166,7 @@ def test_refinement_takes_off_the_lean_towards_near_eigenvectors():
 def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
     for n in (16, 32):
         a = generate(FamilySpec("random_gaussian", n, {}, 2))
-        calls = _Calls(monkeypatch)
+        calls = Calls(monkeypatch)
         linked = []
 
         def counted_link(s1, s2, tol, cluster_index):
@@ -204,7 +187,7 @@ def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
 
 def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):
     a = generate(FamilySpec("jordan", 4, {"eigenvalue": 0.0, "segre": (3, 1)}))
-    calls = _Calls(monkeypatch)
+    calls = Calls(monkeypatch)
     check_conditions(a)
     assert len(calls.shapes["eig"]) + len(calls.shapes["eigvals"]) == 2
 
@@ -212,7 +195,7 @@ def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):
 def test_simple_root_space_takes_its_kernels_without_an_svd(monkeypatch):
     a = generate(FamilySpec("random_gaussian", 8, {}, 6))
     ps = point_spectrum(a)
-    calls = _Calls(monkeypatch)
+    calls = Calls(monkeypatch)
     for c in ps.clusters:
         rs = root_space(a, c)
         assert (rs.staircase, rs.height, rs.segre) == ((1,), 1, (1,))
@@ -226,7 +209,7 @@ def test_semi_simple_staircase_stops_at_its_first_level(monkeypatch):
     a = generate(spec)
     tol = Tolerance(cluster_eps=1e-2)
     ps = point_spectrum(a, tol)
-    calls = _Calls(monkeypatch)
+    calls = Calls(monkeypatch)
     got = {}
     for c in ps.clusters:
         rs = root_space(a, c, tol)
@@ -315,27 +298,13 @@ def test_collapsed_cluster_takes_one_full_kernel_for_both_sides(name):
     assert d.residual_identity_angle == 0.0
 
 
-def _count_norm2(monkeypatch):
-    """Shapes of the matrices numpy.linalg.norm takes a 2-norm of."""
-    shapes = []
-    norm = np.linalg.norm
-
-    def counted(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
-            shapes.append(np.shape(x))
-        return norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counted)
-    return shapes
-
-
 def test_one_svd_per_side_and_one_per_cluster_for_the_residual_identity(monkeypatch):
     spec = FamilySpec("block_jordan", 9, {"blocks": ((0.0, (2, 1)), (1.0, (1, 1)), (2.0, (3,)), (3.0, (1,))),
                                            "cond": 10.0}, 4)
     a = generate(spec)
     tol = Tolerance(cluster_eps=1e-2)
-    calls = _Calls(monkeypatch)
-    norms = _count_norm2(monkeypatch)
+    calls = Calls(monkeypatch)
+    norms = count_norm2(monkeypatch)
     ps = point_spectrum(a, tol)
     kinds = sorted((c.algebraic_multiplicity, c.geometric_multiplicity) for c in ps.clusters)
     assert kinds == [(1, 1), (2, 2), (3, 1), (3, 2)]
@@ -344,8 +313,8 @@ def test_one_svd_per_side_and_one_per_cluster_for_the_residual_identity(monkeypa
     assert calls.square("svd", 9) == 2 * 3
     assert len(calls.shapes["svd"]) == 6 and norms == []
 
-    calls = _Calls(monkeypatch)
-    norms = _count_norm2(monkeypatch)
+    calls = Calls(monkeypatch)
+    norms = count_norm2(monkeypatch)
     # V is not square, so every cluster takes the SVD route
     assert residual_identity_check(a, ps, tol) <= 1e-10
     assert calls.square("svd", 9) == len(ps.clusters) == len(calls.shapes["svd"])
