@@ -19,6 +19,10 @@ and C2' then reuses its C2 verdict.
 Its spectrum comes from a separate computation, so that C1 and C3'
 compare independent results: the eig(A^*) call point_spectrum already
 made when some cluster is simple, else one eigvals call.
+
+The residual identity takes no SVD of its own when the root bases span:
+Ran(A - lambda I)-perp comes from V^-1, from the split each SVD-route
+cluster kept, or from the root bases' inverse (residual_identity_check).
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ def _orthonormal(block):
     return np.linalg.qr(block)[0]
 
 
-def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None):
+def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None, root_spaces=None):
     """Largest angle between Ran(A - lambda I)-perp and Ker(A* - conj(lambda) I).
 
     The two subspaces coincide for every lambda in exact arithmetic, so
@@ -133,24 +137,33 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None):
     eigenvector matrix V is square with finite condition number kappa_v
     (computed here unless given), A = V D V^-1 and a cluster's rows of
     V^-1 span Ran(A - lambda I)-perp, so one solve serves every cluster.
-    Otherwise each cluster takes one SVD of its shifted matrix and reads
-    Ran(A - lambda I)-perp off its left singular vectors (kernel_split).
+    Otherwise a cluster that took the SVD route reads the space its split
+    kept (EigenvalueCluster.range_perp).  A certified simple cluster took
+    no SVD; when root_spaces are given, which the caller passes only if
+    their bases R span C^n, A = R J R^-1 with J block diagonal and the
+    cluster's rows of R^-1 serve as those of V^-1 do.  Else it takes one
+    SVD of its shifted matrix (kernel_split).
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
     n = a.shape[0]
+    clusters = spectrum.clusters
     v = eigvec_matrix(spectrum)
     if v.shape[1] == n and kappa_v is None:
         kappa_v = condition_number(v, tol)
-    if v.shape[1] == n and np.isfinite(kappa_v):
-        # the columns of (V^-1)^* = (V^*)^-1, one block per cluster
-        dual = np.linalg.solve(v.conj().T, np.eye(n, dtype=complex))
-        dims = [c.geometric_multiplicity for c in spectrum.clusters]
-        perps = [Subspace(n, _orthonormal(dual[:, end - d:end])) for d, end in zip(dims, np.cumsum(dims))]
-    else:
-        perps = [kernel_split(a, c.value, c.scatter, tol)[0] for c in spectrum.clusters]
-    return max(subspace_angle(p, c.left_kernel) for p, c in zip(perps, spectrum.clusters))
+    square = v.shape[1] == n and np.isfinite(kappa_v)
+    perps = [None if square else c.range_perp for c in clusters]
+    if any(p is None for p in perps) and (square or root_spaces is not None):
+        # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster;
+        # R = V when V is square, as then every m_g is m_a
+        basis = v if square else np.hstack([r.space.basis for r in root_spaces])
+        dual = np.linalg.solve(basis.conj().T, np.eye(n, dtype=complex))
+        ends = np.cumsum([c.algebraic_multiplicity for c in clusters])
+        perps = [Subspace(n, _orthonormal(dual[:, end - c.algebraic_multiplicity:end])) if p is None else p
+                 for p, c, end in zip(perps, clusters, ends)]
+    perps = [kernel_split(a, c.value, c.scatter, tol)[0] if p is None else p for p, c in zip(perps, clusters)]
+    return max(subspace_angle(p, c.left_kernel) for p, c in zip(perps, clusters))
 
 
 def _eigenspace_overlap(v, dims):
@@ -310,7 +323,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     # exactly when biorthonormalize(a, ps, tol) succeeds
     exists = not defective and all(link.linked for link in links)
-    angle = residual_identity_check(a, ps, tol, kappa_v=spans.kappa_v)
+    angle = residual_identity_check(a, ps, tol, kappa_v=spans.kappa_v,
+                                    root_spaces=roots if spans.root_span_dim == n else None)
 
     return DiagnosisReport(
         ambient_dim=n,

@@ -107,9 +107,10 @@ class Subspace:
     """A subspace of C^n held as an orthonormal column basis.
 
     ``basis`` has shape ``(ambient_dim, k)``; ``k == 0`` encodes the
-    trivial subspace.  Construction checks orthonormality loosely (1e-6)
-    to catch outright misuse; the tight residual bound is a property of
-    the factory functions and is covered by their tests.
+    trivial subspace.  Construction refuses non-finite entries and checks
+    orthonormality loosely (1e-6) to catch outright misuse; the tight
+    residual bound is a property of the factory functions and is covered
+    by their tests.
     """
 
     ambient_dim: int
@@ -125,8 +126,9 @@ class Subspace:
         if b.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
         if b.shape[1]:
-            gram = b.conj().T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > 1e-6:
+            # a NaN Gram entry compares False against any bound, so a
+            # non-finite basis is refused before its Gram matrix is formed
+            if not np.isfinite(b).all() or np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() > 1e-6:
                 raise ValueError("basis columns are not orthonormal")
 
     @property

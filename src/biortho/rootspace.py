@@ -6,9 +6,11 @@ Weyr characteristic) conjugate into the Jordan block sizes.  Kublanovskaya's
 deflation (Kagstrom & Ruhe, ACM TOMS 6(3), 1980) climbs it with no power of B:
 the SVD of the trailing block of Q*BQ rotates that block's kernel to the
 front; each step is its nullity at one cutoff, rank_eps * n * ||B||_2 off
-the first SVD.  At the top Q*BQ = [[N, X], [0, T]], N nilpotent, T
-nonsingular; Ran(B^h) = Q[-S; I] with S = -sum_(i<h) N^i X T^-(i+1), and its
-complement Ker((B^*)^h) is the adjoint's root space: A^* climbs no staircase.
+the first SVD.  A B whose entries are all real is climbed in real
+arithmetic (spectral._svd), and its trailing blocks stay real.  At the top
+Q*BQ = [[N, X], [0, T]], N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I]
+with S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
+adjoint's root space: A^* climbs no staircase.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and takes no staircase
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ClusteringError, RootSpaceMismatchError
 from .linalg import DEFAULT_TOL, Subspace, _rank_from_singular_values, as_matrix, phase_normalize
-from .spectral import _lapack, point_spectrum
+from .spectral import _svd, point_spectrum
 
 __all__ = ["RootSpace", "SpanReport", "root_space", "span_report"]
 
@@ -81,7 +83,7 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
     q = np.eye(n, dtype=complex)
     trailing, cutoff, d, staircase = shifted, None, 0, []
     while d < n:
-        u, s, vh = _lapack(np.linalg.svd, trailing, lam)
+        u, s, vh = _svd(trailing, lam)
         cutoff = tol.rank_eps * n * float(s[0]) if cutoff is None else cutoff
         rank = int(np.count_nonzero(s > cutoff))
         if rank == n - d:

@@ -24,7 +24,12 @@ adjoint, computed independently.
 The rule that decides Ker(A - lambda I) and Ran(A - lambda I)-perp
 lives in kernel_split alone: one SVD of the shifted matrix, the collapse
 test on its sigma_max and the |lambda|-anchored rank cutoff.  The SVD
-route and the per-cluster residual identity of conditions both call it.
+route keeps both: the kernel as the cluster's right kernel, Ran-perp as
+its range_perp, which the residual identity of conditions reads back.
+That SVD, like every staircase SVD of rootspace, goes through _svd: a
+shifted matrix whose entries are all real (a real A at a real lambda)
+is factored in real arithmetic, and phase_normalize makes every basis
+complex again.
 
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
@@ -67,6 +72,9 @@ class EigenvalueCluster:
     of the right kernel; semi_simple is their equality.  scatter is the
     largest distance of a merged raw eigenvalue from the centroid, the
     resolution below which this cluster cannot distinguish eigenvalues.
+    range_perp is Ran(A - value I)-perp from the same SVD as the right
+    kernel, kept for the residual identity; None for a certified simple
+    cluster, which took no SVD.
     """
 
     value: complex
@@ -76,6 +84,7 @@ class EigenvalueCluster:
     right_kernel: Subspace
     left_kernel: Subspace
     scatter: float = 0.0
+    range_perp: Subspace = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m_a = self.algebraic_multiplicity
@@ -151,6 +160,12 @@ def _lapack(solver, a, lam=None):
         raise EigenIterationError(str(exc) + where) from exc
 
 
+def _svd(b, lam=None):
+    # a shifted matrix whose entries are all real is factored in real
+    # arithmetic (dgesdd, not zgesdd); its singular vectors come out real
+    return _lapack(np.linalg.svd, b if b.imag.any() else b.real, lam)
+
+
 def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     """Ran(a - lam I)-perp and Ker(a - lam I) from one SVD, as two Subspaces.
 
@@ -167,7 +182,7 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     """
     n = a.shape[0]
     eye = np.eye(n, dtype=complex)
-    u, s, vh = _lapack(np.linalg.svd, a - lam * eye, lam)
+    u, s, vh = _svd(a - lam * eye, lam)
     if s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
         full = Subspace(n, phase_normalize(eye))
         return full, full
@@ -274,10 +289,11 @@ def point_spectrum(a, tol=DEFAULT_TOL):
         fast = _simple_kernels(a, raw, vecs, adj_raw, adj_vecs, simple, tol)
     clusters = []
     for lam, scatter, idx in groups:
+        perp = None
         if len(idx) == 1 and idx[0] in fast:
             right, left = fast[idx[0]]
         else:
-            _, right = kernel_split(a, lam, scatter, tol)
+            perp, right = kernel_split(a, lam, scatter, tol)
             # a full right kernel means A - lam I is zero at this
             # resolution; otherwise the left side takes its own SVD
             left = right if right.dim == n else kernel_split(a.conj().T, lam.conjugate(), scatter, tol)[1]
@@ -292,6 +308,7 @@ def point_spectrum(a, tol=DEFAULT_TOL):
                 right_kernel=right,
                 left_kernel=left,
                 scatter=scatter,
+                range_perp=perp,
             )
         )
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))

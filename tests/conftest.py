@@ -14,16 +14,18 @@ def rng():
 
 
 class Calls:
-    """Counts numpy.linalg calls by name and by the shape of their first argument."""
+    """Counts numpy.linalg calls by name, with the shape and dtype of their first argument."""
 
     def __init__(self, monkeypatch, names=("svd", "eig", "eigvals")):
         self.shapes = {name: [] for name in names}
+        self.dtypes = {name: [] for name in names}
         for name in names:
             monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
 
     def _counted(self, name, fn):
         def counted(m, *args, **kwargs):
             self.shapes[name].append(np.shape(m))
+            self.dtypes[name].append(np.asarray(m).dtype)
             return fn(m, *args, **kwargs)
         return counted
 

@@ -101,6 +101,9 @@ def test_deflation_takes_shrinking_svds_and_no_powers(monkeypatch):
     # one SVD per level, of the trailing block only; a power of the
     # shifted matrix would take an SVD of the full 24 x 24 size
     assert calls.shapes["svd"] == [(m, m) for m in range(24, 0, -1)]
+    # the shifted matrix is exactly real, so every level runs in real
+    # arithmetic, the first on the real part of the complex input
+    assert calls.dtypes["svd"] == [np.dtype(np.float64)] * 24
     # the cutoff comes from the first SVD, and d = n needs no adjoint sum
     assert norms == []
     assert calls.shapes["qr"] == calls.shapes["solve"] == calls.shapes["inv"] == []
@@ -132,6 +135,8 @@ def test_adjoint_side_factors_the_trailing_block_once(monkeypatch):
         assert d < 9
         # the last SVD, of the nonsingular T, is the only factorization of T
         assert calls.shapes["svd"] == [(9 - k, 9 - k) for k in (0,) + rs.staircase]
+        # a complex similarity leaves the shifted matrix complex throughout
+        assert set(calls.dtypes["svd"]) == {np.dtype(np.complex128)}
         assert calls.shapes["solve"] == calls.shapes["inv"] == []
         # and one complete QR of [Y; I] gives the complement of Ran(B^h)
         assert calls.shapes["qr"] == [(9, 9 - d)]

@@ -21,6 +21,7 @@ from biortho import (
     Tolerance,
     check_conditions,
     complement,
+    eigvec_matrix,
     generate,
     phase_normalize,
     point_spectrum,
@@ -36,6 +37,10 @@ from conftest import Calls, count_norm2
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
+WIDE = Tolerance(cluster_eps=1e-2)
+# clusters with (m_a, m_g) = (3, 2), (2, 2), (3, 1) and one simple one
+SMALL_MIXED = FamilySpec("block_jordan", 9, {"blocks": ((0.0, (2, 1)), (1.0, (1, 1)), (2.0, (3,)), (3.0, (1,))),
+                                             "cond": 10.0}, 4)
 
 
 def _svd_null(m, floor, tol):
@@ -246,6 +251,38 @@ def test_residual_identity_through_the_inverse_catches_a_wrong_left_kernel():
         subspace_angle(ps.clusters[2].left_kernel, ps.clusters[2].right_kernel), rel=1e-6)
 
 
+def test_residual_identity_through_the_root_bases_catches_a_wrong_left_kernel():
+    # V is not square here; the stacked root bases R stand in for it, and
+    # R^-1 knows nothing of the left kernels either
+    a = generate(SMALL_MIXED)
+    ps = point_spectrum(a, WIDE)
+    roots = [root_space(a, c, WIDE) for c in ps.clusters]
+    assert eigvec_matrix(ps).shape[1] < 9
+    assert residual_identity_check(a, ps, WIDE, root_spaces=roots) <= 1e-10
+    (i,) = [i for i, c in enumerate(ps.clusters) if c.range_perp is None]
+    bad = list(ps.clusters)
+    bad[i] = dataclasses.replace(bad[i], left_kernel=bad[i].right_kernel)
+    wrong = dataclasses.replace(ps, clusters=tuple(bad))
+    assert residual_identity_check(a, wrong, WIDE, root_spaces=roots) == pytest.approx(
+        subspace_angle(ps.clusters[i].left_kernel, ps.clusters[i].right_kernel), rel=1e-6)
+
+
+@pytest.mark.parametrize("cond", [10.0, 100.0])
+def test_residual_identity_through_the_root_bases_agrees_with_the_splits(cond):
+    # 28 blocks at 0, 1, ..., 27 cycling through four Segre patterns, n = 63
+    blocks = tuple((float(k), ((2, 1), (1,), (3,), (1, 1))[k % 4]) for k in range(28))
+    a = generate(FamilySpec("block_jordan", 63, {"blocks": blocks, "cond": cond}, 5))
+    report = check_conditions(a, WIDE)
+    ps = report.spectrum
+    assert eigvec_matrix(ps).shape[1] < 63 and report.condition("C4'").status == "PASS"
+    assert sum(c.range_perp is None for c in ps.clusters) == 7
+    # the reference takes every cluster's Ran-perp from its own split
+    by_split = max(subspace_angle(kernel_split(a, c.value, c.scatter, WIDE)[0], c.left_kernel)
+                   for c in ps.clusters)
+    assert report.residual_identity_angle <= 1e-10
+    assert by_split <= 1e-10
+
+
 def _under_unitary(m):
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
@@ -298,11 +335,9 @@ def test_collapsed_cluster_takes_one_full_kernel_for_both_sides(name):
     assert d.residual_identity_angle == 0.0
 
 
-def test_one_svd_per_side_and_one_per_cluster_for_the_residual_identity(monkeypatch):
-    spec = FamilySpec("block_jordan", 9, {"blocks": ((0.0, (2, 1)), (1.0, (1, 1)), (2.0, (3,)), (3.0, (1,))),
-                                           "cond": 10.0}, 4)
-    a = generate(spec)
-    tol = Tolerance(cluster_eps=1e-2)
+def test_one_svd_per_side_and_the_residual_identity_reuses_the_splits(monkeypatch):
+    a = generate(SMALL_MIXED)
+    tol = WIDE
     calls = Calls(monkeypatch)
     norms = count_norm2(monkeypatch)
     ps = point_spectrum(a, tol)
@@ -313,10 +348,44 @@ def test_one_svd_per_side_and_one_per_cluster_for_the_residual_identity(monkeypa
     assert calls.square("svd", 9) == 2 * 3
     assert len(calls.shapes["svd"]) == 6 and norms == []
 
-    calls = Calls(monkeypatch)
+    calls = Calls(monkeypatch, names=("svd", "solve"))
     norms = count_norm2(monkeypatch)
-    # V is not square, so every cluster takes the SVD route
+    # V is not square: the multiple clusters read the Ran-perp their split
+    # kept, and with no root spaces given the simple cluster takes one SVD
     assert residual_identity_check(a, ps, tol) <= 1e-10
-    assert calls.square("svd", 9) == len(ps.clusters) == len(calls.shapes["svd"])
+    assert calls.shapes == {"svd": [(9, 9)], "solve": []}
     # the only 2-norms are subspace_angle's, one per kernel of dimension 2
     assert sorted(norms) == [(9, 2), (9, 2)]
+
+    # inside check_conditions the root bases R span, so the simple cluster
+    # reads its block of R^-* from one solve, and no SVD runs
+    inner = _residual_identity_calls(monkeypatch)
+    assert check_conditions(a, tol).residual_identity_angle <= 1e-10
+    assert inner == [{"svd": [], "solve": [(9, 9)]}]
+
+
+def test_simple_clusters_take_their_own_splits_where_the_root_bases_do_not_span(monkeypatch):
+    # two simple eigenvalues +-1e-6 whose eigenvectors are parallel at
+    # rank_eps 1e-6: V = R is square but does not span
+    tol = Tolerance(rank_eps=1e-6)
+    inner = _residual_identity_calls(monkeypatch)
+    report = check_conditions(np.array([[0.0, 1.0], [1e-12, 0.0]]), tol)
+    assert report.condition("C4'").status == "FAIL" and report.kappa_v == float("inf")
+    assert report.residual_identity_angle <= 1e-10
+    assert inner == [{"svd": [(2, 2), (2, 2)], "solve": []}]
+
+
+def _residual_identity_calls(monkeypatch):
+    """SVD and solve shapes taken inside each residual_identity_check that check_conditions makes."""
+    inner = []
+    original = conditions.residual_identity_check
+
+    def counted(*args, **kwargs):
+        with monkeypatch.context() as patched:
+            calls = Calls(patched, names=("svd", "solve"))
+            angle = original(*args, **kwargs)
+        inner.append(calls.shapes)
+        return angle
+
+    monkeypatch.setattr(conditions, "residual_identity_check", counted)
+    return inner

@@ -200,6 +200,18 @@ def test_subspace_rejects_skewed_basis():
         Subspace(2, np.eye(3, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_subspace_rejects_a_non_finite_basis(bad):
+    # a NaN in the Gram matrix compares False against any bound, so it
+    # must fail the orthonormality check rather than slip past it
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(3, np.full((3, 2), bad))
+    basis = np.eye(3, dtype=complex)[:, :2]
+    basis[2, 1] = bad
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(3, basis)
+
+
 def test_condition_number_oracles():
     assert condition_number(np.eye(4)) == 1.0
     assert condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0)
