@@ -9,16 +9,16 @@ subspaces.  Every verdict carries the witnesses that decided it, so a
 FAIL names the clusters responsible.
 
 A^* has no kernel, staircase or span of its own.  Its eigenvectors at
-conj(lambda) are the clusters' left kernels: for a simple cluster the
-certified eig vector of A^* (see spectral), otherwise the left null
-vectors of A - lambda I.  Its root vectors come from the deflation that
+conj(lambda) are the clusters' left kernels: for a certified cluster
+its eig vectors of A^* (see spectral), otherwise the left null vectors
+of A - lambda I.  Its root vectors come from the deflation that
 climbs A's staircase, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its
 final form Q*(A - lambda I)Q = [[N, X], [0, T]] (see rootspace), or are
 the left kernel again where a cluster's kernels are its root subspaces,
 and C2' then reuses its C2 verdict.
 Its spectrum comes from a separate computation, so that C1 and C3'
 compare independent results: the eig(A^*) call point_spectrum already
-made when some cluster is simple, else one eigvals call.
+made when there is more than one cluster, else one eigvals call.
 
 The residual identity takes no SVD of its own when the root bases span:
 Ran(A - lambda I)-perp comes from V^-1, from the split each SVD-route
@@ -34,7 +34,7 @@ import numpy as np
 from .biorthogonal import multiplicity_match, skew_link_check
 from .linalg import DEFAULT_TOL, Subspace, as_matrix, condition_number, subspace_angle
 from .rootspace import root_space, span_report
-from .spectral import eigenvalue_groups, eigenvalues, eigvec_matrix, kernel_split, point_spectrum
+from .spectral import _orthonormal, eigenvalue_groups, eigenvalues, eigvec_matrix, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -120,12 +120,6 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
                  if subspace_angle(c.right_kernel, c.left_kernel) > 10.0 * tol.residual_eps)
 
 
-def _orthonormal(block):
-    if block.shape[1] == 1:
-        return block / np.linalg.norm(block)
-    return np.linalg.qr(block)[0]
-
-
 def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None, root_spaces=None):
     """Largest angle between Ran(A - lambda I)-perp and Ker(A* - conj(lambda) I).
 
@@ -138,8 +132,8 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None, roo
     (computed here unless given), A = V D V^-1 and a cluster's rows of
     V^-1 span Ran(A - lambda I)-perp, so one solve serves every cluster.
     Otherwise a cluster that took the SVD route reads the space its split
-    kept (EigenvalueCluster.range_perp).  A certified simple cluster took
-    no SVD; when root_spaces are given, which the caller passes only if
+    kept (EigenvalueCluster.range_perp).  A certified cluster took no
+    SVD; when root_spaces are given, which the caller passes only if
     their bases R span C^n, A = R J R^-1 with J block diagonal and the
     cluster's rows of R^-1 serve as those of V^-1 do.  Else it takes one
     SVD of its shifted matrix (kernel_split).
@@ -171,8 +165,9 @@ def _eigenspace_overlap(v, dims):
 
     dims lists the clusters' kernel dimensions in the column order of v.
     A block with a side of length 1 is a vector, whose 2-norm is its
-    Euclidean length: 1x1 blocks are read off the Gram at once, and only
-    blocks between two multiple kernels take an SVD.
+    Euclidean length: 1x1 blocks are read off the Gram at once, and the
+    columns a multiple kernel meets a simple one in by their norms.  The
+    blocks between two multiple kernels take one batched SVD per shape.
     """
     gram = v.conj().T @ v
     dims = np.array(dims)
@@ -180,12 +175,24 @@ def _eigenspace_overlap(v, dims):
     single = dims[owner] == 1
     pairs = (owner[:, None] != owner[None, :]) & single[:, None] & single[None, :]
     overlap = float(np.abs(gram[pairs]).max(initial=0.0))
-    cols = [slice(end - d, end) for d, end in zip(dims, np.cumsum(dims))]
-    for i in np.flatnonzero(dims > 1):
-        for j in range(len(dims)):
-            if j != i and (dims[j] == 1 or j > i):
-                block = gram[cols[i], cols[j]]
-                overlap = max(overlap, float(np.linalg.norm(block, 2) if dims[j] > 1 else np.linalg.norm(block)))
+    multiple = np.flatnonzero(dims > 1)
+    if not len(multiple):
+        return overlap
+    starts = np.cumsum(dims) - dims
+    # each multiple kernel's column against each simple one, summed over its rows
+    across = np.abs(gram[np.ix_(~single, single)]) ** 2
+    block_starts = np.cumsum(dims[multiple]) - dims[multiple]
+    overlap = max(overlap, float(np.sqrt(np.add.reduceat(across, block_starts, axis=0).max(initial=0.0))))
+    i, j = (multiple[k] for k in np.triu_indices(len(multiple), 1))
+    sizes = sorted(set(dims[multiple].tolist()))
+    for di in sizes:
+        for dj in sizes:
+            shaped = (dims[i] == di) & (dims[j] == dj)
+            if shaped.any():
+                rows = starts[i[shaped], None] + np.arange(di)
+                cols = starts[j[shaped], None] + np.arange(dj)
+                blocks = gram[rows[:, :, None], cols[:, None, :]]
+                overlap = max(overlap, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
     return overlap
 
 

@@ -7,19 +7,23 @@ pairwise-close eigenvalues connects them.  The closure is order
 independent.  Each cluster carries the kernels of ``A - lambda I`` and
 ``A^* - conj(lambda) I`` at the cluster centroid.
 
-A simple cluster (one raw eigenvalue) needs no rank decision, since
-1 <= m_g <= m_a forces m_g = 1.  Its right kernel is the eig vector of
-``A`` and its left kernel the eig vector of ``A^*`` (one more eig call)
-at the nearest conjugate eigenvalue.  When every cluster is simple, each
-side's vectors first take one correction against their own residuals
-(see _refined).  Each unit vector v must then certify itself: its
-residual ||(A - lambda I) v|| must lie at or below ``rank_eps * n *
-max(||A - lambda I||_F / sqrt(n), |lambda|)``.  The Frobenius norm over
-sqrt(n) bounds sigma_max from below, so this never exceeds the SVD rank
-cutoff, and a certified v proves the SVD would find a kernel there too.
-When either side fails, the cluster takes the SVD route that every
-multiple cluster takes: the kernels of the shifted matrix and of its
-adjoint, computed independently.
+When there is more than one cluster, eig(A^*) runs too, and every
+cluster first tries a residual certificate.  A cluster of m raw
+eigenvalues takes its members' eig(A) columns as its right block and
+the eig(A^*) columns at the m adjoint eigenvalues nearest conj(lambda)
+as its left block; each block is orthonormalized (a unit column, else a
+thin QR).  When every cluster is simple, each side's vectors first take
+one correction against their own residuals (see _refined).  Both blocks
+Q must then pass ||(A - lambda I) Q||_F <= ``rank_eps * n * max(||A -
+lambda I||_F / sqrt(n), |lambda|)``.  By Courant-Fischer,
+sigma_(n-m+1)(A - lambda I) <= ||(A - lambda I) Q||_2 <= ||.||_F, and
+the Frobenius norm over sqrt(n) bounds sigma_max from below, so a
+certified Q proves the SVD would find a kernel of dimension at least m
+there too.  A defective cluster fails: its eig vectors are nearly
+parallel, and the QR keeps a noise direction with a large residual.  A
+cluster that fails on either side, and the one cluster of an input
+whose spectrum is a single cluster, take the SVD route: the kernels of
+the shifted matrix and of its adjoint, computed independently.
 
 The rule that decides Ker(A - lambda I) and Ran(A - lambda I)-perp
 lives in kernel_split alone: one SVD of the shifted matrix, the collapse
@@ -73,8 +77,8 @@ class EigenvalueCluster:
     largest distance of a merged raw eigenvalue from the centroid, the
     resolution below which this cluster cannot distinguish eigenvalues.
     range_perp is Ran(A - value I)-perp from the same SVD as the right
-    kernel, kept for the residual identity; None for a certified simple
-    cluster, which took no SVD.
+    kernel, kept for the residual identity; None for a cluster whose eig
+    blocks were certified, which took no SVD.
     """
 
     value: complex
@@ -112,8 +116,9 @@ class EigenvalueCluster:
 class PointSpectrum:
     """All eigenvalue clusters of one matrix, sorted by (Re, Im).
 
-    adjoint_eigenvalues holds the raw eigenvalues of the adjoint when the
-    simple-cluster fast path computed them, and is None otherwise.
+    adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
+    eig(A^*) call of the certificate, which runs whenever there is more
+    than one cluster, and is None otherwise.
     """
 
     ambient_dim: int
@@ -235,35 +240,58 @@ def _refined(a, values, vectors):
         return refined / np.linalg.norm(refined, axis=0)
 
 
-def _simple_kernels(a, raw, vecs, adj_raw, adj_vecs, simple, tol):
-    """Certified right and left kernels of simple clusters, by raw index.
+def _orthonormal(block):
+    """Orthonormal basis of a block's columns: the unit column, else a thin QR."""
+    if block.shape[1] == 1:
+        return block / np.linalg.norm(block)
+    return np.linalg.qr(block)[0]
 
-    When every cluster is simple, each side's vectors are first refined
-    against that side's own residuals.  An index is left out when either
-    unit vector's residual exceeds the cutoff (or is not finite), so the
-    caller falls back to the SVD route for it.
+
+def _block_norms(r, starts):
+    # Frobenius norm of each column block of r, the blocks starting at starts
+    return np.sqrt(np.add.reduceat((r.conj() * r).real.sum(axis=0), starts))
+
+
+def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
+    """Certified right and left kernels of eigenvalue groups, by group index.
+
+    A group of m raw eigenvalues at centroid lam takes its members' eig(A)
+    columns as its right block, and the eig(A^*) columns at the m adjoint
+    eigenvalues nearest conj(lam) as its left block, each orthonormalized.
+    When every group is simple, each side's vectors are first refined
+    against that side's own residuals.  A group is left out when either
+    block's residual ||(A - lam I) Q||_F exceeds the cutoff (or is not
+    finite), so the caller falls back to the SVD route for it.
     """
     n = a.shape[0]
     adj = a.conj().T
-    if len(simple) == n:
+    if len(groups) == n:
         vecs = _refined(a, raw, vecs)
         adj_vecs = _refined(adj, adj_raw, adj_vecs)
-    lam = raw[simple]
-    partner = np.abs(adj_raw[None, :] - lam.conj()[:, None]).argmin(axis=1)
-    right = vecs[:, simple]
-    left = adj_vecs[:, partner]
+    lam = np.array([g[0] for g in groups])
+    sizes = np.array([len(g[2]) for g in groups])
+    starts = np.cumsum(sizes) - sizes
+    shift = np.repeat(lam, sizes)
+    # one sort gives every group's nearest adjoint eigenvalues, m of them
+    nearest = np.argsort(np.abs(adj_raw[None, :] - lam.conj()[:, None]), axis=1, kind="stable")
+    right = vecs[:, [i for g in groups for i in g[2]]]
+    left = adj_vecs[:, nearest[np.arange(n)[None, :] < sizes[:, None]]]
     right = right / np.linalg.norm(right, axis=0)
     left = left / np.linalg.norm(left, axis=0)
-    right_res = np.linalg.norm(a @ right - right * lam, axis=0)
-    left_res = np.linalg.norm(adj @ left - left * lam.conj(), axis=0)
+    for k in np.flatnonzero(sizes > 1):
+        cols = slice(starts[k], starts[k] + sizes[k])
+        right[:, cols] = _orthonormal(right[:, cols])
+        left[:, cols] = _orthonormal(left[:, cols])
+    right_res = _block_norms(a @ right - right * shift, starts)
+    left_res = _block_norms(adj @ left - left * shift.conj(), starts)
     diag = np.diag(a)
     off = a - np.diag(diag)
     fro = np.sqrt(np.vdot(off, off).real + (np.abs(diag[None, :] - lam[:, None]) ** 2).sum(axis=1))
     cutoff = tol.rank_eps * n * np.maximum(fro / np.sqrt(n), np.abs(lam))
     certified = (right_res <= cutoff) & (left_res <= cutoff)
     return {
-        i: (Subspace(n, phase_normalize(right[:, [k]])), Subspace(n, phase_normalize(left[:, [k]])))
-        for k, i in enumerate(simple)
+        k: (Subspace(n, phase_normalize(right[:, lo:lo + m])), Subspace(n, phase_normalize(left[:, lo:lo + m])))
+        for k, (lo, m) in enumerate(zip(starts, sizes))
         if certified[k]
     }
 
@@ -281,17 +309,16 @@ def point_spectrum(a, tol=DEFAULT_TOL):
         raise ValueError("point spectrum requires a square matrix")
     raw, vecs = _lapack(np.linalg.eig, a)
     groups = eigenvalue_groups(raw, tol)
-    simple = [idx[0] for _, _, idx in groups if len(idx) == 1]
     adj_raw = None
-    fast = {}
-    if simple:
+    certified = {}
+    if len(groups) > 1:
         adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
-        fast = _simple_kernels(a, raw, vecs, adj_raw, adj_vecs, simple, tol)
+        certified = _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol)
     clusters = []
-    for lam, scatter, idx in groups:
+    for k, (lam, scatter, idx) in enumerate(groups):
         perp = None
-        if len(idx) == 1 and idx[0] in fast:
-            right, left = fast[idx[0]]
+        if k in certified:
+            right, left = certified[k]
         else:
             perp, right = kernel_split(a, lam, scatter, tol)
             # a full right kernel means A - lam I is zero at this

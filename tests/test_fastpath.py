@@ -1,10 +1,11 @@
-"""The simple-cluster fast path against the SVD route it replaces.
+"""The eig certificate of simple clusters against the SVD route it replaces.
 
 A cluster with one raw eigenvalue takes its right kernel from eig(A) and
-its left kernel from eig(A^*), each certified by its residual; the
-references here are the SVD kernels of the shifted matrix and its
-adjoint, which every cluster took before and which the fallback still
-takes.  The SVD route itself, kernel_split, is checked against a
+its left kernel from eig(A^*), each certified by its residual, as every
+cluster of an input with more than one cluster does (test_certificate
+covers the multiple ones); the references here are the SVD kernels of
+the shifted matrix and its adjoint, which every cluster took before and
+which the fallback still takes.  The SVD route itself, kernel_split, is checked against a
 reference that takes the 2-norm collapse test, the null space and the
 complement of the range each on its own.
 """
@@ -259,12 +260,15 @@ def test_residual_identity_through_the_root_bases_catches_a_wrong_left_kernel():
     roots = [root_space(a, c, WIDE) for c in ps.clusters]
     assert eigvec_matrix(ps).shape[1] < 9
     assert residual_identity_check(a, ps, WIDE, root_spaces=roots) <= 1e-10
-    (i,) = [i for i, c in enumerate(ps.clusters) if c.range_perp is None]
-    bad = list(ps.clusters)
-    bad[i] = dataclasses.replace(bad[i], left_kernel=bad[i].right_kernel)
-    wrong = dataclasses.replace(ps, clusters=tuple(bad))
-    assert residual_identity_check(a, wrong, WIDE, root_spaces=roots) == pytest.approx(
-        subspace_angle(ps.clusters[i].left_kernel, ps.clusters[i].right_kernel), rel=1e-6)
+    # the simple cluster and the semi-simple (2, 2) one are certified
+    certified = [i for i, c in enumerate(ps.clusters) if c.range_perp is None]
+    assert sorted(ps.clusters[i].algebraic_multiplicity for i in certified) == [1, 2]
+    for i in certified:
+        bad = list(ps.clusters)
+        bad[i] = dataclasses.replace(bad[i], left_kernel=bad[i].right_kernel)
+        wrong = dataclasses.replace(ps, clusters=tuple(bad))
+        assert residual_identity_check(a, wrong, WIDE, root_spaces=roots) == pytest.approx(
+            subspace_angle(ps.clusters[i].left_kernel, ps.clusters[i].right_kernel), rel=1e-6)
 
 
 @pytest.mark.parametrize("cond", [10.0, 100.0])
@@ -275,7 +279,8 @@ def test_residual_identity_through_the_root_bases_agrees_with_the_splits(cond):
     report = check_conditions(a, WIDE)
     ps = report.spectrum
     assert eigvec_matrix(ps).shape[1] < 63 and report.condition("C4'").status == "PASS"
-    assert sum(c.range_perp is None for c in ps.clusters) == 7
+    # the 7 simple and the 7 semi-simple (1, 1) clusters are certified
+    assert sum(c.range_perp is None for c in ps.clusters) == 14
     # the reference takes every cluster's Ran-perp from its own split
     by_split = max(subspace_angle(kernel_split(a, c.value, c.scatter, WIDE)[0], c.left_kernel)
                    for c in ps.clusters)
@@ -343,22 +348,23 @@ def test_one_svd_per_side_and_the_residual_identity_reuses_the_splits(monkeypatc
     ps = point_spectrum(a, tol)
     kinds = sorted((c.algebraic_multiplicity, c.geometric_multiplicity) for c in ps.clusters)
     assert kinds == [(1, 1), (2, 2), (3, 1), (3, 2)]
-    # each multiple cluster: one SVD of A - lambda I and one of its
-    # adjoint, with the collapse test read off the first; no 2-norm
-    assert calls.square("svd", 9) == 2 * 3
-    assert len(calls.shapes["svd"]) == 6 and norms == []
+    # each defective cluster: one SVD of A - lambda I and one of its
+    # adjoint, with the collapse test read off the first; no 2-norm.  The
+    # simple and the semi-simple (2, 2) cluster are certified from eig
+    assert calls.square("svd", 9) == 2 * 2
+    assert len(calls.shapes["svd"]) == 4 and norms == []
 
     calls = Calls(monkeypatch, names=("svd", "solve"))
     norms = count_norm2(monkeypatch)
-    # V is not square: the multiple clusters read the Ran-perp their split
-    # kept, and with no root spaces given the simple cluster takes one SVD
+    # V is not square: the defective clusters read the Ran-perp their split
+    # kept, and with no root spaces given each certified cluster takes one SVD
     assert residual_identity_check(a, ps, tol) <= 1e-10
-    assert calls.shapes == {"svd": [(9, 9)], "solve": []}
+    assert calls.shapes == {"svd": [(9, 9), (9, 9)], "solve": []}
     # the only 2-norms are subspace_angle's, one per kernel of dimension 2
     assert sorted(norms) == [(9, 2), (9, 2)]
 
-    # inside check_conditions the root bases R span, so the simple cluster
-    # reads its block of R^-* from one solve, and no SVD runs
+    # inside check_conditions the root bases R span, so the certified
+    # clusters read their blocks of R^-* from one solve, and no SVD runs
     inner = _residual_identity_calls(monkeypatch)
     assert check_conditions(a, tol).residual_identity_angle <= 1e-10
     assert inner == [{"svd": [], "solve": [(9, 9)]}]
