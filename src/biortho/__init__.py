@@ -52,9 +52,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    adjoint,
     as_matrix,
-    complement,
     condition_number,
     nullspace,
     phase_normalize,
@@ -67,7 +65,6 @@ from .rootspace import RootSpace, SpanReport, root_space, span_report
 from .spectral import (
     EigenvalueCluster,
     PointSpectrum,
-    adjoint_point_spectrum,
     eigvec_matrix,
     point_spectrum,
 )

@@ -24,7 +24,7 @@ from .errors import (
     NotDiagonalizableError,
     SkewLinkFailureError,
 )
-from .linalg import DEFAULT_TOL, as_matrix
+from .linalg import DEFAULT_TOL, as_matrix, subspace_pairs
 from .spectral import point_spectrum
 
 __all__ = [
@@ -55,6 +55,18 @@ class SkewLinkVerdict:
     self_orthogonality: float
 
 
+def _link(sigma, k1, k2, tol, cluster_index):
+    """The verdict on bases of dimensions k1 and k2 with cross-Gram singular values sigma."""
+    if k1 == 0 and k2 == 0:
+        return SkewLinkVerdict(cluster_index, True, 0, 1.0)
+    if k1 == 0 or k2 == 0:
+        return SkewLinkVerdict(cluster_index, False, k1, 0.0)
+    sigma_min = float(sigma[-1])
+    rank = int(np.count_nonzero(sigma > tol.rank_eps * k1))
+    linked = (k1 == k2) and sigma_min > tol.rank_eps * k1
+    return SkewLinkVerdict(cluster_index, linked, k1 - rank, sigma_min)
+
+
 def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
     """Check whether two subspaces intersect each other's complement trivially.
 
@@ -62,19 +74,17 @@ def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
     orthonormal bases: linked iff dim(s1) == dim(s2) and
     sigma_min(C) > rank_eps * dim(s1).
     """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
-    k1, k2 = s1.dim, s2.dim
-    if k1 == 0 and k2 == 0:
-        return SkewLinkVerdict(cluster_index, True, 0, 1.0)
-    if k1 == 0 or k2 == 0:
-        return SkewLinkVerdict(cluster_index, False, k1, 0.0)
-    cross = s2.basis.conj().T @ s1.basis
-    s = np.linalg.svd(cross, compute_uv=False)
-    sigma_min = float(s[-1])
-    rank = int(np.count_nonzero(s > tol.rank_eps * k1))
-    linked = (k1 == k2) and sigma_min > tol.rank_eps * k1
-    return SkewLinkVerdict(cluster_index, linked, k1 - rank, sigma_min)
+    (sigma,), _ = subspace_pairs([s1.basis], [s2.basis])
+    return _link(sigma, s1.dim, s2.dim, tol, cluster_index)
+
+
+def _kernel_links(spectrum, tol=DEFAULT_TOL):
+    """Every cluster's skew link of its right to its left kernel, from one batched call."""
+    clusters = spectrum.clusters
+    sigmas, _ = subspace_pairs([c.right_kernel.basis for c in clusters],
+                               [c.left_kernel.basis for c in clusters])
+    return tuple(_link(s, c.right_kernel.dim, c.left_kernel.dim, tol, i)
+                 for i, (s, c) in enumerate(zip(sigmas, clusters)))
 
 
 def multiplicity_match(cluster):
@@ -151,10 +161,9 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
         spectrum = point_spectrum(a, tol)
     if spectrum.ambient_dim != n:
         raise ValueError("spectrum belongs to a matrix of different size")
-    for i, c in enumerate(spectrum.clusters):
-        verdict = skew_link_check(c.right_kernel, c.left_kernel, tol, i)
+    for verdict in _kernel_links(spectrum, tol):
         if not verdict.linked:
-            raise SkewLinkFailureError(i, verdict.self_orthogonality)
+            raise SkewLinkFailureError(verdict.cluster_index, verdict.self_orthogonality)
     defective = [i for i, c in enumerate(spectrum.clusters) if not c.semi_simple]
     if defective:
         raise NotDiagonalizableError(defective)

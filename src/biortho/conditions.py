@@ -21,8 +21,9 @@ compare independent results: the eig(A^*) call point_spectrum already
 made when there is more than one cluster, else one eigvals call.
 
 The residual identity takes no SVD of its own when the root bases span:
-Ran(A - lambda I)-perp comes from V^-1, from the split each SVD-route
-cluster kept, or from the root bases' inverse (residual_identity_check).
+Ran(A - lambda I)-perp comes from the split each SVD-route cluster kept,
+or from the root bases' inverse (residual_identity_check).  The sigma set,
+C2, C2' and the residual identity each pair their subspaces in one call.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorthogonal import multiplicity_match, skew_link_check
-from .linalg import DEFAULT_TOL, Subspace, as_matrix, condition_number, subspace_angle
+from .biorthogonal import _kernel_links, _link, multiplicity_match
+from .linalg import DEFAULT_TOL, as_matrix, subspace_pairs
 from .rootspace import root_space, span_report
-from .spectral import _orthonormal, eigenvalue_groups, eigenvalues, eigvec_matrix, kernel_split, point_spectrum
+from .spectral import _lapack, _orthonormal, eigenvalue_groups, eigvec_matrix, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -116,48 +117,44 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
     A cluster enters the set when its kernels sit at an angle above
     10 * residual_eps, as kernels of unequal dimension always do (pi/2).
     """
-    return tuple(i for i, c in enumerate(spectrum.clusters)
-                 if subspace_angle(c.right_kernel, c.left_kernel) > 10.0 * tol.residual_eps)
+    clusters = spectrum.clusters
+    _, angles = subspace_pairs([c.right_kernel.basis for c in clusters],
+                               [c.left_kernel.basis for c in clusters])
+    return tuple(int(i) for i in np.flatnonzero(angles > 10.0 * tol.residual_eps))
 
 
-def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, kappa_v=None, root_spaces=None):
+def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None):
     """Largest angle between Ran(A - lambda I)-perp and Ker(A* - conj(lambda) I).
 
     The two subspaces coincide for every lambda in exact arithmetic, so
     the returned angle measures how consistently the ranks were decided.
     Ran(A - lambda I)-perp must come from A's own right side, apart from
     the left kernel it is compared with; reading both off one
-    factorization would make the angle zero by construction.  When the
-    eigenvector matrix V is square with finite condition number kappa_v
-    (computed here unless given), A = V D V^-1 and a cluster's rows of
-    V^-1 span Ran(A - lambda I)-perp, so one solve serves every cluster.
-    Otherwise a cluster that took the SVD route reads the space its split
-    kept (EigenvalueCluster.range_perp).  A certified cluster took no
-    SVD; when root_spaces are given, which the caller passes only if
-    their bases R span C^n, A = R J R^-1 with J block diagonal and the
-    cluster's rows of R^-1 serve as those of V^-1 do.  Else it takes one
-    SVD of its shifted matrix (kernel_split).
+    factorization would make the angle zero by construction.  A cluster
+    that took the SVD route reads the space its split kept
+    (EigenvalueCluster.range_perp).  A certified cluster took no SVD;
+    when root_spaces are given, which the caller passes only if their
+    bases R span C^n (R = V when all kernels are root spaces), A = R J
+    R^-1 with J block diagonal and one solve gives every such cluster
+    its rows of R^-1.  Else it takes one SVD of its shifted matrix.
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
     n = a.shape[0]
     clusters = spectrum.clusters
-    v = eigvec_matrix(spectrum)
-    if v.shape[1] == n and kappa_v is None:
-        kappa_v = condition_number(v, tol)
-    square = v.shape[1] == n and np.isfinite(kappa_v)
-    perps = [None if square else c.range_perp for c in clusters]
-    if any(p is None for p in perps) and (square or root_spaces is not None):
-        # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster;
-        # R = V when V is square, as then every m_g is m_a
-        basis = v if square else np.hstack([r.space.basis for r in root_spaces])
+    perps = [None if c.range_perp is None else c.range_perp.basis for c in clusters]
+    if any(p is None for p in perps) and root_spaces is not None:
+        # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster
+        basis = np.hstack([r.space.basis for r in root_spaces])
         dual = np.linalg.solve(basis.conj().T, np.eye(n, dtype=complex))
         ends = np.cumsum([c.algebraic_multiplicity for c in clusters])
-        perps = [Subspace(n, _orthonormal(dual[:, end - c.algebraic_multiplicity:end])) if p is None else p
+        perps = [_orthonormal(dual[:, end - c.algebraic_multiplicity:end]) if p is None else p
                  for p, c, end in zip(perps, clusters, ends)]
-    perps = [kernel_split(a, c.value, c.scatter, tol)[0] if p is None else p for p, c in zip(perps, clusters)]
-    return max(subspace_angle(p, c.left_kernel) for p, c in zip(perps, clusters))
+    perps = [kernel_split(a, c.value, c.scatter, tol)[0].basis if p is None else p
+             for p, c in zip(perps, clusters)]
+    _, angles = subspace_pairs(perps, [c.left_kernel.basis for c in clusters])
+    return float(angles.max())
 
 
 def _eigenspace_overlap(v, dims):
@@ -258,14 +255,14 @@ def check_conditions(a, tol=DEFAULT_TOL):
     adj = a.conj().T
     adj_values = ps.adjoint_eigenvalues
     if adj_values is None:
-        adj_values = eigenvalues(adj)
+        adj_values = _lapack(np.linalg.eigvals, adj)
     adj_groups = eigenvalue_groups(adj_values, tol)
     radius = tol.cluster_eps * ps.scale
 
     c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], radius)
 
     sig = sigma_set(ps, tol)
-    links = tuple(skew_link_check(c.right_kernel, c.left_kernel, tol, i) for i, c in enumerate(ps.clusters))
+    links = _kernel_links(ps, tol)
     c2 = _check_skew(
         "C2",
         {i: links[i] for i in sig},
@@ -285,16 +282,15 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     roots = [root_space(a, c, tol) for c in ps.clusters]
 
-    c3_bad = []
-    root_links = {}  # C2' verdicts of the root sigma set
-    for i, (c, r) in enumerate(zip(ps.clusters, roots)):
-        if c.algebraic_multiplicity != len(adj_groups[match[i]][2]):
-            c3_bad.append(i)
-        if c.kernels_are_root_spaces:
-            if i in sig:
-                root_links[i] = links[i]
-        elif subspace_angle(r.space, r.adjoint_space) > 10.0 * tol.residual_eps:
-            root_links[i] = skew_link_check(r.space, r.adjoint_space, tol, i)
+    c3_bad = [i for i, c in enumerate(ps.clusters) if c.algebraic_multiplicity != len(adj_groups[match[i]][2])]
+    # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2 one
+    climbing = [i for i, c in enumerate(ps.clusters) if not c.kernels_are_root_spaces]
+    sigmas, angles = subspace_pairs([roots[i].space.basis for i in climbing],
+                                    [roots[i].adjoint_space.basis for i in climbing])
+    root_links = {i: _link(s, roots[i].space.dim, roots[i].adjoint_space.dim, tol, i)
+                  for i, s, angle in zip(climbing, sigmas, angles) if angle > 10.0 * tol.residual_eps}
+    root_links.update({i: links[i] for i in sig if ps.clusters[i].kernels_are_root_spaces})
+    root_links = dict(sorted(root_links.items()))
     c3p = ConditionVerdict(
         "C3'",
         FAIL if c3_bad else PASS,
@@ -330,8 +326,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     # exactly when biorthonormalize(a, ps, tol) succeeds
     exists = not defective and all(link.linked for link in links)
-    angle = residual_identity_check(a, ps, tol, kappa_v=spans.kappa_v,
-                                    root_spaces=roots if spans.root_span_dim == n else None)
+    angle = residual_identity_check(a, ps, tol, root_spaces=roots if spans.root_span_dim == n else None)
 
     return DiagnosisReport(
         ambient_dim=n,

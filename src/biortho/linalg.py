@@ -1,11 +1,16 @@
 """Dense complex-matrix primitives with an explicit tolerance policy.
 
-Every rank decision in the package flows through the same rule: a singular
-value counts as zero iff it is at most ``rank_eps * sigma_max * max(rows,
-cols)``.  The one exception is A - lambda I, whose cutoff is anchored to
-|lambda| as well; spectral.kernel_split holds that rule.  Subspaces are
-always carried as orthonormal column bases produced by the SVD, so
-downstream overlap computations stay well conditioned.
+Subspaces are carried as orthonormal column bases: most from an SVD, a
+certified cluster's kernels from eig columns and a thin QR (spectral).
+Each rank decision keeps its own cutoff, where it is made:
+- stacked bases (rootspace's spans; nullspace, range_space and
+  condition_number here): sigma <= rank_eps * sigma_max * max(rows, cols);
+- spectral.kernel_split: sigma <= rank_eps * n * max(sigma_max, |lambda|),
+  after the collapse test sigma_max <= 1.25 * scatter + rank_eps * n * |lambda|;
+- rootspace.root_space's staircase: the fixed rank_eps * n * ||B||_2;
+- spectral's eig certificate: ||(A - lambda I) Q||_F <= rank_eps * n *
+  max(||A - lambda I||_F / sqrt(n), |lambda|);
+- biorthogonal's skew link: sigma_min of a k-column cross-Gram > rank_eps * k.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ __all__ = [
     "Tolerance",
     "Subspace",
     "as_matrix",
-    "adjoint",
     "phase_normalize",
     "nullspace",
     "range_space",
-    "complement",
+    "subspace_pairs",
     "subspace_angle",
     "condition_number",
     "DEFAULT_TOL",
@@ -75,11 +79,6 @@ def as_matrix(a):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def adjoint(m):
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def phase_normalize(basis):
@@ -135,10 +134,6 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    def projector(self):
-        """Orthogonal projector onto the subspace, shape (n, n)."""
-        return self.basis @ self.basis.conj().T
-
 
 def _rank_from_singular_values(s, shape, tol):
     if s.size == 0:
@@ -169,39 +164,48 @@ def range_space(m, tol=DEFAULT_TOL):
     return Subspace(m.shape[0], basis)
 
 
-def complement(space, tol=DEFAULT_TOL):
-    """Orthogonal complement of a Subspace within its ambient space."""
-    if space.dim == 0:
-        basis = phase_normalize(np.eye(space.ambient_dim, dtype=complex))
-        return Subspace(space.ambient_dim, basis)
-    return nullspace(space.basis.conj().T, tol)
+def subspace_pairs(firsts, seconds):
+    """Cross-Gram singular values and largest principal angle of each pair of bases.
+
+    firsts and seconds are equal-length lists of orthonormal bases B1 and B2
+    of one ambient space.  Returns, per pair, the singular values of
+    C = B2^* B1 in non-increasing order, and an array of the largest principal
+    angles: pi/2 for unequal dimensions, 0 when both bases are empty, else
+    arcsin ||B2 - B1 C^*||_2, the gap of the orthogonal projectors.  The leak
+    keeps small angles that sqrt(1 - sigma_min(C)^2) loses; its 2-norm is the
+    root of its d x d Gram's largest singular value.  Pairs are batched by
+    shape: one stacked product and one batched SVD per (d1, d2).
+    """
+    sigmas = {}
+    angles = np.zeros(len(firsts))
+    shapes = {}
+    for i, (b1, b2) in enumerate(zip(firsts, seconds)):
+        if b1.shape[0] != b2.shape[0]:
+            raise ValueError("subspaces live in different ambient dimensions (%d vs %d)"
+                             % (b1.shape[0], b2.shape[0]))
+        shapes.setdefault((b1.shape[1], b2.shape[1]), []).append(i)
+    for (d1, d2), idx in shapes.items():
+        b1 = np.stack([firsts[i] for i in idx])
+        b2 = np.stack([seconds[i] for i in idx])
+        cross = b2.conj().transpose(0, 2, 1) @ b1
+        angles[idx] = 0.0 if d1 == d2 else np.pi / 2
+        if d1 == d2 > 0:
+            leak = b2 - b1 @ cross.conj().transpose(0, 2, 1)
+            re, im = leak.real, leak.imag
+            # L^*L from real products: on one column, exactly the sum np.linalg.norm takes
+            gram = re.transpose(0, 2, 1) @ re + im.transpose(0, 2, 1) @ im
+            gram = gram + 1j * (re.transpose(0, 2, 1) @ im - im.transpose(0, 2, 1) @ re)
+            cross = np.concatenate([cross, gram])
+        s = np.linalg.svd(cross, compute_uv=False) if min(d1, d2) else np.zeros((len(idx), 0))
+        if d1 == d2 > 0:
+            angles[idx] = np.arcsin(np.minimum(1.0, np.sqrt(s[len(idx):, 0])))
+        sigmas.update(zip(idx, s))
+    return [sigmas[i] for i in range(len(firsts))], angles
 
 
 def subspace_angle(s1, s2):
-    """Largest principal angle between two subspaces, in [0, pi/2].
-
-    This is the arcsine of the spectral gap ||P1 - P2||_2 of the
-    orthogonal projectors: 0 exactly when the subspaces coincide and
-    pi/2 when some direction of one is orthogonal to all of the other,
-    as always happens for unequal dimensions.  For equal dimensions the
-    gap equals ||B2 - B1 (B1^* B2)||_2 on the orthonormal bases, which
-    costs O(n k^2) rather than an n x n 2-norm.  The sine
-    parametrization keeps small angles accurate.
-    """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError(
-            "subspaces live in different ambient dimensions (%d vs %d)"
-            % (s1.ambient_dim, s2.ambient_dim)
-        )
-    if s1.dim != s2.dim:
-        return float(np.pi / 2)
-    if s1.dim == 0:
-        return 0.0
-    b1, b2 = s1.basis, s2.basis
-    leak = b2 - b1 @ (b1.conj().T @ b2)
-    # a single column's 2-norm is its Euclidean length
-    gap = np.linalg.norm(leak) if s1.dim == 1 else np.linalg.norm(leak, 2)
-    return float(np.arcsin(min(1.0, float(gap))))
+    """Largest principal angle between two subspaces, in [0, pi/2] (see subspace_pairs)."""
+    return float(subspace_pairs([s1.basis], [s2.basis])[1][0])
 
 
 def condition_number(m, tol=DEFAULT_TOL):

@@ -143,12 +143,19 @@ class ReportDocument:
             tolerance = Tolerance(**data["tolerance"])
         except (TypeError, ValueError) as exc:
             raise MatrixParseError("invalid report tolerance: %s" % exc, 1) from exc
+        # parsed JSON numbers are exactly int or float; true and false are bool
+        timings = data.get("timings")
+        if timings is not None and (not isinstance(timings, dict)
+                                    or any(type(t) not in (int, float) for t in timings.values())):
+            raise MatrixParseError("invalid report timings %r: expected an object of numbers" % (timings,), 1)
+        if data["kappa_v"] != "inf" and type(data["kappa_v"]) not in (int, float):
+            raise MatrixParseError("invalid report kappa_v %r: not a number or \"inf\"" % (data["kappa_v"],), 1)
         return cls(
             schema_version=data["schema_version"],
             input_digest=data["input_digest"],
             tolerance=tolerance,
             body={k: data[k] for k in _BODY_KEYS},
-            timings=data.get("timings"),
+            timings=timings,
         )
 
     def kappa_v(self):

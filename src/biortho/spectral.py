@@ -55,8 +55,6 @@ __all__ = [
     "EigenvalueCluster",
     "PointSpectrum",
     "point_spectrum",
-    "adjoint_point_spectrum",
-    "eigenvalues",
     "eigenvalue_groups",
     "eigvec_matrix",
     "kernel_split",
@@ -195,14 +193,6 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     return Subspace(n, phase_normalize(u[:, rank:])), Subspace(n, phase_normalize(vh[rank:].conj().T))
 
 
-def eigenvalues(a):
-    """Raw eigenvalues of a square matrix by one eigvals call.
-
-    Raises EigenIterationError if the QR iteration fails to converge.
-    """
-    return _lapack(np.linalg.eigvals, a)
-
-
 def eigenvalue_groups(values, tol=DEFAULT_TOL):
     """Raw eigenvalues grouped by single linkage.
 
@@ -289,8 +279,10 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
     fro = np.sqrt(np.vdot(off, off).real + (np.abs(diag[None, :] - lam[:, None]) ** 2).sum(axis=1))
     cutoff = tol.rank_eps * n * np.maximum(fro / np.sqrt(n), np.abs(lam))
     certified = (right_res <= cutoff) & (left_res <= cutoff)
+    # each column takes its own phase, so one call per side serves every block
+    right, left = phase_normalize(right), phase_normalize(left)
     return {
-        k: (Subspace(n, phase_normalize(right[:, lo:lo + m])), Subspace(n, phase_normalize(left[:, lo:lo + m])))
+        k: (Subspace(n, right[:, lo:lo + m]), Subspace(n, left[:, lo:lo + m]))
         for k, (lo, m) in enumerate(zip(starts, sizes))
         if certified[k]
     }
@@ -340,11 +332,6 @@ def point_spectrum(a, tol=DEFAULT_TOL):
         )
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw)
-
-
-def adjoint_point_spectrum(a, tol=DEFAULT_TOL):
-    """Clustered point spectrum of the conjugate transpose of ``a``."""
-    return point_spectrum(as_matrix(a).conj().T, tol)
 
 
 def eigvec_matrix(spectrum):

@@ -21,7 +21,6 @@ from biortho import (
     Subspace,
     Tolerance,
     check_conditions,
-    complement,
     eigvec_matrix,
     generate,
     phase_normalize,
@@ -29,10 +28,9 @@ from biortho import (
     read_matrix,
     residual_identity_check,
     root_space,
-    skew_link_check,
     subspace_angle,
 )
-from biortho import conditions
+from biortho import biorthogonal, conditions, linalg
 from biortho.spectral import kernel_split
 from conftest import Calls, count_norm2
 
@@ -48,7 +46,7 @@ def _svd_null(m, floor, tol):
     # the SVD null space with the rank cutoff anchored to the shift's |lambda|
     _, s, vh = np.linalg.svd(m)
     rank = np.count_nonzero(s > tol.rank_eps * max(float(s[0]), floor) * m.shape[0])
-    return Subspace(m.shape[0], phase_normalize(vh[rank:].conj().T))
+    return Subspace(m.shape[1], phase_normalize(vh[rank:].conj().T))
 
 
 def _svd_kernels(a, c, tol=DEFAULT):
@@ -62,7 +60,8 @@ def _reference_split(m, lam, scatter, tol):
 
     A 2-norm at or below the cluster's resolution makes both spaces
     everything; otherwise the range and the null space take the rank
-    cutoff anchored to |lam|, and Ran-perp is the range's complement.
+    cutoff anchored to |lam|, and Ran-perp is the null space of the
+    range basis' adjoint.
     """
     n = m.shape[0]
     shifted = m - lam * np.eye(n)
@@ -71,7 +70,7 @@ def _reference_split(m, lam, scatter, tol):
         return full, full
     u, s, _ = np.linalg.svd(shifted)
     rank = np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n)
-    return complement(Subspace(n, phase_normalize(u[:, :rank])), tol), _svd_null(shifted, abs(lam), tol)
+    return _svd_null(u[:, :rank].conj().T, 0.0, tol), _svd_null(shifted, abs(lam), tol)
 
 
 GENERIC = [
@@ -169,17 +168,26 @@ def test_refinement_takes_off_the_lean_towards_near_eigenvectors():
     assert np.linalg.norm(v.conj().T @ v - np.eye(48), 2) <= 4 * 48 * np.finfo(float).eps
 
 
+def _recorded(monkeypatch, names):
+    """Calls of the named functions, in every biortho module that holds them, as (name, first argument)."""
+    record = []
+    for module in (linalg, biorthogonal, conditions):
+        for name in names:
+            original = getattr(module, name, None)
+            if original is not None:
+                def wrapped(*args, name=name, original=original, **kwargs):
+                    record.append((name, args[0]))
+                    return original(*args, **kwargs)
+                monkeypatch.setattr(module, name, wrapped)
+    return record
+
+
 def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
     for n in (16, 32):
         a = generate(FamilySpec("random_gaussian", n, {}, 2))
         calls = Calls(monkeypatch)
-        linked = []
-
-        def counted_link(s1, s2, tol, cluster_index):
-            linked.append(cluster_index)
-            return skew_link_check(s1, s2, tol, cluster_index)
-
-        monkeypatch.setattr(conditions, "skew_link_check", counted_link)
+        record = _recorded(monkeypatch, ("subspace_pairs", "subspace_angle", "skew_link_check", "condition_number"))
+        built = _residual_identity_subspaces(monkeypatch)
         report = check_conditions(a)
         monkeypatch.undo()
         # one SVD of V gives C4's span and kappa_v, one of W the adjoint
@@ -187,8 +195,16 @@ def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
         assert calls.square("svd", n) == 2
         # eig(A) and eig(A^*) serve the clusters and C1/C3' alike
         assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
-        # one skew link per cluster: C2' takes C2's instead of judging again
-        assert linked == list(range(n)) == list(report.condition("C2'").witnesses)
+        # the sigma set, the C2 links and the residual identity pair all n
+        # clusters in one call each, whose (1, 1) cross-Grams and leak Grams
+        # take one batched SVD; no cluster climbs, so C2' pairs none
+        assert [(name, len(firsts)) for name, firsts in record] == [("subspace_pairs", k) for k in (n, n, 0, n)]
+        assert calls.shapes["svd"].count((2 * n, 1, 1)) == 3 and len(calls.shapes["svd"]) == 5
+        # the residual perps travel as arrays
+        assert built == [0]
+        # C2' takes C2's links instead of judging again
+        assert [link.cluster_index for link in report.skew_links] == list(range(n))
+        assert list(report.condition("C2'").witnesses) == list(range(n))
 
 
 def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):
@@ -233,8 +249,8 @@ def test_residual_identity_routes_agree(source):
     a = read_matrix(source) if isinstance(source, str) else generate(source)
     ps = point_spectrum(a)
     report = check_conditions(a)
-    # an infinite kappa_v sends every cluster down the range-space SVD route
-    by_svd = residual_identity_check(a, ps, kappa_v=float("inf"))
+    # without root spaces every certified cluster takes its own split
+    by_svd = residual_identity_check(a, ps)
     assert report.residual_identity_angle <= 1e-10
     assert by_svd <= 1e-10
 
@@ -242,13 +258,15 @@ def test_residual_identity_routes_agree(source):
 def test_residual_identity_through_the_inverse_catches_a_wrong_left_kernel():
     a = generate(FamilySpec("random_gaussian", 5, {}, 9))
     ps = point_spectrum(a)
-    assert residual_identity_check(a, ps) <= 1e-10
+    # every kernel is a root space, so the root bases are V itself
+    roots = [root_space(a, c) for c in ps.clusters]
+    assert residual_identity_check(a, ps, root_spaces=roots) <= 1e-10
     # the inverse of V knows nothing of the left kernels, so swapping one
     # for the right kernel of the same (oblique) cluster must show
     bad = list(ps.clusters)
     bad[2] = dataclasses.replace(bad[2], left_kernel=bad[2].right_kernel)
     wrong = dataclasses.replace(ps, clusters=tuple(bad))
-    assert residual_identity_check(a, wrong) == pytest.approx(
+    assert residual_identity_check(a, wrong, root_spaces=roots) == pytest.approx(
         subspace_angle(ps.clusters[2].left_kernel, ps.clusters[2].right_kernel), rel=1e-6)
 
 
@@ -356,18 +374,21 @@ def test_one_svd_per_side_and_the_residual_identity_reuses_the_splits(monkeypatc
 
     calls = Calls(monkeypatch, names=("svd", "solve"))
     norms = count_norm2(monkeypatch)
-    # V is not square: the defective clusters read the Ran-perp their split
-    # kept, and with no root spaces given each certified cluster takes one SVD
+    # the defective clusters read the Ran-perp their split kept, and with
+    # no root spaces given each certified cluster takes one SVD.  Then one
+    # batched SVD per shape pairs the perps with the left kernels: the
+    # (3, 2) and (2, 2) clusters' 2 x 2 cross-Grams and leak Grams, and the
+    # (3, 1) and (1, 1) clusters' 1 x 1 ones; no 2-norm runs
     assert residual_identity_check(a, ps, tol) <= 1e-10
-    assert calls.shapes == {"svd": [(9, 9), (9, 9)], "solve": []}
-    # the only 2-norms are subspace_angle's, one per kernel of dimension 2
-    assert sorted(norms) == [(9, 2), (9, 2)]
+    assert calls.shapes == {"svd": [(9, 9), (9, 9), (4, 2, 2), (4, 1, 1)], "solve": []}
+    assert norms == []
 
     # inside check_conditions the root bases R span, so the certified
     # clusters read their blocks of R^-* from one solve, and no SVD runs
+    # but the pairing's
     inner = _residual_identity_calls(monkeypatch)
     assert check_conditions(a, tol).residual_identity_angle <= 1e-10
-    assert inner == [{"svd": [], "solve": [(9, 9)]}]
+    assert inner == [{"svd": [(4, 2, 2), (4, 1, 1)], "solve": [(9, 9)]}]
 
 
 def test_simple_clusters_take_their_own_splits_where_the_root_bases_do_not_span(monkeypatch):
@@ -378,7 +399,8 @@ def test_simple_clusters_take_their_own_splits_where_the_root_bases_do_not_span(
     report = check_conditions(np.array([[0.0, 1.0], [1e-12, 0.0]]), tol)
     assert report.condition("C4'").status == "FAIL" and report.kappa_v == float("inf")
     assert report.residual_identity_angle <= 1e-10
-    assert inner == [{"svd": [(2, 2), (2, 2)], "solve": []}]
+    # one split per cluster, then one batched SVD pairs both clusters
+    assert inner == [{"svd": [(2, 2), (2, 2), (4, 1, 1)], "solve": []}]
 
 
 def _residual_identity_calls(monkeypatch):
@@ -395,3 +417,26 @@ def _residual_identity_calls(monkeypatch):
 
     monkeypatch.setattr(conditions, "residual_identity_check", counted)
     return inner
+
+
+def _residual_identity_subspaces(monkeypatch):
+    """How many Subspace objects each residual_identity_check that check_conditions makes builds."""
+    built = []
+    original = conditions.residual_identity_check
+    check = Subspace.__post_init__
+
+    def counted(*args, **kwargs):
+        count = [0]
+
+        def post_init(self):
+            count[0] += 1
+            check(self)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Subspace, "__post_init__", post_init)
+            angle = original(*args, **kwargs)
+        built.append(count[0])
+        return angle
+
+    monkeypatch.setattr(conditions, "residual_identity_check", counted)
+    return built

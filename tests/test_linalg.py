@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from biortho import (
     Subspace,
     Tolerance,
-    adjoint,
     as_matrix,
-    complement,
     condition_number,
     nullspace,
     phase_normalize,
     range_space,
     subspace_angle,
 )
+from biortho.linalg import subspace_pairs
 
 from conftest import random_complex
 
@@ -50,19 +49,6 @@ def test_as_matrix_validation():
         as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_adjoint_oracle():
-    m = [[1 + 1j, 2], [3, 4j]]
-    expected = np.array([[1 - 1j, 3], [2, -4j]])
-    assert np.array_equal(adjoint(m), expected)
-
-
-@given(st.integers(0, 100), st.integers(1, 8), st.integers(1, 8))
-@settings(max_examples=30, deadline=None)
-def test_adjoint_involution(seed, n, m):
-    a = random_complex(n, m, seed)
-    assert np.array_equal(adjoint(adjoint(a)), a)
 
 
 def test_phase_normalize_leading_entry_real_positive():
@@ -113,20 +99,12 @@ def test_rank_nullity(seed, rows, inner, cols):
 @settings(max_examples=40, deadline=None)
 def test_range_perp_is_adjoint_kernel(seed, rows, cols):
     m = random_complex(rows, cols, seed)
-    perp = complement(range_space(m))
-    ker = nullspace(adjoint(m))
+    ran = range_space(m)
+    # the complement of the range: everything, or the kernel of its basis' adjoint
+    perp = nullspace(ran.basis.conj().T) if ran.dim else Subspace(rows, np.eye(rows, dtype=complex))
+    ker = nullspace(m.conj().T)
     assert perp.dim == ker.dim
     assert subspace_angle(perp, ker) <= 10 * ANGLE_TOL
-
-
-def test_complement_dimensions_and_orthogonality():
-    s = Subspace(3, np.eye(3, dtype=complex)[:, :1])
-    c = complement(s)
-    assert c.dim == 2
-    assert np.abs(s.basis.conj().T @ c.basis).max() < 1e-14
-    # complement of the trivial subspace is everything
-    empty = Subspace(3, np.zeros((3, 0), dtype=complex))
-    assert complement(empty).dim == 3
 
 
 def test_subspace_angle_oracles():
@@ -144,8 +122,12 @@ def test_subspace_angle_unequal_dimensions_is_maximal():
     assert subspace_angle(one, two) == pytest.approx(np.pi / 2)
 
 
+def _projector(s):
+    return s.basis @ s.basis.conj().T
+
+
 def _projector_gap_angle(s1, s2):
-    gap = np.linalg.norm(s1.projector() - s2.projector(), 2)
+    gap = np.linalg.norm(_projector(s1) - _projector(s2), 2)
     return float(np.arcsin(min(1.0, gap)))
 
 
@@ -177,6 +159,63 @@ def test_subspace_angle_matches_projector_gap(seed, n, k1, extra, tilt):
     assert subspace_angle(s2, s1) == pytest.approx(expected, rel=1e-6, abs=1e-14)
     if k1 != k2:
         assert subspace_angle(s1, s2) == np.pi / 2
+
+
+def _tilted_pair(n, d, theta, seed):
+    # B2 turns B1's first column by theta towards a unit vector orthogonal
+    # to B1 and mixes its columns, so the largest principal angle is theta
+    rng = np.random.default_rng(seed)
+    q = _orthonormal_basis(random_complex(n, d + 1, seed))
+    b1, away = q[:, :d], q[:, d]
+    turned = b1.copy()
+    turned[:, 0] = np.cos(theta) * b1[:, 0] + np.sin(theta) * away
+    mix = _orthonormal_basis(random_complex(d, d, seed + 1)) @ np.diag(np.exp(1j * rng.uniform(0, 6, d)))
+    return b1, turned @ mix
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([None, 1e-9, 1e-7, 1e-4, 0.5])),
+             min_size=1, max_size=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_subspace_pairs_match_the_cross_gram_and_the_projector_gap(seed, n, specs):
+    # one batch of mixed shapes; a spec with a tilt is a pair of equal
+    # dimension d < n at that exact largest principal angle
+    firsts, seconds, tilts = [], [], []
+    for k, (d1, d2, tilt) in enumerate(specs):
+        d1, d2 = min(d1, n), min(d2, n)
+        if tilt is not None and 0 < d1 < n:
+            b1, b2 = _tilted_pair(n, d1, tilt, seed + 3 * k)
+        else:
+            b1 = _orthonormal_basis(random_complex(n, d1, seed + 3 * k))
+            b2 = _orthonormal_basis(random_complex(n, d2, seed + 3 * k + 1))
+            tilt = None
+        firsts.append(b1)
+        seconds.append(b2)
+        tilts.append(tilt)
+    sigmas, angles = subspace_pairs(firsts, seconds)
+    assert len(sigmas) == len(angles) == len(specs)
+    for b1, b2, tilt, sigma, angle in zip(firsts, seconds, tilts, sigmas, angles):
+        d1, d2 = b1.shape[1], b2.shape[1]
+        expected = np.linalg.svd(b2.conj().T @ b1, compute_uv=False) if min(d1, d2) else np.zeros(0)
+        np.testing.assert_allclose(sigma, expected, rtol=0, atol=1e-14)
+        assert angle == pytest.approx(_projector_gap_angle(Subspace(n, b1), Subspace(n, b2)), rel=1e-6, abs=1e-14)
+        if tilt is not None:
+            assert angle == pytest.approx(tilt, rel=1e-6)
+        if d1 != d2:
+            assert angle == np.pi / 2
+        elif d1 == 0:
+            assert angle == 0.0
+        # a pair alone gives what it gives inside the mixed batch
+        (alone,), alone_angle = subspace_pairs([b1], [b2])
+        assert np.array_equal(alone, sigma) and alone_angle[0] == angle
+
+
+def test_subspace_pairs_of_nothing_is_empty():
+    sigmas, angles = subspace_pairs([], [])
+    assert sigmas == [] and angles.shape == (0,)
 
 
 def test_subspace_angle_resolves_small_angles():

@@ -130,6 +130,17 @@ def test_from_json_rejects_a_malformed_tolerance(gaussian_doc, tolerance):
     assert "tolerance" in str(info.value)
 
 
+@pytest.mark.parametrize("key, value", [("timings", [1, 2]), ("timings", {"parse": "x"}), ("kappa_v", "abc")],
+                         ids=["timings-not-an-object", "timing-not-a-number", "kappa-not-a-number"])
+def test_from_json_rejects_malformed_timings_and_kappa(gaussian_doc, key, value):
+    # each of these once parsed, then failed in to_text or kappa_v with an untyped error
+    data = json.loads(gaussian_doc.to_json())
+    data[key] = value
+    with pytest.raises(MatrixParseError) as info:
+        ReportDocument.from_json(json.dumps(data))
+    assert key in str(info.value)
+
+
 def test_tolerance_roundtrips_through_json(gaussian_doc):
     tol = Tolerance(rank_eps=1e-9, cluster_eps=1e-7, residual_eps=1e-6)
     a = random_complex(2, None, seed=8)
