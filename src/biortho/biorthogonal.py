@@ -24,7 +24,7 @@ from .errors import (
     NotDiagonalizableError,
     SkewLinkFailureError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, subspace_pairs
+from .linalg import DEFAULT_TOL, _stacked_by_shape, as_matrix, subspace_pairs
 from .spectral import point_spectrum
 
 __all__ = [
@@ -79,12 +79,17 @@ def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
 
 
 def _kernel_links(spectrum, tol=DEFAULT_TOL):
-    """Every cluster's skew link of its right to its left kernel, from one batched call."""
+    """Every cluster's skew link of its right to its left kernel, and the kernels' largest angles.
+
+    One batched pairing gives both: the links from the cross-Gram singular
+    values, the angles (which decide the sigma set) from the leaks.
+    """
     clusters = spectrum.clusters
-    sigmas, _ = subspace_pairs([c.right_kernel.basis for c in clusters],
-                               [c.left_kernel.basis for c in clusters])
-    return tuple(_link(s, c.right_kernel.dim, c.left_kernel.dim, tol, i)
-                 for i, (s, c) in enumerate(zip(sigmas, clusters)))
+    sigmas, angles = subspace_pairs([c.right_kernel.basis for c in clusters],
+                                    [c.left_kernel.basis for c in clusters])
+    links = tuple(_link(s, c.right_kernel.dim, c.left_kernel.dim, tol, i)
+                  for i, (s, c) in enumerate(zip(sigmas, clusters)))
+    return links, angles
 
 
 def multiplicity_match(cluster):
@@ -161,21 +166,25 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
         spectrum = point_spectrum(a, tol)
     if spectrum.ambient_dim != n:
         raise ValueError("spectrum belongs to a matrix of different size")
-    for verdict in _kernel_links(spectrum, tol):
+    for verdict in _kernel_links(spectrum, tol)[0]:
         if not verdict.linked:
             raise SkewLinkFailureError(verdict.cluster_index, verdict.self_orthogonality)
-    defective = [i for i, c in enumerate(spectrum.clusters) if not c.semi_simple]
+    clusters = spectrum.clusters
+    defective = [i for i, c in enumerate(clusters) if not c.semi_simple]
     if defective:
         raise NotDiagonalizableError(defective)
-    pairs = []
-    for i, c in enumerate(spectrum.clusters):
-        psi = c.right_kernel.basis
-        left = c.left_kernel.basis
-        gram = left.conj().T @ psi
-        # chi = left @ inv(gram)^*, so that chi^* psi = identity
-        chi = left @ np.linalg.solve(gram.conj().T, np.eye(c.geometric_multiplicity))
-        for j in range(c.geometric_multiplicity):
-            pairs.append(BiorthoPair(psi[:, j].copy(), chi[:, j].copy(), i))
+    # clusters of one kernel dimension share one stacked solve
+    chis = {}
+    for idx, left, psi in _stacked_by_shape([c.left_kernel.basis for c in clusters],
+                                            [c.right_kernel.basis for c in clusters]):
+        gram_h = (left.conj().transpose(0, 2, 1) @ psi).conj().transpose(0, 2, 1)
+        # chi = left @ inv(gram)^*, so that chi^* psi = identity.  The right-hand
+        # side is a stack of identities: numpy before 2.0 reads one fewer
+        # dimension than the matrices as a stack of vectors
+        eyes = np.broadcast_to(np.eye(gram_h.shape[1]), gram_h.shape)
+        chis.update(zip(idx, left @ np.linalg.solve(gram_h, eyes)))
+    pairs = [BiorthoPair(c.right_kernel.basis[:, j].copy(), chis[i][:, j].copy(), i)
+             for i, c in enumerate(clusters) for j in range(c.geometric_multiplicity)]
     if pairs:
         v = np.column_stack([p.psi for p in pairs])
         w = np.column_stack([p.chi for p in pairs])

@@ -22,8 +22,9 @@ made when there is more than one cluster, else one eigvals call.
 
 The residual identity takes no SVD of its own when the root bases span:
 Ran(A - lambda I)-perp comes from the split each SVD-route cluster kept,
-or from the root bases' inverse (residual_identity_check).  The sigma set,
-C2, C2' and the residual identity each pair their subspaces in one call.
+or from the root bases' inverse (residual_identity_check).  One pairing of
+the kernels gives both the sigma set and the C2 links; C2' and the
+residual identity pair their subspaces in one call each.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .biorthogonal import _kernel_links, _link, multiplicity_match
 from .linalg import DEFAULT_TOL, as_matrix, subspace_pairs
 from .rootspace import root_space, span_report
-from .spectral import _lapack, _orthonormal, eigenvalue_groups, eigvec_matrix, kernel_split, point_spectrum
+from .spectral import _lapack, eigenvalue_groups, eigvec_matrix, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -117,9 +118,11 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
     A cluster enters the set when its kernels sit at an angle above
     10 * residual_eps, as kernels of unequal dimension always do (pi/2).
     """
-    clusters = spectrum.clusters
-    _, angles = subspace_pairs([c.right_kernel.basis for c in clusters],
-                               [c.left_kernel.basis for c in clusters])
+    return _differing(_kernel_links(spectrum, tol)[1], tol)
+
+
+def _differing(angles, tol):
+    # the indices whose subspace pair sits at an angle above 10 * residual_eps
     return tuple(int(i) for i in np.flatnonzero(angles > 10.0 * tol.residual_eps))
 
 
@@ -148,13 +151,30 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
         # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster
         basis = np.hstack([r.space.basis for r in root_spaces])
         dual = np.linalg.solve(basis.conj().T, np.eye(n, dtype=complex))
-        ends = np.cumsum([c.algebraic_multiplicity for c in clusters])
-        perps = [_orthonormal(dual[:, end - c.algebraic_multiplicity:end]) if p is None else p
-                 for p, c, end in zip(perps, clusters, ends)]
+        # a single column is normalized with all others in one pass, a wider
+        # block by a thin QR
+        unit = _unit_columns(dual)
+        sizes = [c.algebraic_multiplicity for c in clusters]
+        starts = np.cumsum(sizes) - sizes
+        perps = [p if p is not None else unit[:, lo:lo + 1] if m == 1 else np.linalg.qr(dual[:, lo:lo + m])[0]
+                 for p, lo, m in zip(perps, starts, sizes)]
     perps = [kernel_split(a, c.value, c.scatter, tol)[0].basis if p is None else p
              for p, c in zip(perps, clusters)]
     _, angles = subspace_pairs(perps, [c.left_kernel.basis for c in clusters])
     return float(angles.max())
+
+
+def _unit_columns(m):
+    """m with every column scaled to unit 2-norm.
+
+    Each squared norm is re.re + im.im from two BLAS dots over the column's
+    strided real and imaginary parts, the sums np.linalg.norm takes of a
+    single column, so each column is scaled exactly as one norm() call would.
+    """
+    rows = m.T.copy()
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return m / np.sqrt(squares[:, 0, 0])
 
 
 def _eigenspace_overlap(v, dims):
@@ -193,20 +213,15 @@ def _eigenspace_overlap(v, dims):
     return overlap
 
 
-def _hausdorff(p, q):
-    if len(p) == 0 and len(q) == 0:
-        return 0.0
-    d = np.abs(np.asarray(p)[:, None] - np.asarray(q)[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 def _check_c1(ps, adjoint_values, radius):
     pvals = ps.values()
     qvals = np.conj(np.array(adjoint_values))
     dist = np.abs(pvals[:, None] - qvals[None, :])
     match = dist.argmin(axis=1)
-    haus = _hausdorff(pvals, qvals)
-    bad = tuple(i for i in range(len(pvals)) if dist[i].min() > radius)
+    nearest = dist.min(axis=1)
+    # the Hausdorff distance of the two spectra
+    haus = float(max(nearest.max(), dist.min(axis=0).max()))
+    bad = tuple(int(i) for i in np.flatnonzero(nearest > radius))
     status = PASS if haus <= radius else FAIL
     detail = (
         "spectra of the matrix and its adjoint match under conjugation to "
@@ -261,8 +276,9 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], radius)
 
-    sig = sigma_set(ps, tol)
-    links = _kernel_links(ps, tol)
+    # one pairing of the kernels gives the sigma set and the C2 links
+    links, kernel_angles = _kernel_links(ps, tol)
+    sig = _differing(kernel_angles, tol)
     c2 = _check_skew(
         "C2",
         {i: links[i] for i in sig},
@@ -283,8 +299,10 @@ def check_conditions(a, tol=DEFAULT_TOL):
     roots = [root_space(a, c, tol) for c in ps.clusters]
 
     c3_bad = [i for i, c in enumerate(ps.clusters) if c.algebraic_multiplicity != len(adj_groups[match[i]][2])]
-    # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2 one
-    climbing = [i for i, c in enumerate(ps.clusters) if not c.kernels_are_root_spaces]
+    # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2
+    # one, and a root space that is its adjoint's (all of C^n) is at angle 0
+    climbing = [i for i, (c, r) in enumerate(zip(ps.clusters, roots))
+                if not c.kernels_are_root_spaces and r.space is not r.adjoint_space]
     sigmas, angles = subspace_pairs([roots[i].space.basis for i in climbing],
                                     [roots[i].adjoint_space.basis for i in climbing])
     root_links = {i: _link(s, roots[i].space.dim, roots[i].adjoint_space.dim, tol, i)

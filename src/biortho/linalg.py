@@ -87,17 +87,17 @@ def phase_normalize(basis):
     The significance threshold is 1e-8 times the column's largest entry,
     which keeps the choice stable against roundoff in entries that are
     structurally zero.  Norms are preserved; only unit phases are applied.
+    All columns are rotated in one pass.  The pivot's modulus is taken by
+    np.hypot, which rounds as the scalar abs() of a complex does; np.abs
+    over an array can round differently.  So on two or more rows the result
+    is a per-column rotation's bit for bit.  A zero column stays zero.
     """
     basis = np.array(basis, dtype=complex)
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.argmax(mags > 1e-8 * top))
-        pivot = col[lead]
-        basis[:, j] = col * (pivot.conjugate() / abs(pivot))
+    mags = np.abs(basis)
+    top = mags.max(axis=0, initial=0.0)
+    pivot = basis[np.argmax(mags > 1e-8 * top, axis=0), np.arange(basis.shape[1])]
+    pivot[top == 0.0] = 1.0
+    basis *= pivot.conj() / np.hypot(pivot.real, pivot.imag)
     return basis
 
 
@@ -124,9 +124,13 @@ class Subspace:
             )
         if b.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        if b.shape[1]:
-            # a NaN Gram entry compares False against any bound, so a
-            # non-finite basis is refused before its Gram matrix is formed
+        if b.shape[1] == 1:
+            # a non-finite column has a NaN or infinite squared norm, and
+            # NaN compares False against any bound
+            if not abs(np.vdot(b, b).real - 1.0) <= 1e-6:
+                raise ValueError("basis columns are not orthonormal")
+        elif b.shape[1]:
+            # a non-finite basis is refused before its Gram matrix is formed
             if not np.isfinite(b).all() or np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() > 1e-6:
                 raise ValueError("basis columns are not orthonormal")
 
@@ -164,6 +168,23 @@ def range_space(m, tol=DEFAULT_TOL):
     return Subspace(m.shape[0], basis)
 
 
+def _stacked_by_shape(firsts, seconds):
+    """Equal-length lists of bases grouped by shape, for batched products.
+
+    Returns one (indices, stacked firsts, stacked seconds) triple per
+    (d1, d2), in order of first appearance.  Raises ValueError when a pair's
+    bases live in different ambient dimensions.
+    """
+    shapes = {}
+    for i, (b1, b2) in enumerate(zip(firsts, seconds)):
+        if b1.shape[0] != b2.shape[0]:
+            raise ValueError("subspaces live in different ambient dimensions (%d vs %d)"
+                             % (b1.shape[0], b2.shape[0]))
+        shapes.setdefault((b1.shape[1], b2.shape[1]), []).append(i)
+    return [(idx, np.stack([firsts[i] for i in idx]), np.stack([seconds[i] for i in idx]))
+            for idx in shapes.values()]
+
+
 def subspace_pairs(firsts, seconds):
     """Cross-Gram singular values and largest principal angle of each pair of bases.
 
@@ -178,15 +199,8 @@ def subspace_pairs(firsts, seconds):
     """
     sigmas = {}
     angles = np.zeros(len(firsts))
-    shapes = {}
-    for i, (b1, b2) in enumerate(zip(firsts, seconds)):
-        if b1.shape[0] != b2.shape[0]:
-            raise ValueError("subspaces live in different ambient dimensions (%d vs %d)"
-                             % (b1.shape[0], b2.shape[0]))
-        shapes.setdefault((b1.shape[1], b2.shape[1]), []).append(i)
-    for (d1, d2), idx in shapes.items():
-        b1 = np.stack([firsts[i] for i in idx])
-        b2 = np.stack([seconds[i] for i in idx])
+    for idx, b1, b2 in _stacked_by_shape(firsts, seconds):
+        d1, d2 = b1.shape[2], b2.shape[2]
         cross = b2.conj().transpose(0, 2, 1) @ b1
         angles[idx] = 0.0 if d1 == d2 else np.pi / 2
         if d1 == d2 > 0:

@@ -149,9 +149,10 @@ def _single_linkage_groups(values, radius):
         if np.array_equal(lowest, labels):
             break
         labels = lowest
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return [group.tolist() for group in np.split(order, cuts)]
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values())
 
 
 def _lapack(solver, a, lam=None):
@@ -201,9 +202,12 @@ def eigenvalue_groups(values, tol=DEFAULT_TOL):
     radius = tol.cluster_eps * max(1.0, float(np.abs(values).max()))
     groups = []
     for idx in _single_linkage_groups(values, radius):
+        if len(idx) == 1:
+            # the mean of one value is that value, bit for bit
+            groups.append((complex(values[idx[0]]), 0.0, idx))
+            continue
         lam = complex(values[idx].mean())
-        scatter = float(np.abs(values[idx] - lam).max()) if len(idx) > 1 else 0.0
-        groups.append((lam, scatter, idx))
+        groups.append((lam, float(np.abs(values[idx] - lam).max()), idx))
     return groups
 
 
@@ -228,13 +232,6 @@ def _refined(a, values, vectors):
     with np.errstate(divide="ignore", invalid="ignore"):
         refined = vectors - vectors @ (lean / gaps)
         return refined / np.linalg.norm(refined, axis=0)
-
-
-def _orthonormal(block):
-    """Orthonormal basis of a block's columns: the unit column, else a thin QR."""
-    if block.shape[1] == 1:
-        return block / np.linalg.norm(block)
-    return np.linalg.qr(block)[0]
 
 
 def _block_norms(r, starts):
@@ -270,8 +267,8 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
     left = left / np.linalg.norm(left, axis=0)
     for k in np.flatnonzero(sizes > 1):
         cols = slice(starts[k], starts[k] + sizes[k])
-        right[:, cols] = _orthonormal(right[:, cols])
-        left[:, cols] = _orthonormal(left[:, cols])
+        right[:, cols] = np.linalg.qr(right[:, cols])[0]
+        left[:, cols] = np.linalg.qr(left[:, cols])[0]
     right_res = _block_norms(a @ right - right * shift, starts)
     left_res = _block_norms(adj @ left - left * shift.conj(), starts)
     diag = np.diag(a)

@@ -202,3 +202,32 @@ def test_cross_cluster_biorthogonality():
     gram = system.chi_matrix().conj().T @ system.psi_matrix()
     off = gram - np.eye(len(system.pairs))
     assert np.abs(off).max() < 1e-10
+
+
+def _solve_as_before_numpy_2(a, b):
+    # numpy 1.x reads a right-hand side of one dimension fewer than the
+    # matrices as a stack of vectors; 2.x does so only for a 1-d b
+    if np.ndim(b) == np.ndim(a) - 1:
+        return np.stack([_solve(m, v) for m, v in zip(a, b)])
+    return _solve(a, b)
+
+
+_solve = np.linalg.solve
+
+
+def test_equal_kernel_dimensions_share_one_solve_and_keep_their_own_duals(monkeypatch):
+    # two double and two simple semi-simple eigenvalues of a non-normal
+    # matrix: each kernel dimension is one stacked solve of two blocks, and
+    # the result must not depend on how numpy reads a stacked right-hand side
+    s = random_complex(6, None, 17)
+    a = s @ np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 4.0]) @ np.linalg.inv(s)
+    ps = point_spectrum(a)
+    assert sorted(c.geometric_multiplicity for c in ps.clusters) == [1, 1, 2, 2]
+    monkeypatch.setattr(np.linalg, "solve", _solve_as_before_numpy_2)
+    system = biorthonormalize(a, ps)
+    kappa = condition_number(eigvec_matrix(ps))
+    assert system.complete and system.gram_residual <= 1e-8 * kappa
+    for p in system.pairs:
+        lam = ps.clusters[p.cluster_index].value
+        assert np.linalg.norm(a @ p.psi - lam * p.psi) <= 1e-8 * kappa
+        assert np.linalg.norm(a.conj().T @ p.chi - np.conj(lam) * p.chi) <= 1e-8 * kappa * np.linalg.norm(p.chi)

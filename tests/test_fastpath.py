@@ -18,6 +18,7 @@ import pytest
 
 from biortho import (
     FamilySpec,
+    biorthonormalize,
     Subspace,
     Tolerance,
     check_conditions,
@@ -30,7 +31,7 @@ from biortho import (
     root_space,
     subspace_angle,
 )
-from biortho import biorthogonal, conditions, linalg
+from biortho import biorthogonal, conditions, linalg, rootspace, spectral
 from biortho.spectral import kernel_split
 from conftest import Calls, count_norm2
 
@@ -171,7 +172,7 @@ def test_refinement_takes_off_the_lean_towards_near_eigenvectors():
 def _recorded(monkeypatch, names):
     """Calls of the named functions, in every biortho module that holds them, as (name, first argument)."""
     record = []
-    for module in (linalg, biorthogonal, conditions):
+    for module in (linalg, spectral, rootspace, biorthogonal, conditions):
         for name in names:
             original = getattr(module, name, None)
             if original is not None:
@@ -195,16 +196,51 @@ def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
         assert calls.square("svd", n) == 2
         # eig(A) and eig(A^*) serve the clusters and C1/C3' alike
         assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
-        # the sigma set, the C2 links and the residual identity pair all n
-        # clusters in one call each, whose (1, 1) cross-Grams and leak Grams
-        # take one batched SVD; no cluster climbs, so C2' pairs none
-        assert [(name, len(firsts)) for name, firsts in record] == [("subspace_pairs", k) for k in (n, n, 0, n)]
-        assert calls.shapes["svd"].count((2 * n, 1, 1)) == 3 and len(calls.shapes["svd"]) == 5
+        # one pairing of the kernels gives the sigma set and the C2 links, and
+        # the residual identity pairs all n clusters in one more call; each
+        # takes one batched SVD of its (1, 1) cross-Grams and leak Grams.  No
+        # cluster climbs, so C2' pairs none
+        assert [(name, len(firsts)) for name, firsts in record] == [("subspace_pairs", k) for k in (n, 0, n)]
+        assert calls.shapes["svd"].count((2 * n, 1, 1)) == 2 and len(calls.shapes["svd"]) == 4
         # the residual perps travel as arrays
         assert built == [0]
         # C2' takes C2's links instead of judging again
         assert [link.cluster_index for link in report.skew_links] == list(range(n))
         assert list(report.condition("C2'").witnesses) == list(range(n))
+
+
+def test_per_cluster_steps_take_one_call_per_diagnosis(monkeypatch):
+    # all-simple inputs: the same calls at n = 16 and 32, none per cluster
+    for n in (16, 32):
+        a = generate(FamilySpec("random_gaussian", n, {}, 2))
+        ps = point_spectrum(a)
+        with monkeypatch.context() as patched:
+            record = _recorded(patched, ("phase_normalize", "subspace_pairs"))
+            calls = Calls(patched, names=("solve", "qr"))
+            check_conditions(a)
+        # one phase_normalize per side of the certificate; one pairing each
+        # for the kernels, C2' and the residual identity
+        assert [name for name, _ in record] == ["phase_normalize"] * 2 + ["subspace_pairs"] * 3
+        # the two refinements and the residual identity's (R^*)^-1; no QR,
+        # since every block is a single column
+        assert calls.shapes == {"solve": [(n, n)] * 3, "qr": []}
+        with monkeypatch.context() as patched:
+            construction = Calls(patched, names=("solve",))
+            biorthonormalize(a, ps)
+        # one stacked solve of all n 1 x 1 cross-Grams builds the system
+        assert construction.shapes["solve"] == [(n, 1, 1)]
+
+
+def test_a_whole_space_root_pair_is_not_paired(monkeypatch):
+    # one cluster climbs to all of C^n on both sides: its root spaces are
+    # one space, at angle 0, so C2' pairs nothing
+    a = generate(FamilySpec("jordan", 12, {"eigenvalue": 0.0, "segre": (8, 4)}))
+    record = _recorded(monkeypatch, ("subspace_pairs",))
+    report = check_conditions(a)
+    (c,) = report.spectrum.clusters
+    assert not c.kernels_are_root_spaces and c.algebraic_multiplicity == 12
+    assert [len(firsts) for _, firsts in record] == [1, 0, 1]
+    assert report.condition("C2'").status == "VACUOUS"
 
 
 def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):

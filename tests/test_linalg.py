@@ -65,6 +65,61 @@ def test_phase_normalize_skips_negligible_leading_noise():
     assert w[1, 0].real > 0.9
 
 
+def _phase_normalize_by_column(basis):
+    # the per-column rotation phase_normalize replaced, kept as its reference
+    basis = np.array(basis, dtype=complex)
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        lead = int(np.argmax(mags > 1e-8 * top))
+        pivot = col[lead]
+        basis[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return basis
+
+
+_COLUMN_KINDS = ("complex", "zero", "real", "lead-above", "lead-below", "zero-head")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_phase_normalize_matches_the_per_column_rotation_bit_for_bit(seed, rows, data):
+    kinds = data.draw(st.lists(st.sampled_from(_COLUMN_KINDS), max_size=rows))
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((rows, len(kinds))) + 1j * rng.standard_normal((rows, len(kinds)))
+    basis *= 10.0 ** rng.uniform(-6, 6, len(kinds))
+    for j, kind in enumerate(kinds):
+        col = basis[:, j]
+        if kind == "zero":
+            col[:] = 0.0
+        elif kind == "real":
+            col.imag = 0.0
+        elif kind.startswith("lead"):
+            # the first entry sits just above or just below the 1e-8 threshold
+            top = np.abs(col[1:]).max()
+            side = 1.0 + 1e-12 if kind == "lead-above" else 1.0 - 1e-12
+            col[0] = np.exp(1j * rng.uniform(0, 2 * np.pi)) * 1e-8 * top * side
+        elif kind == "zero-head":
+            col[: rows // 2] = 0.0
+    got = phase_normalize(basis)
+    assert got.shape == basis.shape
+    assert got.tobytes() == _phase_normalize_by_column(basis).tobytes()
+
+
+def test_phase_normalize_one_row_is_the_modulus():
+    # on one row the rotation leaves |x| up to roundoff, which can differ
+    # from the per-column rotation's in the last bits; 1 stays exactly 1
+    rng = np.random.default_rng(4)
+    b = (rng.standard_normal((1, 12)) + 1j * rng.standard_normal((1, 12))) * 10.0 ** rng.uniform(-8, 8, 12)
+    got = phase_normalize(b)
+    h = np.hypot(b.real, b.imag)
+    assert np.all(np.abs(got.real - h) <= 4 * np.spacing(h))
+    assert np.all(np.abs(got.imag) <= np.finfo(float).eps * h)
+    assert phase_normalize(np.eye(1, dtype=complex)).tobytes() == np.eye(1, dtype=complex).tobytes()
+
+
 def test_nullspace_oracle_shift():
     ker = nullspace([[0, 1], [0, 0]])
     assert ker.dim == 1
@@ -237,6 +292,27 @@ def test_subspace_rejects_skewed_basis():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(ValueError):
         Subspace(2, np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("norm, ok", [(1 + 2e-6, False), (1 - 2e-6, False), (1 + 2e-7, True), (1 - 2e-7, True)])
+def test_one_column_subspace_checks_its_norm_to_1e_6(norm, ok):
+    col = np.array([[0.6], [0.8j], [0.0]]) * norm
+    if ok:
+        assert Subspace(3, col).dim == 1
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(3, col)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "inf+infj", "nanj"])
+def test_one_column_subspace_rejects_non_finite_entries(bad):
+    col = np.array([[1.0], [0.0], [0.0]], dtype=complex)
+    for row in range(3):
+        spoiled = col.copy()
+        spoiled[row, 0] = bad
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(3, spoiled)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -16,7 +16,7 @@ from biortho import (
     subspace_angle,
 )
 
-from biortho.spectral import _single_linkage_groups
+from biortho.spectral import _single_linkage_groups, eigenvalue_groups
 
 from conftest import random_complex
 
@@ -173,6 +173,20 @@ def test_single_linkage_chains_in_scrambled_order():
     assert groups == _union_find_groups(values, 0.5)
     assert sorted(len(g) for g in groups) == [10, 10, 30]
     assert len(_single_linkage_groups(values, 0.4999)) == 50
+
+
+@given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from([1e-8, 0.05, 0.3]))
+@settings(max_examples=80, deadline=None)
+def test_group_centroids_are_the_member_means_bit_for_bit(seed, n, cluster_eps):
+    # a singleton takes its value without a reduction; it must be the mean
+    # of that one value exactly, with scatter 0
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for lam, scatter, idx in eigenvalue_groups(values, Tolerance(cluster_eps=cluster_eps)):
+        mean = complex(values[idx].mean())
+        assert (lam.real, lam.imag) == (mean.real, mean.imag)
+        assert np.signbit([lam.real, lam.imag]).tolist() == np.signbit([mean.real, mean.imag]).tolist()
+        assert scatter == (float(np.abs(values[idx] - mean).max()) if len(idx) > 1 else 0.0)
 
 
 @given(st.integers(0, 200), st.integers(1, 8))
