@@ -84,7 +84,10 @@ def _tolerance(args):
     rank = args.tol_rank
     if rank is None:
         env = os.environ.get("BIORTHO_TOL_RANK")
-        rank = float(env) if env else 1e-10
+        try:
+            rank = float(env) if env else 1e-10
+        except ValueError:
+            raise ValueError("BIORTHO_TOL_RANK must be a number, found %r" % env) from None
     return Tolerance(
         rank_eps=rank,
         cluster_eps=args.tol_cluster,

@@ -7,16 +7,20 @@ reader additionally accepts real and integer fields.
 
 A number is an ASCII decimal or exponent literal as ``float`` reads it,
 without ``_`` digit groups, and it must be finite: ``nan``, ``inf`` and
-overflowing literals such as ``1e999`` are refused.  After the header
-and size line are checked, the body is parsed in one ``numpy.loadtxt``
-call.  Only when that call refuses the body, or returns the wrong
-number of values or a non-finite one, does the line-by-line parser run.
-It is the reference grammar: it either reads the same matrix or raises
+overflowing literals such as ``1e999`` are refused.  An ASCII file whose
+body holds no ``%`` and which has no line break that ``str.splitlines``
+honours but ``numpy.loadtxt`` does not (``\\r \\v \\f \\x1c \\x1d \\x1e``)
+is read in one pass over its bytes: the lines up to the size line, then
+one ``loadtxt`` call over the rest.  Every other file, and every body
+that call refuses or reads as the wrong number of values or a non-finite
+one, goes to the line-by-line parser over ``splitlines()``.  It is the
+reference grammar: it either reads the same matrix or raises
 MatrixParseError with the one-based line and column of the first fault.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 
@@ -28,6 +32,9 @@ from .linalg import as_matrix
 __all__ = ["read_matrix", "write_matrix"]
 
 _BANNER = "%%MatrixMarket"
+# line breaks that str.splitlines honours and numpy.loadtxt does not
+_SPLITLINES_ONLY = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_DATUM = re.compile(rb"[^\s\x1c-\x1f]")
 
 
 def _tokens(line):
@@ -62,10 +69,14 @@ def read_matrix(source):
     with the offending position on malformed input.
     """
     if hasattr(source, "read"):
-        return _read_stream(source)
-    # surrogateescape: a non-ASCII byte reaches _read_stream's position check
-    with open(source, "r", encoding="ascii", errors="surrogateescape") as handle:
-        return _read_stream(handle)
+        # surrogatepass encodes any text, and a first non-ASCII character keeps its position
+        data = source.read().encode("utf-8", "surrogatepass")
+    else:
+        with open(source, "rb") as handle:
+            data = handle.read()
+    matrix = _read_one_pass(data)
+    # surrogateescape: a non-ASCII byte reaches _ascii_lines' position check
+    return matrix if matrix is not None else _read_lines(_ascii_lines(data.decode("ascii", "surrogateescape")))
 
 
 def _ascii_lines(text):
@@ -77,22 +88,20 @@ def _ascii_lines(text):
     return text.splitlines()
 
 
-def _read_stream(handle):
-    # the text is dropped once split, so a large file is not held twice
-    lines = _ascii_lines(handle.read())
-    field, per_entry = _read_banner(lines)
-    size_lineno, rows, cols = _read_size_line(lines)
-    values = _parse_body(lines[size_lineno:], rows * cols, per_entry)
-    if values is None:
-        values = _parse_body_by_line(lines, size_lineno, field, per_entry, rows, cols)
+def _read_lines(lines):
+    head = iter(lines)
+    field, per_entry = _read_banner(head)
+    size_lineno, rows, cols = _read_size_line(head)
+    values = _parse_body_by_line(lines, size_lineno, field, per_entry, rows, cols)
     return values.reshape((cols, rows)).T.copy()
 
 
 def _read_banner(lines):
-    """The field and the number of values per entry, from line 1."""
-    if not lines:
+    """The field and the number of values per entry, from the first line of the iterator."""
+    line = next(lines, None)
+    if line is None:
         raise MatrixParseError("empty file", 1)
-    banner = lines[0].split()
+    banner = line.split()
     if len(banner) != 5 or banner[0].lower() != _BANNER.lower():
         raise MatrixParseError(
             "missing '%s matrix array <field> general' banner" % _BANNER, 1
@@ -112,11 +121,14 @@ def _read_banner(lines):
 
 
 def _read_size_line(lines):
-    """The size line's one-based number and the two dimensions it states."""
-    lineno = next((i for i, line in enumerate(lines[1:], start=2) if _is_data_line(line)), None)
-    if lineno is None:
-        raise MatrixParseError("missing size line", len(lines))
-    toks = _tokens(lines[lineno - 1])
+    """The size line's one-based number and dimensions, from lines after the banner, taken up to it."""
+    lineno = 1
+    for lineno, line in enumerate(lines, start=2):
+        if _is_data_line(line):
+            break
+    else:
+        raise MatrixParseError("missing size line", lineno)
+    toks = _tokens(line)
     if len(toks) != 2:
         raise MatrixParseError(
             "size line must hold exactly two integers", lineno,
@@ -136,24 +148,27 @@ def _read_size_line(lines):
     return lineno, dims[0], dims[1]
 
 
-def _parse_body(body, count, per_entry):
-    """The entries in file order from one loadtxt call, or None if it cannot vouch for them.
-
-    None sends the body to the line parser, which reads or refuses it.
-    """
-    # loadtxt gets the lines already split: fed the text, it would also
-    # take a \v or \f inside a line as a separator, where splitlines breaks
-    data = [line for line in body if _is_data_line(line)]
-    if len(data) != count:
+def _read_one_pass(data):
+    """The matrix from one loadtxt call over the bytes; None leaves them to the line parser."""
+    if not data.isascii() or any(c in data for c in _SPLITLINES_ONLY):
+        return None
+    stream = io.BytesIO(data)
+    head = (line.rstrip(b"\n").decode() for line in stream)
+    _, per_entry = _read_banner(head)
+    _, rows, cols = _read_size_line(head)
+    body = stream.tell()
+    # no comment in the body, and one datum at least, else loadtxt warns of no data
+    if data.find(b"%", body) >= 0 or _DATUM.search(data, body) is None:
         return None
     try:
-        values = np.loadtxt(data, dtype=float, comments=None, ndmin=2)
+        values = np.loadtxt(stream, dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (count, per_entry) or not np.isfinite(values).all():
+    if values.shape != (rows * cols, per_entry) or not np.isfinite(values).all():
         return None
     # a (re, im) float pair has complex128's memory layout, so the view is exact
-    return values.view(complex)[:, 0] if per_entry == 2 else values[:, 0].astype(complex)
+    values = values.view(complex)[:, 0] if per_entry == 2 else values[:, 0].astype(complex)
+    return values.reshape((cols, rows)).T.copy()
 
 
 def _parse_body_by_line(lines, size_lineno, field, per_entry, rows, cols):

@@ -146,6 +146,14 @@ def test_rank_flag_beats_environment(gaussian_path, capsys, monkeypatch):
     assert main(["analyze", gaussian_path]) == 1
 
 
+def test_malformed_rank_environment_names_the_variable(gaussian_path, capsys, monkeypatch):
+    monkeypatch.setenv("BIORTHO_TOL_RANK", "abc")
+    assert main(["analyze", gaussian_path]) == 1
+    err = capsys.readouterr().err
+    assert "BIORTHO_TOL_RANK" in err
+    assert "'abc'" in err
+
+
 def test_gallery_writes_matrix_market(tmp_path):
     out = tmp_path / "m.mtx"
     assert main(["gallery", "jordan", "--size", "3", "--lambda", "1+2i",

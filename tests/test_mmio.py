@@ -1,4 +1,6 @@
 import io
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -133,11 +135,15 @@ def test_wrong_arity_for_field():
     assert (info.value.line, info.value.column) == (3, 5)
 
 
+@pytest.mark.filterwarnings("error")  # loadtxt warns of a body with no data
 def test_too_few_and_too_many_entries():
     head = "%%MatrixMarket matrix array real general\n2 2\n"
     with pytest.raises(MatrixParseError) as info:
         read_matrix(io.StringIO(head + "1\n2\n3\n"))
     assert "3 of 4" in str(info.value)
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix(io.StringIO(head + "\n \t\n"))
+    assert "0 of 4" in str(info.value)
     with pytest.raises(MatrixParseError) as info:
         read_matrix(io.StringIO(head + "1\n2\n3\n4\n5\n"))
     assert info.value.line == 7
@@ -214,17 +220,22 @@ def test_extreme_finite_values_write_read_write_byte_for_byte():
     assert second.getvalue() == first.getvalue()
 
 
-def test_valid_file_is_read_without_the_line_parser():
+def _refuse(*args):
+    raise AssertionError("a valid file reached the line splitter or the line parser")
+
+
+def test_valid_file_is_read_without_the_line_parser(tmp_path):
+    # written files, also with comment and blank lines before the size
+    # line, take the one-pass route as streams and as files
     a = random_complex(128, seed=3)
-    buf = io.StringIO()
-    write_matrix(a, buf)
-
-    def per_token(*args):
-        raise AssertionError("the line parser ran on a valid file")
-
-    with mock.patch.object(mmio, "_parse_float", per_token):
-        m = read_matrix(io.StringIO(buf.getvalue()))
-    assert m.tobytes() == a.tobytes()
+    plain, commented = tmp_path / "plain.mtx", tmp_path / "commented.mtx"
+    write_matrix(a, plain)
+    banner, rest = plain.read_bytes().split(b"\n", 1)
+    commented.write_bytes(banner + b"\n% a comment\n\n  \t\n%% another\n" + rest)
+    with mock.patch.object(mmio, "_ascii_lines", _refuse), \
+            mock.patch.object(mmio, "_parse_body_by_line", _refuse):
+        for source in (plain, str(commented), io.StringIO(commented.read_text())):
+            assert read_matrix(source).tobytes() == a.tobytes()
 
 
 # Differential test of the two reading routes.  The texts are valid files
@@ -268,8 +279,10 @@ def _matrix_market_texts(draw):
             entries[i].pop()
         elif kind == "drop entry":
             del entries[i]
-    lines = ["%%MatrixMarket matrix array " + field + " general", "%d %d" % (rows, cols)]
     fillers = draw(st.booleans())
+    lines = ["%%MatrixMarket matrix array " + field + " general"]
+    lines.extend(draw(st.lists(_FILLER, max_size=2 * int(fillers))))
+    lines.append("%d %d" % (rows, cols))
     for tokens in entries:
         lines.extend(draw(st.lists(_FILLER, max_size=int(fillers))))
         lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
@@ -278,9 +291,9 @@ def _matrix_market_texts(draw):
     return "".join(line + draw(_LINE_ENDS) for line in lines)
 
 
-def _outcome(text):
+def _outcome(source):
     try:
-        m = read_matrix(io.StringIO(text))
+        m = read_matrix(io.StringIO(source) if isinstance(source, str) else source)
     except MatrixParseError as exc:
         return type(exc), str(exc), exc.line, exc.column
     return m.shape, m.tobytes()
@@ -289,7 +302,39 @@ def _outcome(text):
 @given(_matrix_market_texts())
 @settings(max_examples=400, deadline=None)
 def test_one_call_reader_agrees_with_the_line_parser(text):
-    fast = _outcome(text)
-    with mock.patch.object(mmio, "_parse_body", lambda *args: None):
+    # every text is read as a stream and from a file; hypothesis refuses
+    # function-scoped fixtures, so the file lives in a directory of its own
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "drawn.mtx")
+        path.write_bytes(text.encode("ascii"))
+        for source in (text, path):
+            fast = _outcome(source)
+            with mock.patch.object(mmio, "_read_one_pass", lambda *args: None):
+                reference = _outcome(source)
+            assert fast == reference
+
+
+@pytest.mark.parametrize("edit, reads", [
+    (lambda t: t.replace("\n", "\n% a comment in the body\n", 3), True),
+    (lambda t: t.replace("\n", "\r\n"), True),
+    (lambda t: t.replace("\n", "\v"), True),
+    (lambda t: t.replace("\n", "\v").replace("0.25", "0.25 0.5", 1), False),
+], ids=["body-comment", "crlf", "vertical-tab", "vertical-tab-error"])
+def test_files_outside_the_one_pass_route_reach_the_line_parser(edit, reads, tmp_path):
+    a = random_complex(4, seed=2)
+    a[1, 2] = 0.25
+    buf = io.StringIO()
+    write_matrix(a, buf)
+    text = edit(buf.getvalue())
+    path = tmp_path / "edited.mtx"
+    path.write_bytes(text.encode("ascii"))
+    with mock.patch.object(mmio, "_read_one_pass", lambda *args: None):
         reference = _outcome(text)
-    assert fast == reference
+    parser = mock.Mock(wraps=mmio._parse_body_by_line)
+    with mock.patch.object(mmio, "_parse_body_by_line", parser):
+        assert _outcome(text) == reference
+        assert _outcome(path) == reference
+    assert parser.call_count == 2
+    assert reference == ((a.shape, a.tobytes()) if reads else (
+        MatrixParseError, "expected 2 value(s) per line for field 'complex', found 3 (line 12, column 10)",
+        12, 10))
