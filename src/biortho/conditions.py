@@ -296,7 +296,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
         mismatched,
     )
 
-    roots = [root_space(a, c, tol) for c in ps.clusters]
+    roots = [root_space(a, c, tol, ps) for c in ps.clusters]
 
     c3_bad = [i for i, c in enumerate(ps.clusters) if c.algebraic_multiplicity != len(adj_groups[match[i]][2])]
     # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2

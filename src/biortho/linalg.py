@@ -7,7 +7,8 @@ Each rank decision keeps its own cutoff, where it is made:
   condition_number here): sigma <= rank_eps * sigma_max * max(rows, cols);
 - spectral.kernel_split: sigma <= rank_eps * n * max(sigma_max, |lambda|),
   after the collapse test sigma_max <= 1.25 * scatter + rank_eps * n * |lambda|;
-- rootspace.root_space's staircase: the fixed rank_eps * n * ||B||_2;
+  and in the frame the left split cuts at the right split's sigma_max;
+- rootspace.root_space's staircase: the fixed rank_eps * n * ||A - lambda I||_2;
 - spectral's eig certificate: ||(A - lambda I) Q||_F <= rank_eps * n *
   max(||A - lambda I||_F / sqrt(n), |lambda|);
 - biorthogonal's skew link: sigma_min of a k-column cross-Gram > rank_eps * k.

@@ -75,8 +75,11 @@ def read_matrix(source):
         with open(source, "rb") as handle:
             data = handle.read()
     matrix = _read_one_pass(data)
-    # surrogateescape: a non-ASCII byte reaches _ascii_lines' position check
-    return matrix if matrix is not None else _read_lines(_ascii_lines(data.decode("ascii", "surrogateescape")))
+    if matrix is None:
+        # surrogateescape: a non-ASCII byte reaches _ascii_lines' position check
+        return _read_lines(_ascii_lines(data.decode("ascii", "surrogateescape")))
+    del data  # the bytes go before the transposing copy to C order
+    return matrix.copy()
 
 
 def _ascii_lines(text):
@@ -149,7 +152,7 @@ def _read_size_line(lines):
 
 
 def _read_one_pass(data):
-    """The matrix from one loadtxt call over the bytes; None leaves them to the line parser."""
+    """The matrix, transposed in place, from one loadtxt call over the bytes; None leaves them to the line parser."""
     if not data.isascii() or any(c in data for c in _SPLITLINES_ONLY):
         return None
     stream = io.BytesIO(data)
@@ -168,7 +171,7 @@ def _read_one_pass(data):
         return None
     # a (re, im) float pair has complex128's memory layout, so the view is exact
     values = values.view(complex)[:, 0] if per_entry == 2 else values[:, 0].astype(complex)
-    return values.reshape((cols, rows)).T.copy()
+    return values.reshape((cols, rows)).T
 
 
 def _parse_body_by_line(lines, size_lineno, field, per_entry, rows, cols):

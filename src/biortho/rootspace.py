@@ -5,12 +5,16 @@ It rises to the height h, where Ker(B^h) is the root subspace; its steps (the
 Weyr characteristic) conjugate into the Jordan block sizes.  Kublanovskaya's
 deflation (Kagstrom & Ruhe, ACM TOMS 6(3), 1980) climbs it with no power of B:
 the SVD of the trailing block of Q*BQ rotates that block's kernel to the
-front; each step is its nullity at one cutoff, rank_eps * n * ||B||_2 off
-the first SVD.  A B whose entries are all real is climbed in real
+front; each step is its nullity at one cutoff, rank_eps * n * sigma_max
+of the cluster's split.  A B whose entries are all real is climbed in real
 arithmetic (spectral._svd), and its trailing blocks stay real.  At the top
 Q*BQ = [[N, X], [0, T]], N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I]
 with S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
 adjoint's root space: A^* climbs no staircase.
+In its spectrum's frame, if any (spectral._frame), B is Z_R^* A Z_R - lambda I
+and the root space Z_R Q[:, :m_a].  Ran(B^h) also holds the certified right
+kernels, which Ran(Z_L) is orthogonal to, so the adjoint's root space is Z_L
+times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and takes no staircase
@@ -64,9 +68,10 @@ def _segre_from_staircase(staircase, eigenvalue):
     return tuple(k for k in range(len(counts), 0, -1) for _ in range(counts[k - 1]))
 
 
-def root_space(a, cluster, tol=DEFAULT_TOL):
+def root_space(a, cluster, tol=DEFAULT_TOL, spectrum=None):
     """Compute the root subspace for one eigenvalue cluster.
 
+    Given the cluster's own spectrum, it climbs in that spectrum's frame.
     When the cluster's kernels are its root spaces, a is not read.  Raises
     RootSpaceMismatchError when the stabilized kernel dimension is not the
     cluster's algebraic multiplicity (the rank and cluster tolerances
@@ -79,25 +84,28 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError("root space requires a square matrix")
-    shifted = a - lam * np.eye(n, dtype=complex)
-    q = np.eye(n, dtype=complex)
-    trailing, cutoff, d, staircase = shifted, None, 0, []
-    while d < n:
+    z_r, b, z_l, _ = (None, a, None, None) if spectrum is None or spectrum.frame is None else spectrum.frame
+    n_d = b.shape[0]
+    shifted = b - lam * np.eye(n_d, dtype=complex)
+    q = np.eye(n_d, dtype=complex)
+    # every level cuts at the split's ||A - lam I||_2; a cluster without one, at level 1's
+    trailing, sigma_max, d, staircase = shifted, cluster.sigma_max, 0, []
+    while d < n_d:
         u, s, vh = _svd(trailing, lam)
-        cutoff = tol.rank_eps * n * float(s[0]) if cutoff is None else cutoff
-        rank = int(np.count_nonzero(s > cutoff))
-        if rank == n - d:
+        sigma_max = float(s[0]) if sigma_max is None else sigma_max
+        rank = int(np.count_nonzero(s > tol.rank_eps * n * sigma_max))
+        if rank == n_d - d:
             break
-        if m_a < n:  # else the root space is C^n, spanned by Q = I
+        if m_a < n_d:  # else the root space is all of the frame, spanned by Q = I
             q[:, d:] = q[:, d:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T
         trailing = vh[:rank] @ (u[:, :rank] * s[:rank])
-        d = n - rank
+        d = n_d - rank
         staircase.append(d)
     if d != m_a:
         raise RootSpaceMismatchError(lam, d, m_a)
     segre = _segre_from_staircase(staircase, lam)
-    space = adjoint = Subspace(n, phase_normalize(q[:, :d]))
-    if d < n:
+    space = adjoint = Subspace(n, phase_normalize(q[:, :d] if z_r is None else z_r @ q[:, :d]))
+    if d < n_d:
         # Y = -S by Horner's rule, Y <- (X + N Y) T^-1, kept at most 1 by exact
         # powers of 2, since Ran(B^h) = Q[Y; lead I] at any scale and S may overflow
         nil, x = np.hsplit(q[:, :d].conj().T @ shifted @ q, [d])
@@ -106,8 +114,11 @@ def root_space(a, cluster, tol=DEFAULT_TOL):
             y = ((lead * x + nil @ y) @ vh.conj().T / s) @ u.conj().T
             k = 2.0 ** -max(0, int(np.frexp(np.abs(y).max())[1]))
             y, lead = y * k, lead * k
-        ran, _ = np.linalg.qr(np.vstack([y, lead * np.eye(n - d)]), mode="complete")
-        adjoint = Subspace(n, phase_normalize(q @ ran[:, n - d:]))
+        ran = np.vstack([y, lead * np.eye(n_d - d)])
+        ran, _ = np.linalg.qr(ran if z_r is None else z_l.conj().T @ (z_r @ (q @ ran)), mode="complete")
+        adjoint = Subspace(n, phase_normalize((q if z_r is None else z_l) @ ran[:, n_d - d:]))
+    elif z_l is not None:
+        adjoint = Subspace(n, phase_normalize(z_l))
     return RootSpace(lam, tuple(staircase), len(staircase), space, segre, adjoint)
 
 
@@ -144,7 +155,7 @@ def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
     root, adjoint_root = eigen, adjoint_eigen
     if not all(c.kernels_are_root_spaces for c in clusters):
         if root_spaces is None:
-            root_spaces = [root_space(a, c, tol) for c in clusters]
+            root_spaces = [root_space(a, c, tol, spectrum) for c in clusters]
         root, _ = _stacked_rank([r.space.basis for r in root_spaces], tol)
         adjoint_root, _ = _stacked_rank([r.adjoint_space.basis for r in root_spaces], tol)
     return SpanReport(

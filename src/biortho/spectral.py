@@ -25,6 +25,11 @@ cluster that fails on either side, and the one cluster of an input
 whose spectrum is a single cluster, take the SVD route: the kernels of
 the shifted matrix and of its adjoint, computed independently.
 
+When some clusters are certified and others are not, the others work
+in a frame (_frame) of dimension n_d, n less the certified multiplicities:
+each keeps one n x n SVD, its right split, takes its left kernel from one
+n_d x n_d SVD cut at that split's sigma_max, and climbs at n_d (rootspace).
+
 The rule that decides Ker(A - lambda I) and Ran(A - lambda I)-perp
 lives in kernel_split alone: one SVD of the shifted matrix, the collapse
 test on its sigma_max and the |lambda|-anchored rank cutoff.  The SVD
@@ -75,8 +80,9 @@ class EigenvalueCluster:
     largest distance of a merged raw eigenvalue from the centroid, the
     resolution below which this cluster cannot distinguish eigenvalues.
     range_perp is Ran(A - value I)-perp from the same SVD as the right
-    kernel, kept for the residual identity; None for a cluster whose eig
-    blocks were certified, which took no SVD.
+    kernel, kept for the residual identity, and sigma_max that SVD's
+    ||A - value I||_2, which scales the framed left split's and the
+    staircase's cutoffs; both None for a certified cluster, which took no SVD.
     """
 
     value: complex
@@ -87,6 +93,7 @@ class EigenvalueCluster:
     left_kernel: Subspace
     scatter: float = 0.0
     range_perp: Subspace = field(default=None, compare=False, repr=False)
+    sigma_max: float = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m_a = self.algebraic_multiplicity
@@ -116,12 +123,14 @@ class PointSpectrum:
 
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
     eig(A^*) call of the certificate, which runs whenever there is more
-    than one cluster, and is None otherwise.
+    than one cluster, and is None otherwise.  frame is _frame's result when
+    some clusters were certified and others were not, else None.
     """
 
     ambient_dim: int
     clusters: tuple
     adjoint_eigenvalues: np.ndarray = field(default=None, compare=False, repr=False)
+    frame: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def scale(self):
@@ -184,14 +193,19 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     is no trustworthy scale.
     Raises EigenIterationError if the SVD fails to converge.
     """
+    return _split(a, lam, scatter, tol)[:2]
+
+
+def _split(a, lam, scatter, tol):
+    # kernel_split's two Subspaces and the shifted matrix's sigma_max
     n = a.shape[0]
     eye = np.eye(n, dtype=complex)
     u, s, vh = _svd(a - lam * eye, lam)
     if s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
         full = Subspace(n, phase_normalize(eye))
-        return full, full
+        return full, full, float(s[0])
     rank = int(np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n))
-    return Subspace(n, phase_normalize(u[:, rank:])), Subspace(n, phase_normalize(vh[rank:].conj().T))
+    return Subspace(n, phase_normalize(u[:, rank:])), Subspace(n, phase_normalize(vh[rank:].conj().T)), float(s[0])
 
 
 def eigenvalue_groups(values, tol=DEFAULT_TOL):
@@ -285,6 +299,20 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
     }
 
 
+def _frame(a, certified):
+    """(Z_R, Z_R^* A Z_R, Z_L, Z_L^* A^* Z_L), Z_R and Z_L past the certified kernels.
+
+    Z_R and Z_L are orthonormal bases of the certified left and right kernels'
+    complements, each from one complete QR.  A left eigenvector at lambda is
+    orthogonal to every root vector at mu != lambda, so Z_R spans the sum of
+    the other clusters' root spaces, and Z_L that of their root spaces of A^*.
+    """
+    k = sum(right.dim for right, _ in certified.values())
+    z_r, z_l = (np.linalg.qr(np.hstack([pair[side].basis for pair in certified.values()]), mode="complete")[0][:, k:]
+                for side in (1, 0))
+    return z_r, z_r.conj().T @ a @ z_r, z_l, (z_l.conj().T @ a @ z_l).conj().T
+
+
 def point_spectrum(a, tol=DEFAULT_TOL):
     """Compute the clustered point spectrum of a square matrix.
 
@@ -303,32 +331,28 @@ def point_spectrum(a, tol=DEFAULT_TOL):
     if len(groups) > 1:
         adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
         certified = _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol)
+    frame = _frame(a, certified) if 0 < len(certified) < len(groups) else None
     clusters = []
     for k, (lam, scatter, idx) in enumerate(groups):
-        perp = None
+        perp = sigma_max = None
         if k in certified:
             right, left = certified[k]
         else:
-            perp, right = kernel_split(a, lam, scatter, tol)
-            # a full right kernel means A - lam I is zero at this
-            # resolution; otherwise the left side takes its own SVD
-            left = right if right.dim == n else kernel_split(a.conj().T, lam.conjugate(), scatter, tol)[1]
-        m_a = len(idx)
-        m_g = right.dim
-        clusters.append(
-            EigenvalueCluster(
-                value=lam,
-                algebraic_multiplicity=m_a,
-                geometric_multiplicity=m_g,
-                semi_simple=(m_a == m_g),
-                right_kernel=right,
-                left_kernel=left,
-                scatter=scatter,
-                range_perp=perp,
-            )
-        )
+            perp, right, sigma_max = _split(a, lam, scatter, tol)
+            # a full right kernel means A - lam I is zero at this resolution;
+            # otherwise the left side takes its own SVD, in the frame if any
+            if right.dim == n or frame is None:
+                left = right if right.dim == n else kernel_split(a.conj().T, lam.conjugate(), scatter, tol)[1]
+            else:
+                _, s, vh = _svd(frame[3] - lam.conjugate() * np.eye(len(frame[3])), lam.conjugate())
+                rank = int(np.count_nonzero(s > tol.rank_eps * n * max(sigma_max, abs(lam))))
+                left = Subspace(n, phase_normalize(frame[2] @ vh[rank:].conj().T))
+        m_a, m_g = len(idx), right.dim
+        clusters.append(EigenvalueCluster(
+            value=lam, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=(m_a == m_g),
+            right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, sigma_max=sigma_max))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw)
+    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw, frame=frame)
 
 
 def eigvec_matrix(spectrum):

@@ -114,7 +114,9 @@ def test_parallel_eig_columns_send_a_double_eigenvalue_down_the_svd_route(side, 
             right = kernel_split(a, c.value, c.scatter)[1]
             left = kernel_split(a.conj().T, np.conj(c.value), c.scatter)[1]
             assert np.array_equal(c.right_kernel.basis, right.basis)
-            assert np.array_equal(c.left_kernel.basis, left.basis)
+            # the left split runs on A^* compressed past the certified
+            # clusters, so it agrees with the full-size one up to rounding
+            assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
         else:
             assert c.range_perp is None
         assert c.geometric_multiplicity == ref.geometric_multiplicity

@@ -154,7 +154,9 @@ def test_failed_certificate_falls_back_to_svd_route(spec, spoil, side, monkeypat
         if i == target:
             right, left = _svd_kernels(a, c)
             assert np.array_equal(c.right_kernel.basis, right.basis)
-            assert np.array_equal(c.left_kernel.basis, left.basis)
+            # the left split runs on A^* compressed past the certified
+            # clusters, so it agrees with the full-size one up to rounding
+            assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
         else:
             assert subspace_angle(c.right_kernel, ref.right_kernel) <= 1e-10
             assert subspace_angle(c.left_kernel, ref.left_kernel) <= 1e-10
@@ -402,11 +404,11 @@ def test_one_svd_per_side_and_the_residual_identity_reuses_the_splits(monkeypatc
     ps = point_spectrum(a, tol)
     kinds = sorted((c.algebraic_multiplicity, c.geometric_multiplicity) for c in ps.clusters)
     assert kinds == [(1, 1), (2, 2), (3, 1), (3, 2)]
-    # each defective cluster: one SVD of A - lambda I and one of its
-    # adjoint, with the collapse test read off the first; no 2-norm.  The
-    # simple and the semi-simple (2, 2) cluster are certified from eig
-    assert calls.square("svd", 9) == 2 * 2
-    assert len(calls.shapes["svd"]) == 4 and norms == []
+    # each defective cluster: one SVD of A - lambda I, with the collapse
+    # test read off it, and one of A^* compressed past the certified
+    # clusters, n_d = 9 - 3; no 2-norm.  The simple and the semi-simple
+    # (2, 2) cluster are certified from eig
+    assert calls.shapes["svd"] == [(9, 9), (6, 6)] * 2 and norms == []
 
     calls = Calls(monkeypatch, names=("svd", "solve"))
     norms = count_norm2(monkeypatch)

@@ -238,6 +238,28 @@ def test_valid_file_is_read_without_the_line_parser(tmp_path):
             assert read_matrix(source).tobytes() == a.tobytes()
 
 
+@pytest.mark.parametrize("field, entry", [("complex", "%r %r\n"), ("real", "%r\n"), ("integer", "%d\n")])
+def test_one_pass_read_is_a_c_ordered_copy(field, entry, tmp_path):
+    # the one-pass route transposes only after the file's bytes are let go;
+    # the result is still a C-ordered array that owns its data, bit for bit
+    # the line parser's
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    if field != "complex":
+        values = values.real if field == "real" else np.round(100 * values.real)
+    per_entry = (lambda z: (z.real, z.imag)) if field == "complex" else (lambda z: (z,))
+    body = "".join(entry % per_entry(z) for z in values.T.ravel().tolist())
+    text = "%%%%MatrixMarket matrix array %s general\n5 3\n%s" % (field, body)
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    reference = mmio._read_lines(text.splitlines())
+    for source in (path, io.StringIO(text)):
+        with mock.patch.object(mmio, "_parse_body_by_line", _refuse):
+            m = read_matrix(source)
+        assert m.flags.c_contiguous and m.flags.owndata
+        assert m.shape == (5, 3) and m.tobytes() == reference.tobytes() == values.astype(complex).tobytes()
+
+
 # Differential test of the two reading routes.  The texts are valid files
 # and mutations of them; the line parser alone is the reference.
 
