@@ -11,7 +11,7 @@ FAIL names the clusters responsible.
 A^* has no kernel, staircase or span of its own.  Its eigenvectors at
 conj(lambda) are the clusters' left kernels: for a certified cluster
 its eig vectors of A^* (see spectral), otherwise the left null vectors
-of A - lambda I.  Its root vectors come from the deflation that
+of A - lambda I at the cutoff of the cluster's climb.  Its root vectors come from the deflation that
 climbs A's staircase, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its
 final form Q*(A - lambda I)Q = [[N, X], [0, T]] (see rootspace), or are
 the left kernel again where a cluster's kernels are its root subspaces,
@@ -21,8 +21,8 @@ compare independent results: the eig(A^*) call point_spectrum already
 made when there is more than one cluster, else one eigvals call.
 
 The residual identity takes no SVD of its own when the root bases span:
-Ran(A - lambda I)-perp comes from the split each SVD-route cluster kept,
-or from the root bases' inverse (residual_identity_check).  One pairing of
+Ran(A - lambda I)-perp comes from level 1 of each non-certified cluster's
+climb, or from the root bases' inverse (residual_identity_check).  One pairing of
 the kernels gives both the sigma set and the C2 links; C2' and the
 residual identity pair their subspaces in one call each.
 """
@@ -134,7 +134,7 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     Ran(A - lambda I)-perp must come from A's own right side, apart from
     the left kernel it is compared with; reading both off one
     factorization would make the angle zero by construction.  A cluster
-    that took the SVD route reads the space its split kept
+    that climbed reads the space its level 1 kept
     (EigenvalueCluster.range_perp).  A certified cluster took no SVD;
     when root_spaces are given, which the caller passes only if their
     bases R span C^n (R = V when all kernels are root spaces), A = R J

@@ -19,18 +19,20 @@ class ClusteringError(BiorthoError):
 
 
 class RootSpaceMismatchError(BiorthoError):
-    """Stabilized root-space dimension disagrees with the cluster size."""
+    """Stabilized root-space dimension disagrees with the cluster size; names the cutoff and staircase."""
 
-    def __init__(self, eigenvalue, stabilized_dim, algebraic_multiplicity):
+    def __init__(self, eigenvalue, stabilized_dim, algebraic_multiplicity, cutoff, staircase):
         self.eigenvalue = eigenvalue
         self.stabilized_dim = stabilized_dim
         self.algebraic_multiplicity = algebraic_multiplicity
+        self.cutoff = cutoff
+        self.staircase = tuple(staircase)
         super().__init__(
             "root space at {:.6g}{:+.6g}j stabilized at dimension {} but the "
-            "cluster has multiplicity {}; rank or cluster tolerances are "
-            "inconsistent for this matrix".format(
+            "cluster has multiplicity {} (staircase {} at rank cutoff {:.3e}); "
+            "rank or cluster tolerances are inconsistent for this matrix".format(
                 eigenvalue.real, eigenvalue.imag,
-                stabilized_dim, algebraic_multiplicity,
+                stabilized_dim, algebraic_multiplicity, list(self.staircase), cutoff,
             )
         )
 

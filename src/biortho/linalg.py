@@ -5,10 +5,10 @@ certified cluster's kernels from eig columns and a thin QR (spectral).
 Each rank decision keeps its own cutoff, where it is made:
 - stacked bases (rootspace's spans; nullspace, range_space and
   condition_number here): sigma <= rank_eps * sigma_max * max(rows, cols);
-- spectral.kernel_split: sigma <= rank_eps * n * max(sigma_max, |lambda|),
-  after the collapse test sigma_max <= 1.25 * scatter + rank_eps * n * |lambda|;
-  and in the frame the left split cuts at the right split's sigma_max;
-- rootspace.root_space's staircase: the fixed rank_eps * n * ||A - lambda I||_2;
+- a non-certified cluster's one cutoff, for every staircase level and its
+  left split (spectral._climb): sigma <= rank_eps * n * max(sigma_max, |lambda|),
+  sigma_max that of level 1, which gives the right kernel and Ran-perp; without
+  a frame, after the collapse test sigma_max <= 1.25 * scatter + rank_eps * n * |lambda|;
 - spectral's eig certificate: ||(A - lambda I) Q||_F <= rank_eps * n *
   max(||A - lambda I||_F / sqrt(n), |lambda|);
 - biorthogonal's skew link: sigma_min of a k-column cross-Gram > rank_eps * k.

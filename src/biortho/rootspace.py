@@ -5,19 +5,19 @@ It rises to the height h, where Ker(B^h) is the root subspace; its steps (the
 Weyr characteristic) conjugate into the Jordan block sizes.  Kublanovskaya's
 deflation (Kagstrom & Ruhe, ACM TOMS 6(3), 1980) climbs it with no power of B:
 the SVD of the trailing block of Q*BQ rotates that block's kernel to the
-front; each step is its nullity at one cutoff, rank_eps * n * sigma_max
-of the cluster's split.  A B whose entries are all real is climbed in real
-arithmetic (spectral._svd), and its trailing blocks stay real.  At the top
-Q*BQ = [[N, X], [0, T]], N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I]
-with S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
-adjoint's root space: A^* climbs no staircase.
-In its spectrum's frame, if any (spectral._frame), B is Z_R^* A Z_R - lambda I
-and the root space Z_R Q[:, :m_a].  Ran(B^h) also holds the certified right
-kernels, which Ran(Z_L) is orthogonal to, so the adjoint's root space is Z_L
-times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
+front; each step is its nullity at the cluster's one cutoff.  Its first level
+is the eigenspace: spectral._climb takes the cluster's right kernel, Ran-perp
+and the cutoff rank_eps * n * max(sigma_max, |lambda|) from level 1, so a
+non-certified cluster's m_g is d_1 by construction, and point_spectrum keeps
+each climb (EigenvalueCluster.climb).  At the top Q*BQ = [[N, X], [0, T]],
+N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I] with
+S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
+adjoint's root space: A^* climbs no staircase.  In a frame (spectral._frame),
+B is Z_R^* A Z_R - lambda I and the root space Z_R Q[:, :m_a]; the adjoint's
+is Z_L times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
 
 A cluster whose kernels both have dimension m_a, as every simple or
-collapsed one does, has them for root subspaces and takes no staircase
+collapsed one does, has them for root subspaces and climbs no further
 (EigenvalueCluster.kernels_are_root_spaces).  When all clusters do, the
 root spans are the eigenvector spans; the SVD that ranks V also gives
 kappa_v, infinite exactly when the rank falls short of n.
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, RootSpaceMismatchError
-from .linalg import DEFAULT_TOL, Subspace, _rank_from_singular_values, as_matrix, phase_normalize
-from .spectral import _svd, point_spectrum
+from .linalg import DEFAULT_TOL, Subspace, _rank_from_singular_values, as_matrix
+from .spectral import _climb, point_spectrum
 
 __all__ = ["RootSpace", "SpanReport", "root_space", "span_report"]
 
@@ -71,8 +71,9 @@ def _segre_from_staircase(staircase, eigenvalue):
 def root_space(a, cluster, tol=DEFAULT_TOL, spectrum=None):
     """Compute the root subspace for one eigenvalue cluster.
 
-    Given the cluster's own spectrum, it climbs in that spectrum's frame.
-    When the cluster's kernels are its root spaces, a is not read.  Raises
+    When the cluster's kernels are its root spaces, a is not read.  Given
+    the cluster's own spectrum, it returns the climb point_spectrum kept;
+    without one, it climbs anew at full size.  Raises
     RootSpaceMismatchError when the stabilized kernel dimension is not the
     cluster's algebraic multiplicity (the rank and cluster tolerances
     disagree about this matrix), EigenIterationError when an SVD fails.
@@ -80,46 +81,16 @@ def root_space(a, cluster, tol=DEFAULT_TOL, spectrum=None):
     lam, m_a = complex(cluster.value), cluster.algebraic_multiplicity
     if cluster.kernels_are_root_spaces:
         return RootSpace(lam, (m_a,), 1, cluster.right_kernel, (1,) * m_a, cluster.left_kernel)
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ValueError("root space requires a square matrix")
-    z_r, b, z_l, _ = (None, a, None, None) if spectrum is None or spectrum.frame is None else spectrum.frame
-    n_d = b.shape[0]
-    shifted = b - lam * np.eye(n_d, dtype=complex)
-    q = np.eye(n_d, dtype=complex)
-    # every level cuts at the split's ||A - lam I||_2; a cluster without one, at level 1's
-    trailing, sigma_max, d, staircase = shifted, cluster.sigma_max, 0, []
-    while d < n_d:
-        u, s, vh = _svd(trailing, lam)
-        sigma_max = float(s[0]) if sigma_max is None else sigma_max
-        rank = int(np.count_nonzero(s > tol.rank_eps * n * sigma_max))
-        if rank == n_d - d:
-            break
-        if m_a < n_d:  # else the root space is all of the frame, spanned by Q = I
-            q[:, d:] = q[:, d:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T
-        trailing = vh[:rank] @ (u[:, :rank] * s[:rank])
-        d = n_d - rank
-        staircase.append(d)
-    if d != m_a:
-        raise RootSpaceMismatchError(lam, d, m_a)
-    segre = _segre_from_staircase(staircase, lam)
-    space = adjoint = Subspace(n, phase_normalize(q[:, :d] if z_r is None else z_r @ q[:, :d]))
-    if d < n_d:
-        # Y = -S by Horner's rule, Y <- (X + N Y) T^-1, kept at most 1 by exact
-        # powers of 2, since Ran(B^h) = Q[Y; lead I] at any scale and S may overflow
-        nil, x = np.hsplit(q[:, :d].conj().T @ shifted @ q, [d])
-        y, lead = np.zeros_like(x), 1.0
-        for _ in staircase:
-            y = ((lead * x + nil @ y) @ vh.conj().T / s) @ u.conj().T
-            k = 2.0 ** -max(0, int(np.frexp(np.abs(y).max())[1]))
-            y, lead = y * k, lead * k
-        ran = np.vstack([y, lead * np.eye(n_d - d)])
-        ran, _ = np.linalg.qr(ran if z_r is None else z_l.conj().T @ (z_r @ (q @ ran)), mode="complete")
-        adjoint = Subspace(n, phase_normalize((q if z_r is None else z_l) @ ran[:, n_d - d:]))
-    elif z_l is not None:
-        adjoint = Subspace(n, phase_normalize(z_l))
-    return RootSpace(lam, tuple(staircase), len(staircase), space, segre, adjoint)
+    climb = None if spectrum is None else cluster.climb
+    if climb is None:
+        a = as_matrix(a)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError("root space requires a square matrix")
+        climb = _climb(a, lam, cluster.scatter, tol, m_a)[3]
+    if climb.space is None:
+        raise RootSpaceMismatchError(lam, climb.levels[-1] if climb.levels else 0, m_a, climb.cutoff, climb.levels)
+    segre = _segre_from_staircase(climb.levels, lam)
+    return RootSpace(lam, climb.levels, len(climb.levels), climb.space, segre, climb.adjoint_space)
 
 
 @dataclass(frozen=True)

@@ -22,23 +22,23 @@ certified Q proves the SVD would find a kernel of dimension at least m
 there too.  A defective cluster fails: its eig vectors are nearly
 parallel, and the QR keeps a noise direction with a large residual.  A
 cluster that fails on either side, and the one cluster of an input
-whose spectrum is a single cluster, take the SVD route: the kernels of
-the shifted matrix and of its adjoint, computed independently.
+whose spectrum is a single cluster, climb Kublanovskaya's staircase
+once (_climb), and one rank rule decides every level.  Level 1 factors
+the shifted matrix: its kernel is the right kernel, so m_g = d_1 by
+construction, and the complement of its range is Ran(A - lambda I)-perp,
+which the residual identity of conditions reads back.  Its sigma_max
+sets the cluster's one cutoff rank_eps * n * max(sigma_max, |lambda|),
+which every later level and the left split (one SVD of the shifted
+adjoint) read.  The climb keeps only its levels, the cutoff and the
+finished root bases (EigenvalueCluster.climb), which rootspace returns.
 
 When some clusters are certified and others are not, the others work
 in a frame (_frame) of dimension n_d, n less the certified multiplicities:
-each keeps one n x n SVD, its right split, takes its left kernel from one
-n_d x n_d SVD cut at that split's sigma_max, and climbs at n_d (rootspace).
-
-The rule that decides Ker(A - lambda I) and Ran(A - lambda I)-perp
-lives in kernel_split alone: one SVD of the shifted matrix, the collapse
-test on its sigma_max and the |lambda|-anchored rank cutoff.  The SVD
-route keeps both: the kernel as the cluster's right kernel, Ran-perp as
-its range_perp, which the residual identity of conditions reads back.
-That SVD, like every staircase SVD of rootspace, goes through _svd: a
-shifted matrix whose entries are all real (a real A at a real lambda)
-is factored in real arithmetic, and phase_normalize makes every basis
-complex again.
+each climbs Z_R^* A Z_R and takes its left kernel from Z_L^* A^* Z_L, so
+none takes an n x n SVD.  The collapse test of kernel_split runs only
+without a frame.  Every SVD goes through _svd: a shifted matrix whose
+entries are all real (a real A at a real lambda) is factored in real
+arithmetic, and phase_normalize makes every basis complex again.
 
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
@@ -71,6 +71,17 @@ _SCATTER_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
+class Climb:
+    """A staircase climb's levels d_1 .. d_h, its one rank cutoff, and the root
+    spaces of A and A^* when d_h is the algebraic multiplicity, else None."""
+
+    levels: tuple
+    cutoff: float
+    space: Subspace = None
+    adjoint_space: Subspace = None
+
+
+@dataclass(frozen=True)
 class EigenvalueCluster:
     """One clustered eigenvalue with its kernel data.
 
@@ -79,10 +90,10 @@ class EigenvalueCluster:
     of the right kernel; semi_simple is their equality.  scatter is the
     largest distance of a merged raw eigenvalue from the centroid, the
     resolution below which this cluster cannot distinguish eigenvalues.
-    range_perp is Ran(A - value I)-perp from the same SVD as the right
-    kernel, kept for the residual identity, and sigma_max that SVD's
-    ||A - value I||_2, which scales the framed left split's and the
-    staircase's cutoffs; both None for a certified cluster, which took no SVD.
+    range_perp is Ran(A - value I)-perp from level 1 of the same climb as
+    the right kernel, kept for the residual identity, and climb that climb's
+    levels, cutoff and root spaces (see _climb); both None for a certified
+    cluster, which took no SVD.
     """
 
     value: complex
@@ -93,7 +104,7 @@ class EigenvalueCluster:
     left_kernel: Subspace
     scatter: float = 0.0
     range_perp: Subspace = field(default=None, compare=False, repr=False)
-    sigma_max: float = field(default=None, compare=False, repr=False)
+    climb: Climb = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         m_a = self.algebraic_multiplicity
@@ -123,14 +134,12 @@ class PointSpectrum:
 
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
     eig(A^*) call of the certificate, which runs whenever there is more
-    than one cluster, and is None otherwise.  frame is _frame's result when
-    some clusters were certified and others were not, else None.
+    than one cluster, and is None otherwise.
     """
 
     ambient_dim: int
     clusters: tuple
     adjoint_eigenvalues: np.ndarray = field(default=None, compare=False, repr=False)
-    frame: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def scale(self):
@@ -173,6 +182,13 @@ def _lapack(solver, a, lam=None):
         raise EigenIterationError(str(exc) + where) from exc
 
 
+def _shift(m, lam):
+    # m - lam I in place in a new complex m: the bits of m - lam * np.eye(n, dtype=complex)
+    # without that expression's two further n x n temporaries
+    m -= lam * np.eye(len(m))
+    return m
+
+
 def _svd(b, lam=None):
     # a shifted matrix whose entries are all real is factored in real
     # arithmetic (dgesdd, not zgesdd); its singular vectors come out real
@@ -180,32 +196,95 @@ def _svd(b, lam=None):
 
 
 def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
-    """Ran(a - lam I)-perp and Ker(a - lam I) from one SVD, as two Subspaces.
+    """Ran(a - lam I)-perp and Ker(a - lam I) as two Subspaces: level 1 of _climb, unframed.
 
-    A merged cluster cannot distinguish eigenvalues closer to lam than
-    its scatter, and cancellation noise in the shift itself reaches
-    ``rank_eps * n * |lam|``.  When sigma_max sits at or below that
-    scale the shifted matrix is zero at the cluster's resolution and
-    both spaces are everything: one Subspace spanned by the identity,
-    returned twice, so its basis carries no rounding of the SVD.
-    Otherwise |lam| anchors the rank cutoff: when a is close to lam * I
-    the shifted matrix is pure cancellation noise and its own sigma_max
-    is no trustworthy scale.
     Raises EigenIterationError if the SVD fails to converge.
     """
-    return _split(a, lam, scatter, tol)[:2]
+    return _climb(a, lam, scatter, tol)[:2]
 
 
-def _split(a, lam, scatter, tol):
-    # kernel_split's two Subspaces and the shifted matrix's sigma_max
+def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
+    """(Ran-perp, right kernel, left kernel, Climb): Kublanovskaya's staircase at lam, one cutoff for every level.
+
+    B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_frame).  Level 1
+    factors B: its kernel is Ker(a - lam I) (times Z_R), the complement of
+    its range Ran(a - lam I)-perp.  In a frame Ran(a - lam I) also holds the
+    certified right kernels, which Ran(Z_L) is orthogonal to, so Ran-perp is
+    Z_L times the complement of Z_L^* Z_R U_1, U_1 level 1's range.
+    A merged cluster cannot distinguish eigenvalues closer to lam than its
+    scatter, and cancellation noise in the shift reaches rank_eps * n * |lam|.
+    So without a frame, a sigma_max at or below their sum makes B zero at the
+    cluster's resolution: both spaces are one Subspace spanned by the identity,
+    free of SVD rounding.  Otherwise the cutoff is
+    rank_eps * n * max(sigma_max, |lam|), since near lam I the shifted matrix
+    is cancellation noise and its sigma_max no scale; every later level reads it.
+    With with_left, it also decides the left kernel (_left_kernel) before the
+    later levels, so that the SVD's n x n temporaries precede theirs on the
+    heap; a full right kernel is its own left one.  Else the left kernel is None.
+    The climb stops at level 1 when m_a is None, d_1 = 0 or d_1 >= m_a; a d_1 =
+    m_a kernel is the root space, with Ran-perp as the adjoint's.  Otherwise
+    each level rotates the kernel of the trailing block of Q^* B Q to the front,
+    until that block is nonsingular or empty.
+    """
     n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    u, s, vh = _svd(a - lam * eye, lam)
-    if s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
-        full = Subspace(n, phase_normalize(eye))
-        return full, full, float(s[0])
-    rank = int(np.count_nonzero(s > tol.rank_eps * max(float(s[0]), abs(lam)) * n))
-    return Subspace(n, phase_normalize(u[:, rank:])), Subspace(n, phase_normalize(vh[rank:].conj().T)), float(s[0])
+    z_r, b, z_l, _ = (None, a, None, None) if frame is None else frame
+    n_d = b.shape[0]
+    u, s, vh = _svd(_shift(np.array(b, dtype=complex), lam), lam)
+    cutoff = tol.rank_eps * n * max(float(s[0]), abs(lam))
+    if z_r is None and s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
+        perp = right = Subspace(n, phase_normalize(np.eye(n, dtype=complex)))
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(s > cutoff))
+        kernel, perp = vh[rank:].conj().T, u[:, rank:]
+        if z_r is not None:
+            kernel = z_r @ kernel
+            perp = z_l @ np.linalg.qr(z_l.conj().T @ (z_r @ u[:, :rank]), mode="complete")[0][:, rank:] if rank else z_l
+        right, perp = Subspace(n, phase_normalize(kernel)), Subspace(n, phase_normalize(perp))
+    d = right.dim
+    left = None if not with_left else right if d == n else _left_kernel(a, lam, cutoff, frame)
+    if m_a is None or not 0 < d < m_a:
+        top = d == m_a
+        return perp, right, left, Climb((d,) if d else (), cutoff, right if top else None, perp if top else None)
+    # a root space that fills the frame is spanned by Q = I, which is never rotated
+    q = np.eye(n_d, dtype=complex) if m_a < n_d else None
+    d, levels = 0, []
+    while rank < n_d - d:
+        if q is not None:
+            q[:, d:] = q[:, d:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T
+        trailing = vh[:rank] @ (u[:, :rank] * s[:rank])
+        d = n_d - rank
+        levels.append(d)
+        if d < n_d:
+            u, s, vh = _svd(trailing, lam)
+            rank = int(np.count_nonzero(s > cutoff))
+    if d != m_a:
+        return perp, right, left, Climb(tuple(levels), cutoff)
+    top = np.eye(n_d, dtype=complex) if q is None else q[:, :d]
+    space = adjoint = Subspace(n, phase_normalize(top if z_r is None else z_r @ top))
+    if d < n_d:
+        # Ran(B^h) = Q[Y; lead I] with Y = -S by Horner's rule, Y <- (X + N Y) T^-1,
+        # kept at most 1 by exact powers of 2, since S may overflow; T^-1 comes
+        # from the last level's SVD of the nonsingular trailing block T
+        nil, x = np.hsplit(q[:, :d].conj().T @ _shift(np.array(b, dtype=complex), lam) @ q, [d])
+        y, lead = np.zeros_like(x), 1.0
+        for _ in levels:
+            y = ((lead * x + nil @ y) @ vh.conj().T / s) @ u.conj().T
+            k = 2.0 ** -max(0, int(np.frexp(np.abs(y).max())[1]))
+            y, lead = y * k, lead * k
+        ran = np.vstack([y, lead * np.eye(n_d - d)])
+        ran, _ = np.linalg.qr(ran if z_r is None else z_l.conj().T @ (z_r @ (q @ ran)), mode="complete")
+        adjoint = Subspace(n, phase_normalize((q if z_r is None else z_l) @ ran[:, n_d - d:]))
+    elif z_l is not None:
+        adjoint = Subspace(n, phase_normalize(z_l))
+    return perp, right, left, Climb(tuple(levels), cutoff, space, adjoint)
+
+
+def _left_kernel(a, lam, cutoff, frame):
+    # Ker(a^* - conj(lam) I) at a climb's cutoff, from one SVD, in the frame if any
+    _, s, vh = _svd(_shift(a.conj().T if frame is None else frame[3].copy(), lam.conjugate()), lam.conjugate())
+    left = vh[np.count_nonzero(s > cutoff):].conj().T
+    return Subspace(a.shape[0], phase_normalize(left if frame is None else frame[2] @ left))
 
 
 def eigenvalue_groups(values, tol=DEFAULT_TOL):
@@ -331,28 +410,23 @@ def point_spectrum(a, tol=DEFAULT_TOL):
     if len(groups) > 1:
         adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
         certified = _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol)
+        del adj_vecs
+    # the eig vectors are spent: the climbs below run without them in memory
+    del vecs
     frame = _frame(a, certified) if 0 < len(certified) < len(groups) else None
     clusters = []
     for k, (lam, scatter, idx) in enumerate(groups):
-        perp = sigma_max = None
+        perp = climb = None
         if k in certified:
             right, left = certified[k]
         else:
-            perp, right, sigma_max = _split(a, lam, scatter, tol)
-            # a full right kernel means A - lam I is zero at this resolution;
-            # otherwise the left side takes its own SVD, in the frame if any
-            if right.dim == n or frame is None:
-                left = right if right.dim == n else kernel_split(a.conj().T, lam.conjugate(), scatter, tol)[1]
-            else:
-                _, s, vh = _svd(frame[3] - lam.conjugate() * np.eye(len(frame[3])), lam.conjugate())
-                rank = int(np.count_nonzero(s > tol.rank_eps * n * max(sigma_max, abs(lam))))
-                left = Subspace(n, phase_normalize(frame[2] @ vh[rank:].conj().T))
+            perp, right, left, climb = _climb(a, lam, scatter, tol, len(idx), frame, with_left=True)
         m_a, m_g = len(idx), right.dim
         clusters.append(EigenvalueCluster(
             value=lam, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=(m_a == m_g),
-            right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, sigma_max=sigma_max))
+            right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, climb=climb))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw, frame=frame)
+    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw)
 
 
 def eigvec_matrix(spectrum):

@@ -113,9 +113,10 @@ def test_parallel_eig_columns_send_a_double_eigenvalue_down_the_svd_route(side, 
             assert c.range_perp is not None
             right = kernel_split(a, c.value, c.scatter)[1]
             left = kernel_split(a.conj().T, np.conj(c.value), c.scatter)[1]
-            assert np.array_equal(c.right_kernel.basis, right.basis)
-            # the left split runs on A^* compressed past the certified
-            # clusters, so it agrees with the full-size one up to rounding
+            # the climb's level 1 and the left split run on A and A^* compressed
+            # past the certified clusters, so they agree with the full-size
+            # splits up to rounding
+            assert c.right_kernel.dim == right.dim and subspace_angle(c.right_kernel, right) <= 1e-10
             assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
         else:
             assert c.range_perp is None

@@ -167,3 +167,18 @@ def test_ill_posed_weighted_shift_is_still_refused():
     with pytest.raises(RootSpaceMismatchError) as err:
         check_conditions(a)
     assert err.value.algebraic_multiplicity == 32
+
+
+def test_a_refusal_names_the_cutoff_and_the_staircase():
+    a = generate(FamilySpec("weighted_shift_trunc", 32, {"ratio": 0.9}))
+    (c,) = point_spectrum(a).clusters
+    with pytest.raises(RootSpaceMismatchError) as err:
+        check_conditions(a)
+    exc = err.value
+    # one cluster at 0: the cutoff is rank_eps * n * ||A||_2, the one the
+    # cluster's climb kept, and the staircase stops short of m_a = 32
+    assert exc.cutoff == c.climb.cutoff == pytest.approx(1e-10 * 32 * np.linalg.norm(a, 2), rel=1e-12)
+    assert exc.staircase == c.climb.levels and exc.staircase[-1] == exc.stabilized_dim < 32
+    assert list(exc.staircase) == sorted(exc.staircase)
+    assert ("staircase %s" % list(exc.staircase)) in str(exc)
+    assert ("rank cutoff %.3e" % exc.cutoff) in str(exc)

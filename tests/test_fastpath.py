@@ -153,9 +153,10 @@ def test_failed_certificate_falls_back_to_svd_route(spec, spoil, side, monkeypat
     for i, (c, ref) in enumerate(zip(ps.clusters, reference.clusters)):
         if i == target:
             right, left = _svd_kernels(a, c)
-            assert np.array_equal(c.right_kernel.basis, right.basis)
-            # the left split runs on A^* compressed past the certified
-            # clusters, so it agrees with the full-size one up to rounding
+            # the climb's level 1 and the left split run on A and A^* compressed
+            # past the certified clusters, so they agree with the full-size
+            # kernels up to rounding
+            assert c.right_kernel.dim == right.dim and subspace_angle(c.right_kernel, right) <= 1e-10
             assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
         else:
             assert subspace_angle(c.right_kernel, ref.right_kernel) <= 1e-10
@@ -404,15 +405,20 @@ def test_one_svd_per_side_and_the_residual_identity_reuses_the_splits(monkeypatc
     ps = point_spectrum(a, tol)
     kinds = sorted((c.algebraic_multiplicity, c.geometric_multiplicity) for c in ps.clusters)
     assert kinds == [(1, 1), (2, 2), (3, 1), (3, 2)]
-    # each defective cluster: one SVD of A - lambda I, with the collapse
-    # test read off it, and one of A^* compressed past the certified
-    # clusters, n_d = 9 - 3; no 2-norm.  The simple and the semi-simple
-    # (2, 2) cluster are certified from eig
-    assert calls.shapes["svd"] == [(9, 9), (6, 6)] * 2 and norms == []
+    # the simple and the semi-simple (2, 2) cluster are certified from eig,
+    # and no SVD is 9 x 9.  Each defective cluster climbs A compressed past
+    # them, n_d = 9 - 3: level 1, which gives its right kernel and Ran-perp,
+    # one SVD of the compressed A^* for its left kernel, and one per further
+    # level at n_d - d_k until the trailing block is nonsingular.  The
+    # (3, 2) cluster climbs (2, 3), the (3, 1) one (1, 2, 3); no 2-norm
+    assert sorted(calls.shapes["svd"], reverse=True) == sorted(
+        [(6, 6), (6, 6), (4, 4), (3, 3)] + [(6, 6), (6, 6), (5, 5), (4, 4), (3, 3)], reverse=True)
+    assert norms == []
+    assert sorted(c.climb.levels for c in ps.clusters if c.climb is not None) == [(1, 2, 3), (2, 3)]
 
     calls = Calls(monkeypatch, names=("svd", "solve"))
     norms = count_norm2(monkeypatch)
-    # the defective clusters read the Ran-perp their split kept, and with
+    # the defective clusters read the Ran-perp their climb kept, and with
     # no root spaces given each certified cluster takes one SVD.  Then one
     # batched SVD per shape pairs the perps with the left kernels: the
     # (3, 2) and (2, 2) clusters' 2 x 2 cross-Grams and leak Grams, and the

@@ -1,12 +1,13 @@
 """Defective clusters climbing in the frame past the certified clusters, against full-size climbs.
 
 When some clusters pass the eig certificate and others fail it,
-point_spectrum keeps Z_R, an orthonormal basis of the certified left
+point_spectrum builds Z_R, an orthonormal basis of the certified left
 kernels' complement, and Z_L, the same for the right kernels, with A and
-A^* compressed onto them.  Each failing cluster then takes one n x n SVD, its right
-split; its left split and every staircase level run at n_d = n minus the
-certified multiplicities.  The references here are the full-size routes:
-root_space without the spectrum, and kernel_split of A^*.
+A^* compressed onto them.  Each failing cluster then takes no n x n SVD:
+its climb, whose level 1 gives its right kernel and Ran-perp, and its
+left split run at n_d = n minus the certified multiplicities.  The
+references here are the full-size routes: root_space without the
+spectrum, and kernel_split of A and of A^*.
 """
 
 import numpy as np
@@ -68,6 +69,11 @@ def _climbing(spectrum):
     return [c for c in spectrum.clusters if not c.kernels_are_root_spaces]
 
 
+def _framed(spectrum):
+    # a frame is built when some clusters are certified (they climb nothing) and others are not
+    return 0 < sum(c.climb is None for c in spectrum.clusters) < len(spectrum.clusters)
+
+
 @pytest.mark.parametrize("source, tol", CASES)
 def test_framed_climbs_match_the_full_size_ones(source, tol, monkeypatch):
     a = _matrix(source)
@@ -82,8 +88,8 @@ def test_framed_climbs_match_the_full_size_ones(source, tol, monkeypatch):
     report = check_conditions(a, tol)
     monkeypatch.undo()
     ps = report.spectrum
-    assert ps.frame is not None and _climbing(ps)
-    # check_conditions climbs each cluster once, in the frame of its own spectrum
+    assert _framed(ps) and _climbing(ps)
+    # check_conditions reads each cluster's root spaces once, from its own spectrum
     assert [args[1] for args, _ in used] == list(ps.clusters)
     assert all(args[3] is ps for args, _ in used)
     for c in _climbing(ps):
@@ -92,29 +98,40 @@ def test_framed_climbs_match_the_full_size_ones(source, tol, monkeypatch):
         assert framed.staircase == full.staircase and framed.segre == full.segre
         assert subspace_angle(framed.space, full.space) <= 1e-10
         assert subspace_angle(framed.adjoint_space, full.adjoint_space) <= 1e-10
+        perp, right = kernel_split(a, c.value, c.scatter, tol)
         left = kernel_split(a.conj().T, np.conj(c.value), c.scatter, tol)[1]
+        assert c.right_kernel.dim == right.dim and subspace_angle(c.right_kernel, right) <= 1e-10
+        assert c.range_perp.dim == perp.dim and subspace_angle(c.range_perp, perp) <= 1e-10
         assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
 
 
 @pytest.mark.parametrize("source, tol", CASES)
 def test_only_the_right_split_is_full_size(source, tol, monkeypatch):
+    # the right split is the climb's level 1 and runs at n_d like the rest,
+    # so no SVD of a failing cluster is n x n
     a = _matrix(source)
     n = a.shape[0]
     calls = Calls(monkeypatch, names=("svd",))
     ps = point_spectrum(a, tol)
-    certified = [c for c in ps.clusters if c.range_perp is None]
-    z_r, compressed, z_l, adjoint = ps.frame
-    n_d = n - sum(c.algebraic_multiplicity for c in certified)
-    assert z_r.shape == z_l.shape == (n, n_d) and compressed.shape == adjoint.shape == (n_d, n_d)
-    # each failing cluster: its right split at n, its left split at n_d
-    failing = len(ps.clusters) - len(certified)
-    assert sorted(calls.shapes["svd"]) == sorted([(n, n), (n_d, n_d)] * failing)
+    assert _framed(ps)
+    n_d = n - sum(c.algebraic_multiplicity for c in ps.clusters if c.climb is None)
+    assert 0 < n_d < n
+    # each failing cluster: level 1 and its left split at n_d; a defective
+    # one then takes one SVD per further level at n_d - d_k, and one more
+    # that finds the top unless the root space fills the frame
+    expected = []
+    for c in ps.clusters:
+        if c.climb is not None:
+            expected += [(n_d, n_d)] * 2
+            if not c.semi_simple:
+                expected += [(n_d - d, n_d - d) for d in c.climb.levels if d < n_d]
+    assert sorted(calls.shapes["svd"]) == sorted(expected)
+    calls.shapes["svd"].clear()
     for c in _climbing(ps):
-        calls.shapes["svd"].clear()
         rs = root_space(a, c, tol, ps)
-        # one SVD per level at n_d - d_k, and one more that finds the top
-        # unless the root space fills the frame
-        assert calls.shapes["svd"] == [(n_d - d, n_d - d) for d in (0, *rs.staircase) if d < n_d]
+        assert rs.staircase == c.climb.levels
+    # root_space reads what point_spectrum climbed
+    assert calls.shapes["svd"] == []
 
 
 @pytest.mark.parametrize("spec, tol", [
@@ -125,14 +142,20 @@ def test_only_the_right_split_is_full_size(source, tol, monkeypatch):
 def test_without_a_certified_cluster_there_is_no_frame(spec, tol):
     a = generate(spec)
     ps = point_spectrum(a, tol)
-    assert ps.frame is None
+    assert not _framed(ps)
     for c in ps.clusters:
         framed, full = root_space(a, c, tol, ps), root_space(a, c, tol)
         assert framed.staircase == full.staircase
         assert np.array_equal(framed.space.basis, full.space.basis)
         assert np.array_equal(framed.adjoint_space.basis, full.adjoint_space.basis)
+        # unframed kernels and Ran-perp are the full-size splits' bit for bit
+        perp, right = kernel_split(a, c.value, c.scatter, tol)
+        left = kernel_split(a.conj().T, np.conj(c.value), c.scatter, tol)[1]
+        assert np.array_equal(c.right_kernel.basis, right.basis)
+        assert np.array_equal(c.range_perp.basis, perp.basis)
+        assert np.array_equal(c.left_kernel.basis, left.basis)
 
 
 def test_a_semi_simple_spectrum_takes_no_frame():
     a = generate(FamilySpec("block_jordan", 8, {"blocks": tuple((float(k), (1, 1)) for k in range(4)), "cond": 10.0}, 2))
-    assert point_spectrum(a, WIDE).frame is None
+    assert all(c.climb is None for c in point_spectrum(a, WIDE).clusters)

@@ -1,7 +1,8 @@
 """Real-arithmetic SVDs for exactly real shifted matrices, against complex ones.
 
-kernel_split and every staircase level of root_space factor a shifted
-matrix whose entries are all real by a real SVD.  The reference below
+Every level of spectral's staircase climb (kernel_split is its level 1)
+and the left split factor a shifted matrix whose entries are all real by
+a real SVD.  The reference below
 factors the same matrices as complex arrays, as every SVD did before;
 both routes must find the same staircases, Segre characteristics and
 report bytes, and subspaces that agree to roundoff.
@@ -24,7 +25,7 @@ from biortho import (
     root_space,
     subspace_angle,
 )
-from biortho import rootspace, spectral
+from biortho import spectral
 from conftest import Calls
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
@@ -59,7 +60,6 @@ def test_real_svds_match_the_complex_route(source, tol, monkeypatch):
     roots, doc = _diagnose(a, tol)
     with monkeypatch.context() as patched:
         patched.setattr(spectral, "_svd", _complex_svd)
-        patched.setattr(rootspace, "_svd", _complex_svd)
         ref_roots, ref_doc = _diagnose(a, tol)
     assert doc == ref_doc
     for rs, ref in zip(roots, ref_roots):
@@ -75,6 +75,6 @@ def test_a_real_file_at_a_real_eigenvalue_takes_real_svds(name, monkeypatch):
     calls = Calls(monkeypatch, names=("svd",))
     for c in point_spectrum(a).clusters:
         root_space(a, c)
-    # the kernel splits of A and A^* and every staircase level
+    # point_spectrum's climb and left split, and each standalone climb
     assert len(calls.dtypes["svd"]) > 2
     assert set(calls.dtypes["svd"]) == {np.dtype(np.float64)}
