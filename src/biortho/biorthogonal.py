@@ -62,8 +62,8 @@ def _link(sigma, k1, k2, tol, cluster_index):
     if k1 == 0 or k2 == 0:
         return SkewLinkVerdict(cluster_index, False, k1, 0.0)
     sigma_min = float(sigma[-1])
-    rank = int(np.count_nonzero(sigma > tol.rank_eps * k1))
-    linked = (k1 == k2) and sigma_min > tol.rank_eps * k1
+    rank = int(np.count_nonzero(sigma > tol.link_cutoff(k1)))
+    linked = (k1 == k2) and sigma_min > tol.link_cutoff(k1)
     return SkewLinkVerdict(cluster_index, linked, k1 - rank, sigma_min)
 
 
@@ -72,7 +72,7 @@ def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
 
     The criterion is rank-based on the cross-Gram C = B2^* B1 of the
     orthonormal bases: linked iff dim(s1) == dim(s2) and
-    sigma_min(C) > rank_eps * dim(s1).
+    sigma_min(C) > Tolerance.link_cutoff(dim(s1)).
     """
     (sigma,), _ = subspace_pairs([s1.basis], [s2.basis])
     return _link(sigma, s1.dim, s2.dim, tol, cluster_index)

@@ -26,7 +26,7 @@ from dataclasses import replace
 from .conditions import FAIL, check_conditions
 from .errors import BiorthoError
 from .gallery import FAMILIES, FamilySpec, generate, truncation_study
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .mmio import read_matrix, write_matrix
 from .report import ReportDocument, matrix_digest
 
@@ -85,7 +85,7 @@ def _tolerance(args):
     if rank is None:
         env = os.environ.get("BIORTHO_TOL_RANK")
         try:
-            rank = float(env) if env else 1e-10
+            rank = float(env) if env else DEFAULT_TOL.rank_eps
         except ValueError:
             raise ValueError("BIORTHO_TOL_RANK must be a number, found %r" % env) from None
     return Tolerance(
@@ -96,12 +96,15 @@ def _tolerance(args):
 
 
 def _add_tolerance_flags(sub):
+    # the help shows each default as 1e-8, not as %g's 1e-08
+    rank, cluster, residual = (("%g" % eps).replace("e-0", "e-") for eps in
+                               (DEFAULT_TOL.rank_eps, DEFAULT_TOL.cluster_eps, DEFAULT_TOL.residual_eps))
     sub.add_argument("--tol-rank", type=float, default=None,
-                     help="relative singular-value cutoff (default 1e-10)")
-    sub.add_argument("--tol-cluster", type=float, default=1e-8,
-                     help="relative eigenvalue grouping radius (default 1e-8)")
-    sub.add_argument("--tol-residual", type=float, default=1e-8,
-                     help="verification residual threshold (default 1e-8)")
+                     help="relative singular-value cutoff (default %s)" % rank)
+    sub.add_argument("--tol-cluster", type=float, default=DEFAULT_TOL.cluster_eps,
+                     help="relative eigenvalue grouping radius (default %s)" % cluster)
+    sub.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_eps,
+                     help="verification residual threshold (default %s)" % residual)
 
 
 def _family_params(args):

@@ -82,7 +82,7 @@ class NormalityReport:
     mutually orthogonal, (b) every cluster semi-simple, (c) spectrum
     conjugation symmetric, (d) eigenvectors span, (e) left kernels equal
     right kernels everywhere.  is_normal is decided directly from the
-    commutator, relative to the squared operator norm.
+    commutator, at Tolerance.normality_threshold.
     """
 
     is_normal: bool
@@ -116,14 +116,9 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
     """Indices of clusters whose left and right kernels differ.
 
     A cluster enters the set when its kernels sit at an angle above
-    10 * residual_eps, as kernels of unequal dimension always do (pi/2).
+    Tolerance.angle_threshold, as kernels of unequal dimension always do (pi/2).
     """
-    return _differing(_kernel_links(spectrum, tol)[1], tol)
-
-
-def _differing(angles, tol):
-    # the indices whose subspace pair sits at an angle above 10 * residual_eps
-    return tuple(int(i) for i in np.flatnonzero(angles > 10.0 * tol.residual_eps))
+    return tuple(int(i) for i in np.flatnonzero(_kernel_links(spectrum, tol)[1] > tol.angle_threshold))
 
 
 def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None):
@@ -272,13 +267,11 @@ def check_conditions(a, tol=DEFAULT_TOL):
     if adj_values is None:
         adj_values = _lapack(np.linalg.eigvals, adj)
     adj_groups = eigenvalue_groups(adj_values, tol)
-    radius = tol.cluster_eps * ps.scale
-
-    c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], radius)
+    c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], tol.cluster_radius(ps.values()))
 
     # one pairing of the kernels gives the sigma set and the C2 links
     links, kernel_angles = _kernel_links(ps, tol)
-    sig = _differing(kernel_angles, tol)
+    sig = tuple(int(i) for i in np.flatnonzero(kernel_angles > tol.angle_threshold))
     c2 = _check_skew(
         "C2",
         {i: links[i] for i in sig},
@@ -306,7 +299,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
     sigmas, angles = subspace_pairs([roots[i].space.basis for i in climbing],
                                     [roots[i].adjoint_space.basis for i in climbing])
     root_links = {i: _link(s, roots[i].space.dim, roots[i].adjoint_space.dim, tol, i)
-                  for i, s, angle in zip(climbing, sigmas, angles) if angle > 10.0 * tol.residual_eps}
+                  for i, s, angle in zip(climbing, sigmas, angles) if angle > tol.angle_threshold}
     root_links.update({i: links[i] for i in sig if ps.clusters[i].kernels_are_root_spaces})
     root_links = dict(sorted(root_links.items()))
     c3p = ConditionVerdict(
@@ -331,10 +324,10 @@ def check_conditions(a, tol=DEFAULT_TOL):
     commutator = a @ adj - adj @ a
     commutator_norm = float(np.linalg.norm(commutator, "fro"))
     norm_a = float(np.linalg.norm(a, 2))
-    is_normal = commutator_norm <= tol.residual_eps * max(1.0, norm_a * norm_a)
+    is_normal = commutator_norm <= tol.normality_threshold(norm_a)
     overlap = _eigenspace_overlap(eigvec_matrix(ps), [c.geometric_multiplicity for c in ps.clusters])
     properties = {
-        "a": PASS if overlap <= 10.0 * tol.residual_eps else FAIL,
+        "a": PASS if overlap <= tol.angle_threshold else FAIL,
         "b": FAIL if defective else PASS,
         "c": c1.status,
         "d": PASS if spans.eigen_span_dim == n else FAIL,

@@ -2,16 +2,8 @@
 
 Subspaces are carried as orthonormal column bases: most from an SVD, a
 certified cluster's kernels from eig columns and a thin QR (spectral).
-Each rank decision keeps its own cutoff, where it is made:
-- stacked bases (rootspace's spans; nullspace, range_space and
-  condition_number here): sigma <= rank_eps * sigma_max * max(rows, cols);
-- a non-certified cluster's one cutoff, for every staircase level and its
-  left split (spectral._climb): sigma <= rank_eps * n * max(sigma_max, |lambda|),
-  sigma_max that of level 1, which gives the right kernel and Ran-perp; without
-  a frame, after the collapse test sigma_max <= 1.25 * scatter + rank_eps * n * |lambda|;
-- spectral's eig certificate: ||(A - lambda I) Q||_F <= rank_eps * n *
-  max(||A - lambda I||_F / sqrt(n), |lambda|);
-- biorthogonal's skew link: sigma_min of a k-column cross-Gram > rank_eps * k.
+Every cutoff, radius and threshold a verdict turns on is one Tolerance
+method, which states its rule.
 """
 
 from __future__ import annotations
@@ -41,12 +33,13 @@ class Tolerance:
     rank_eps
         Relative singular-value cutoff for rank decisions.
     cluster_eps
-        Eigenvalue grouping radius, relative to the spectral scale
-        ``max(1, max |lambda|)``.
+        Eigenvalue grouping radius, relative to the spectral scale.
     residual_eps
         Acceptance threshold for verification residuals.
 
-    All three must lie strictly between 0 and 1.
+    All three must lie strictly between 0 and 1.  Each method is the one rule
+    behind one kind of decision.  A singular value at a rank cutoff counts as
+    zero; a residual, distance, angle or norm at its threshold passes.
     """
 
     rank_eps: float = 1e-10
@@ -61,6 +54,40 @@ class Tolerance:
                     "%s must lie strictly inside (0, 1), got %r" % (name, value)
                 )
 
+    def stacked_rank(self, s, shape):
+        """Rank from the singular values s of a matrix of this shape: the count above rank_eps * s[0] * max(shape)."""
+        return int(np.count_nonzero(s > self.rank_eps * float(s[0]) * max(shape))) if s.size else 0
+
+    def climb_cutoff(self, n, sigma_max, lam):
+        """A staircase climb's one cutoff, rank_eps * n * max(sigma_max, |lam|), for an n x n A."""
+        return self.rank_eps * n * max(sigma_max, abs(lam))
+
+    def collapse_bound(self, n, scatter, lam):
+        """1.25 * scatter + rank_eps * n * |lam|, the 1.25 headroom over the exact scatter so
+        that a singular value computed by another route cannot straddle the line."""
+        return 1.25 * scatter + self.rank_eps * n * abs(lam)
+
+    def certificate_cutoff(self, n, fro, lam):
+        """The eig certificates' cutoffs rank_eps * n * max(||A - lam I||_F / sqrt(n), |lam|)."""
+        return self.rank_eps * n * np.maximum(fro / np.sqrt(n), np.abs(lam))
+
+    def cluster_radius(self, values):
+        """The single-linkage and C1 radius cluster_eps * max(1, max |values|)."""
+        return self.cluster_eps * max(1.0, float(np.abs(values).max()))
+
+    def link_cutoff(self, k):
+        """rank_eps * k, for the singular values of a k-column cross-Gram."""
+        return self.rank_eps * k
+
+    @property
+    def angle_threshold(self):
+        """10 * residual_eps, for subspace angles and the overlap of eigenspaces."""
+        return 10.0 * self.residual_eps
+
+    def normality_threshold(self, norm_a):
+        """residual_eps * max(1, ||A||_2^2), for the commutator norm."""
+        return self.residual_eps * max(1.0, norm_a * norm_a)
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -68,11 +95,12 @@ DEFAULT_TOL = Tolerance()
 def as_matrix(a):
     """Coerce input to a finite complex128 matrix.
 
-    Accepts anything ``np.asarray`` does.  Raises ValueError for inputs
-    that are not two-dimensional, are empty along an axis, or contain
-    NaN or infinity.
+    Accepts anything ``np.asarray`` does, and returns a C-ordered complex128
+    matrix itself, not a copy, so no caller writes into its result.  Raises
+    ValueError for inputs that are not two-dimensional, are empty along an
+    axis, or contain NaN or infinity.
     """
-    m = np.array(a, dtype=complex, order="C")
+    m = np.asarray(a, dtype=complex, order="C")
     if m.ndim != 2:
         raise ValueError("expected a 2-d matrix, got ndim=%d" % m.ndim)
     if m.shape[0] == 0 or m.shape[1] == 0:
@@ -140,33 +168,21 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _rank_from_singular_values(s, shape, tol):
-    if s.size == 0:
-        return 0
-    cutoff = tol.rank_eps * float(s[0]) * max(shape)
-    return int(np.count_nonzero(s > cutoff))
-
-
 def nullspace(m, tol=DEFAULT_TOL):
     """Orthonormal basis of Ker(m) as a Subspace of the column space.
 
-    Rank is decided by the package-wide cutoff rule applied to the
-    singular values of ``m``.
+    Rank is decided by Tolerance.stacked_rank on the singular values of ``m``.
     """
     m = as_matrix(m)
     _, s, vh = np.linalg.svd(m)
-    rank = _rank_from_singular_values(s, m.shape, tol)
-    basis = phase_normalize(vh[rank:].conj().T)
-    return Subspace(m.shape[1], basis)
+    return Subspace(m.shape[1], phase_normalize(vh[tol.stacked_rank(s, m.shape):].conj().T))
 
 
 def range_space(m, tol=DEFAULT_TOL):
     """Orthonormal basis of Ran(m) as a Subspace of the row space."""
     m = as_matrix(m)
     u, s, _ = np.linalg.svd(m)
-    rank = _rank_from_singular_values(s, m.shape, tol)
-    basis = phase_normalize(u[:, :rank])
-    return Subspace(m.shape[0], basis)
+    return Subspace(m.shape[0], phase_normalize(u[:, :tol.stacked_rank(s, m.shape)]))
 
 
 def _stacked_by_shape(firsts, seconds):
@@ -233,6 +249,4 @@ def condition_number(m, tol=DEFAULT_TOL):
     if m.shape[0] != m.shape[1]:
         raise ValueError("condition number requires a square matrix")
     s = np.linalg.svd(m, compute_uv=False)
-    if _rank_from_singular_values(s, m.shape, tol) < m.shape[0]:
-        return float("inf")
-    return float(s[0] / s[-1])
+    return float(s[0] / s[-1]) if tol.stacked_rank(s, m.shape) == m.shape[0] else float("inf")

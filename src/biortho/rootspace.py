@@ -7,9 +7,9 @@ deflation (Kagstrom & Ruhe, ACM TOMS 6(3), 1980) climbs it with no power of B:
 the SVD of the trailing block of Q*BQ rotates that block's kernel to the
 front; each step is its nullity at the cluster's one cutoff.  Its first level
 is the eigenspace: spectral._climb takes the cluster's right kernel, Ran-perp
-and the cutoff rank_eps * n * max(sigma_max, |lambda|) from level 1, so a
-non-certified cluster's m_g is d_1 by construction, and point_spectrum keeps
-each climb (EigenvalueCluster.climb).  At the top Q*BQ = [[N, X], [0, T]],
+and the cutoff (Tolerance.climb_cutoff) from level 1, so a non-certified
+cluster's m_g is d_1 by construction, and point_spectrum keeps each climb
+(EigenvalueCluster.climb).  At the top Q*BQ = [[N, X], [0, T]],
 N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I] with
 S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
 adjoint's root space: A^* climbs no staircase.  In a frame (spectral._frame),
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, RootSpaceMismatchError
-from .linalg import DEFAULT_TOL, Subspace, _rank_from_singular_values, as_matrix
+from .linalg import DEFAULT_TOL, Subspace, as_matrix
 from .spectral import _climb, point_spectrum
 
 __all__ = ["RootSpace", "SpanReport", "root_space", "span_report"]
@@ -108,7 +108,7 @@ class SpanReport:
 def _stacked_rank(blocks, tol):
     basis = np.hstack(blocks)
     s = np.linalg.svd(basis, compute_uv=False)
-    return _rank_from_singular_values(s, basis.shape, tol), s
+    return tol.stacked_rank(s, basis.shape), s
 
 
 def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):

@@ -1,10 +1,10 @@
 """Clustered point spectrum with right and left kernel bases.
 
 Eigenvalues and right eigenvectors come from one ``np.linalg.eig`` call
-and are grouped by single linkage with radius ``cluster_eps * max(1, max
-|lambda|)``: two eigenvalues land in the same cluster whenever a chain of
-pairwise-close eigenvalues connects them.  The closure is order
-independent.  Each cluster carries the kernels of ``A - lambda I`` and
+and are grouped by single linkage within Tolerance.cluster_radius: two
+eigenvalues land in the same cluster whenever a chain of pairwise-close
+eigenvalues connects them.  The closure is order independent.  Each
+cluster carries the kernels of ``A - lambda I`` and
 ``A^* - conj(lambda) I`` at the cluster centroid.
 
 When there is more than one cluster, eig(A^*) runs too, and every
@@ -14,8 +14,8 @@ the eig(A^*) columns at the m adjoint eigenvalues nearest conj(lambda)
 as its left block; each block is orthonormalized (a unit column, else a
 thin QR).  When every cluster is simple, each side's vectors first take
 one correction against their own residuals (see _refined).  Both blocks
-Q must then pass ||(A - lambda I) Q||_F <= ``rank_eps * n * max(||A -
-lambda I||_F / sqrt(n), |lambda|)``.  By Courant-Fischer,
+Q must then pass ||(A - lambda I) Q||_F <= Tolerance.certificate_cutoff,
+scaled by max(||A - lambda I||_F / sqrt(n), |lambda|).  By Courant-Fischer,
 sigma_(n-m+1)(A - lambda I) <= ||(A - lambda I) Q||_2 <= ||.||_F, and
 the Frobenius norm over sqrt(n) bounds sigma_max from below, so a
 certified Q proves the SVD would find a kernel of dimension at least m
@@ -27,10 +27,10 @@ once (_climb), and one rank rule decides every level.  Level 1 factors
 the shifted matrix: its kernel is the right kernel, so m_g = d_1 by
 construction, and the complement of its range is Ran(A - lambda I)-perp,
 which the residual identity of conditions reads back.  Its sigma_max
-sets the cluster's one cutoff rank_eps * n * max(sigma_max, |lambda|),
-which every later level and the left split (one SVD of the shifted
-adjoint) read.  The climb keeps only its levels, the cutoff and the
-finished root bases (EigenvalueCluster.climb), which rootspace returns.
+sets the cluster's one cutoff (Tolerance.climb_cutoff), which every
+later level and the left split (one SVD of the shifted adjoint) read.
+The climb keeps only its levels, the cutoff and the finished root bases
+(EigenvalueCluster.climb), which rootspace returns.
 
 When some clusters are certified and others are not, the others work
 in a frame (_frame) of dimension n_d, n less the certified multiplicities:
@@ -64,10 +64,6 @@ __all__ = [
     "eigvec_matrix",
     "kernel_split",
 ]
-
-# headroom over the exact scatter so a singular value computed through a
-# different route (SVD vs eigenvalue subtraction) cannot straddle the line
-_SCATTER_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
@@ -141,11 +137,6 @@ class PointSpectrum:
     clusters: tuple
     adjoint_eigenvalues: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @property
-    def scale(self):
-        """Spectral scale max(1, max |lambda|) used for relative radii."""
-        return max(1.0, max(abs(c.value) for c in self.clusters))
-
     def values(self):
         return np.array([c.value for c in self.clusters])
 
@@ -213,10 +204,10 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     Z_L times the complement of Z_L^* Z_R U_1, U_1 level 1's range.
     A merged cluster cannot distinguish eigenvalues closer to lam than its
     scatter, and cancellation noise in the shift reaches rank_eps * n * |lam|.
-    So without a frame, a sigma_max at or below their sum makes B zero at the
-    cluster's resolution: both spaces are one Subspace spanned by the identity,
-    free of SVD rounding.  Otherwise the cutoff is
-    rank_eps * n * max(sigma_max, |lam|), since near lam I the shifted matrix
+    So without a frame, a sigma_max at or below their sum (Tolerance.collapse_bound)
+    makes B zero at the cluster's resolution: both spaces are one Subspace spanned
+    by the identity, free of SVD rounding.  Otherwise the cutoff is
+    Tolerance.climb_cutoff, anchored on |lam| since near lam I the shifted matrix
     is cancellation noise and its sigma_max no scale; every later level reads it.
     With with_left, it also decides the left kernel (_left_kernel) before the
     later levels, so that the SVD's n x n temporaries precede theirs on the
@@ -230,8 +221,8 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     z_r, b, z_l, _ = (None, a, None, None) if frame is None else frame
     n_d = b.shape[0]
     u, s, vh = _svd(_shift(np.array(b, dtype=complex), lam), lam)
-    cutoff = tol.rank_eps * n * max(float(s[0]), abs(lam))
-    if z_r is None and s[0] <= _SCATTER_MARGIN * scatter + tol.rank_eps * n * abs(lam):
+    cutoff = tol.climb_cutoff(n, float(s[0]), lam)
+    if z_r is None and s[0] <= tol.collapse_bound(n, scatter, lam):
         perp = right = Subspace(n, phase_normalize(np.eye(n, dtype=complex)))
         rank = 0
     else:
@@ -292,9 +283,8 @@ def eigenvalue_groups(values, tol=DEFAULT_TOL):
 
     Returns one (centroid, scatter, member indices) triple per group.
     """
-    radius = tol.cluster_eps * max(1.0, float(np.abs(values).max()))
     groups = []
-    for idx in _single_linkage_groups(values, radius):
+    for idx in _single_linkage_groups(values, tol.cluster_radius(values)):
         if len(idx) == 1:
             # the mean of one value is that value, bit for bit
             groups.append((complex(values[idx[0]]), 0.0, idx))
@@ -340,8 +330,8 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
     eigenvalues nearest conj(lam) as its left block, each orthonormalized.
     When every group is simple, each side's vectors are first refined
     against that side's own residuals.  A group is left out when either
-    block's residual ||(A - lam I) Q||_F exceeds the cutoff (or is not
-    finite), so the caller falls back to the SVD route for it.
+    block's residual ||(A - lam I) Q||_F exceeds Tolerance.certificate_cutoff
+    (or is not finite), so the caller falls back to the SVD route for it.
     """
     n = a.shape[0]
     adj = a.conj().T
@@ -367,7 +357,7 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
     diag = np.diag(a)
     off = a - np.diag(diag)
     fro = np.sqrt(np.vdot(off, off).real + (np.abs(diag[None, :] - lam[:, None]) ** 2).sum(axis=1))
-    cutoff = tol.rank_eps * n * np.maximum(fro / np.sqrt(n), np.abs(lam))
+    cutoff = tol.certificate_cutoff(n, fro, lam)
     certified = (right_res <= cutoff) & (left_res <= cutoff)
     # each column takes its own phase, so one call per side serves every block
     right, left = phase_normalize(right), phase_normalize(left)

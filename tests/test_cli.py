@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from biortho import FamilySpec, generate, read_matrix, write_matrix
-from biortho.cli import main
+from biortho import DEFAULT_TOL, FamilySpec, generate, read_matrix, write_matrix
+from biortho.cli import _build_parser, _tolerance, main
 
 J2_TEXT = (
     "%%MatrixMarket matrix array complex general\n"
@@ -144,6 +144,20 @@ def test_rank_flag_beats_environment(gaussian_path, capsys, monkeypatch):
     assert data["tolerance"]["rank_eps"] == 1e-11
     # without the flag the malformed variable is a real error
     assert main(["analyze", gaussian_path]) == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze", "m.mtx"], ["study", "ep_family", "--sizes", "2"]],
+                         ids=["analyze", "study"])
+def test_tolerance_flags_default_to_the_package_tolerance(argv, monkeypatch, capsys):
+    monkeypatch.delenv("BIORTHO_TOL_RANK", raising=False)
+    args = _build_parser().parse_args(argv)
+    assert (args.tol_cluster, args.tol_residual) == (DEFAULT_TOL.cluster_eps, DEFAULT_TOL.residual_eps)
+    assert _tolerance(args) == DEFAULT_TOL
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    shown = capsys.readouterr().out
+    for text in ("cutoff (default 1e-10)", "radius (default 1e-8)", "threshold (default 1e-8)"):
+        assert text in " ".join(shown.split())
 
 
 def test_malformed_rank_environment_names_the_variable(gaussian_path, capsys, monkeypatch):

@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biortho import (
+    BiorthoError,
+    FamilySpec,
     Subspace,
     Tolerance,
     as_matrix,
+    biorthonormalize,
+    check_conditions,
     condition_number,
+    generate,
     nullspace,
     phase_normalize,
     range_space,
+    root_space,
     subspace_angle,
 )
 from biortho.linalg import subspace_pairs
@@ -49,6 +55,42 @@ def test_as_matrix_validation():
         as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 1]])
+
+
+def test_as_matrix_returns_a_c_ordered_complex_matrix_itself():
+    x = np.arange(6, dtype=complex).reshape(2, 3)
+    assert as_matrix(x) is x
+
+
+@pytest.mark.parametrize("x", [np.arange(6).reshape(2, 3), np.arange(6.0).reshape(2, 3),
+                               np.asfortranarray(np.arange(6, dtype=complex).reshape(2, 3))],
+                         ids=["int", "real", "fortran"])
+def test_as_matrix_copies_any_other_input(x):
+    m = as_matrix(x)
+    assert not np.shares_memory(m, x)
+    assert m.dtype == complex and m.flags.c_contiguous and np.array_equal(m, x)
+
+
+@pytest.mark.parametrize("spec, tol", [
+    (FamilySpec("random_gaussian", 6, {}, seed=3), Tolerance()),
+    # certified and defective clusters together: framed climbs, then a full-size one per root_space
+    (FamilySpec("block_jordan", 8, {"blocks": ((0.0, (2, 1)), (1.0, (1, 1)), (2.0, (3,))), "cond": 10.0}, seed=1),
+     Tolerance(cluster_eps=1e-2)),
+], ids=["gaussian", "block_jordan"])
+def test_no_path_writes_into_its_input(spec, tol):
+    # as_matrix hands a complex C-ordered input on uncopied, so a write anywhere would raise here
+    a = np.array(generate(spec), dtype=complex)
+    a.setflags(write=False)
+    before = a.copy()
+    report = check_conditions(a, tol)
+    if report.biorthonormal_basis_exists:
+        biorthonormalize(a, tol=tol)
+    else:
+        with pytest.raises(BiorthoError):
+            biorthonormalize(a, tol=tol)
+    for c in report.spectrum.clusters:
+        root_space(a, c, tol)
+    assert np.array_equal(a, before)
 
 
 def test_phase_normalize_leading_entry_real_positive():

@@ -215,7 +215,7 @@ def test_adjoint_spectrum_is_conjugate(seed, n):
     mine = np.sort_complex(np.array([c.value for c in ps.clusters]))
     theirs = np.sort_complex(np.conj([c.value for c in aps.clusters]))
     assert len(mine) == len(theirs)
-    assert np.abs(mine - theirs).max() <= 1e-8 * ps.scale
+    assert np.abs(mine - theirs).max() <= Tolerance().cluster_radius(ps.values())
 
 
 def test_adjoint_swaps_kernels():
