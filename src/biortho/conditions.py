@@ -36,7 +36,7 @@ import numpy as np
 from .biorthogonal import _kernel_links, _link, multiplicity_match
 from .linalg import DEFAULT_TOL, as_matrix, subspace_pairs
 from .rootspace import root_space, span_report
-from .spectral import _lapack, eigenvalue_groups, eigvec_matrix, kernel_split, point_spectrum
+from .spectral import _lapack, eigenvalue_groups, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -79,10 +79,12 @@ class NormalityReport:
     """Commutator norm plus the five textbook marks of normality.
 
     properties maps the labels a..e to PASS/FAIL: (a) eigenspaces
-    mutually orthogonal, (b) every cluster semi-simple, (c) spectrum
-    conjugation symmetric, (d) eigenvectors span, (e) left kernels equal
-    right kernels everywhere.  is_normal is decided directly from the
-    commutator, at Tolerance.normality_threshold.
+    mutually orthogonal, ||V^*V - I||_2 <= Tolerance.angle_threshold for
+    V their orthonormal bases side by side (SpanReport.eigen_gram_defect),
+    (b) every cluster semi-simple, (c) spectrum conjugation symmetric,
+    (d) eigenvectors span, (e) left kernels equal right kernels
+    everywhere.  is_normal is decided directly from the commutator, at
+    Tolerance.normality_threshold.
     """
 
     is_normal: bool
@@ -170,42 +172,6 @@ def _unit_columns(m):
     re, im = rows.real[:, None, :], rows.imag[:, None, :]
     squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
     return m / np.sqrt(squares[:, 0, 0])
-
-
-def _eigenspace_overlap(v, dims):
-    """Largest 2-norm of a block V_i^* V_j (i != j) of the eigenvector Gram.
-
-    dims lists the clusters' kernel dimensions in the column order of v.
-    A block with a side of length 1 is a vector, whose 2-norm is its
-    Euclidean length: 1x1 blocks are read off the Gram at once, and the
-    columns a multiple kernel meets a simple one in by their norms.  The
-    blocks between two multiple kernels take one batched SVD per shape.
-    """
-    gram = v.conj().T @ v
-    dims = np.array(dims)
-    owner = np.repeat(np.arange(len(dims)), dims)
-    single = dims[owner] == 1
-    pairs = (owner[:, None] != owner[None, :]) & single[:, None] & single[None, :]
-    overlap = float(np.abs(gram[pairs]).max(initial=0.0))
-    multiple = np.flatnonzero(dims > 1)
-    if not len(multiple):
-        return overlap
-    starts = np.cumsum(dims) - dims
-    # each multiple kernel's column against each simple one, summed over its rows
-    across = np.abs(gram[np.ix_(~single, single)]) ** 2
-    block_starts = np.cumsum(dims[multiple]) - dims[multiple]
-    overlap = max(overlap, float(np.sqrt(np.add.reduceat(across, block_starts, axis=0).max(initial=0.0))))
-    i, j = (multiple[k] for k in np.triu_indices(len(multiple), 1))
-    sizes = sorted(set(dims[multiple].tolist()))
-    for di in sizes:
-        for dj in sizes:
-            shaped = (dims[i] == di) & (dims[j] == dj)
-            if shaped.any():
-                rows = starts[i[shaped], None] + np.arange(di)
-                cols = starts[j[shaped], None] + np.arange(dj)
-                blocks = gram[rows[:, :, None], cols[:, None, :]]
-                overlap = max(overlap, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
-    return overlap
 
 
 def _check_c1(ps, adjoint_values, radius):
@@ -325,9 +291,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
     commutator_norm = float(np.linalg.norm(commutator, "fro"))
     norm_a = float(np.linalg.norm(a, 2))
     is_normal = commutator_norm <= tol.normality_threshold(norm_a)
-    overlap = _eigenspace_overlap(eigvec_matrix(ps), [c.geometric_multiplicity for c in ps.clusters])
     properties = {
-        "a": PASS if overlap <= tol.angle_threshold else FAIL,
+        "a": PASS if spans.eigen_gram_defect <= tol.angle_threshold else FAIL,
         "b": FAIL if defective else PASS,
         "c": c1.status,
         "d": PASS if spans.eigen_span_dim == n else FAIL,

@@ -81,7 +81,7 @@ class Tolerance:
 
     @property
     def angle_threshold(self):
-        """10 * residual_eps, for subspace angles and the overlap of eigenspaces."""
+        """10 * residual_eps, for subspace angles and the Gram defect of the eigenvector bases."""
         return 10.0 * self.residual_eps
 
     def normality_threshold(self, norm_a):

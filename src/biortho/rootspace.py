@@ -19,8 +19,10 @@ is Z_L times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further
 (EigenvalueCluster.kernels_are_root_spaces).  When all clusters do, the
-root spans are the eigenvector spans; the SVD that ranks V also gives
-kappa_v, infinite exactly when the rank falls short of n.
+root spans are the eigenvector spans.  The SVD that ranks V gives kappa_v,
+infinite exactly when the rank falls short of n, and ||V^*V - I||_2, zero
+exactly when V's orthonormal kernel bases are mutually orthogonal.  One
+cluster's root space is all of C^n, one orthonormal block: its rank is n.
 """
 
 from __future__ import annotations
@@ -95,7 +97,11 @@ def root_space(a, cluster, tol=DEFAULT_TOL, spectrum=None):
 
 @dataclass(frozen=True)
 class SpanReport:
-    """Eigenvector and root span dimensions of A and (adjoint_) of A^*, and kappa_v of V."""
+    """Eigenvector and root span dimensions of A and (adjoint_) of A^*.
+
+    kappa_v and eigen_gram_defect = ||V^*V - I||_2 come from the singular
+    values of V, the clusters' orthonormal right kernel bases side by side.
+    """
 
     eigen_span_dim: int
     root_span_dim: int
@@ -103,6 +109,7 @@ class SpanReport:
     adjoint_eigen_span_dim: int
     adjoint_root_span_dim: int
     kappa_v: float
+    eigen_gram_defect: float
 
 
 def _stacked_rank(blocks, tol):
@@ -127,8 +134,11 @@ def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
     if not all(c.kernels_are_root_spaces for c in clusters):
         if root_spaces is None:
             root_spaces = [root_space(a, c, tol, spectrum) for c in clusters]
-        root, _ = _stacked_rank([r.space.basis for r in root_spaces], tol)
-        adjoint_root, _ = _stacked_rank([r.adjoint_space.basis for r in root_spaces], tol)
+        if len(root_spaces) == 1:
+            root, adjoint_root = root_spaces[0].space.dim, root_spaces[0].adjoint_space.dim
+        else:
+            root, _ = _stacked_rank([r.space.basis for r in root_spaces], tol)
+            adjoint_root, _ = _stacked_rank([r.adjoint_space.basis for r in root_spaces], tol)
     return SpanReport(
         eigen_span_dim=eigen,
         root_span_dim=root,
@@ -136,4 +146,5 @@ def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
         adjoint_eigen_span_dim=adjoint_eigen,
         adjoint_root_span_dim=adjoint_root,
         kappa_v=float(s[0] / s[-1]) if eigen == n else float("inf"),
+        eigen_gram_defect=float(max(s[0] * s[0] - 1.0, 1.0 - s[-1] * s[-1])),
     )

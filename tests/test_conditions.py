@@ -18,9 +18,10 @@ from biortho import (
     read_matrix,
     residual_identity_check,
     sigma_set,
+    span_report,
 )
 
-from conftest import random_complex
+from conftest import Calls, random_complex
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 
@@ -245,6 +246,55 @@ def test_normality_mark_a_from_one_gram_matches_pairwise_norms(source, tol):
     a = read_matrix(source) if isinstance(source, str) else source
     report = check_conditions(a, tol)
     assert report.normality.properties["a"] == _pairwise_overlap_marks(report, tol)
+
+
+def _obtuse(c=0.4):
+    # unit eigenvectors at inner products -c: the Gram I - c(J - I) has
+    # eigenvalues 1 - 2c and 1 + c twice, so sigma_min decides the defect 2c
+    w, q = np.linalg.eigh((1.0 + c) * np.eye(3) - c * np.ones((3, 3)))
+    v = (q * np.sqrt(w)) @ q.T
+    return v @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(v)
+
+
+SEMI_SIMPLE_DOUBLES = tuple((float(k), (1, 1)) for k in range(24))
+# the normality cases cover the corpus at both radii, Gaussians, a random
+# normal and semi-simple block_jordans; these add larger and short-V inputs
+GRAM_CASES = NORMALITY_CASES + (
+    [pytest.param(random_complex(40, None, 41), Tolerance(), id="gaussian40")]
+    + [pytest.param(generate(FamilySpec("random_normal", 24, {}, 41)), Tolerance(), id="normal24")]
+    + [
+        pytest.param(_obtuse(), Tolerance(), id="obtuse-eigenvectors"),
+        pytest.param(generate(FamilySpec("block_jordan", 24, {"blocks": SEMI_SIMPLE_DOUBLES[:12], "cond": 30.0}, 42)),
+                     Tolerance(cluster_eps=1e-2), id="semi-simple-block-jordan"),
+        pytest.param(generate(FamilySpec("block_jordan", 13, {"blocks": ((0.0, (2, 1)), (1.0, (3,)), (2.0, (1, 1)),
+                                                                        (3.0, (1,)), (4.0, (2, 2))),
+                                                             "cond": 10.0}, 43)),
+                     Tolerance(cluster_eps=1e-2), id="defective-block-jordan"),
+    ]
+)
+
+
+@pytest.mark.parametrize("source, tol", GRAM_CASES)
+def test_eigen_gram_defect_is_the_norm_of_the_gram_minus_identity(source, tol, request):
+    a = read_matrix(source) if isinstance(source, str) else source
+    ps = point_spectrum(a, tol)
+    v = np.hstack([c.right_kernel.basis for c in ps.clusters])
+    assert v.shape[1] < a.shape[0] or "defective" not in request.node.callspec.id
+    oracle = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]), 2)
+    assert abs(span_report(a, tol, spectrum=ps).eigen_gram_defect - oracle) <= 1e-12
+
+
+def test_mark_a_takes_no_svd_of_gram_blocks(monkeypatch):
+    # 24 certified double eigenvalues: mark (a) reads the singular values of
+    # V that C4 takes, and no stack of the 276 off-diagonal 2 x 2 blocks of V^*V
+    a = generate(FamilySpec("block_jordan", 48, {"blocks": SEMI_SIMPLE_DOUBLES, "cond": 30.0}, 44))
+    calls = Calls(monkeypatch, names=("svd",))
+    report = check_conditions(a, Tolerance(cluster_eps=1e-2))
+    monkeypatch.undo()
+    assert report.diagonalizable and all(c.climb is None for c in report.spectrum.clusters)
+    # V and W for C4; the kernel pairing and the residual identity, each one
+    # batched SVD of its 24 cross-Grams and 24 leak Grams
+    assert sorted(calls.shapes["svd"]) == [(48, 2, 2), (48, 2, 2), (48, 48), (48, 48)]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))

@@ -24,6 +24,7 @@ from biortho import (
     point_spectrum,
     read_matrix,
     root_space,
+    span_report,
     subspace_angle,
 )
 from biortho.rootspace import _segre_from_staircase
@@ -167,6 +168,9 @@ def test_ill_posed_weighted_shift_is_still_refused():
     with pytest.raises(RootSpaceMismatchError) as err:
         check_conditions(a)
     assert err.value.algebraic_multiplicity == 32
+    # span_report climbs before it takes the one cluster's root ranks from its width
+    with pytest.raises(RootSpaceMismatchError):
+        span_report(a)
 
 
 def test_a_refusal_names_the_cutoff_and_the_staircase():

@@ -100,3 +100,15 @@ def test_a_one_cluster_input_takes_two_full_size_svds(monkeypatch):
     # level 1 of the climb and the left split; the later levels shrink
     assert calls.square("svd", 12) == 2
     assert c.climb.levels == (2, 4, 6, 8, 9, 10, 11, 12)
+
+
+def test_a_one_cluster_diagnosis_takes_two_full_size_svds(monkeypatch):
+    # the root spaces of A and A^* are all of C^n, one orthonormal block
+    # each, so span_report takes their ranks from their width n
+    a = generate(FamilySpec("jordan", 32, {"eigenvalue": 0.0, "segre": (16, 8, 4, 2, 1, 1)}))
+    calls = Calls(monkeypatch, names=("svd",))
+    report = check_conditions(a)
+    monkeypatch.undo()
+    assert report.condition("C4").status == "FAIL" and report.condition("C4'").status == "PASS"
+    # level 1 of the climb and the left split; V and W have 6 columns
+    assert sum(1 for shape in calls.shapes["svd"] if shape[-1] == 32) == 2
