@@ -65,7 +65,6 @@ from .rootspace import RootSpace, SpanReport, root_space, span_report
 from .spectral import (
     EigenvalueCluster,
     PointSpectrum,
-    eigvec_matrix,
     point_spectrum,
 )
 

@@ -15,6 +15,9 @@ S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
 adjoint's root space: A^* climbs no staircase.  In a frame (spectral._frame),
 B is Z_R^* A Z_R - lambda I and the root space Z_R Q[:, :m_a]; the adjoint's
 is Z_L times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
+The frame shrinks past each cluster whose climb reached its root spaces, so
+a later cluster climbs at n_d less their multiplicities, and the last one to
+climb fills its frame when every earlier climb reached the top.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further

@@ -35,10 +35,13 @@ The climb keeps only its levels, the cutoff and the finished root bases
 When some clusters are certified and others are not, the others work
 in a frame (_frame) of dimension n_d, n less the certified multiplicities:
 each climbs Z_R^* A Z_R and takes its left kernel from Z_L^* A^* Z_L, so
-none takes an n x n SVD.  The collapse test of kernel_split runs only
-without a frame.  Every SVD goes through _svd: a shifted matrix whose
-entries are all real (a real A at a real lambda) is factored in real
-arithmetic, and phase_normalize makes every basis complex again.
+none takes an n x n SVD.  Once a climb reaches its root spaces, the frame
+shrinks past them (_shrunk) before the next cluster climbs, so n_d also
+loses the multiplicity of every cluster already resolved.  The collapse
+test of kernel_split runs only without a frame.  Every SVD goes through
+_svd: a shifted matrix whose entries are all real (a real A at a real
+lambda) is factored in real arithmetic, and phase_normalize makes every
+basis complex again.
 
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
@@ -61,7 +64,6 @@ __all__ = [
     "PointSpectrum",
     "point_spectrum",
     "eigenvalue_groups",
-    "eigvec_matrix",
     "kernel_split",
 ]
 
@@ -197,11 +199,12 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
 def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     """(Ran-perp, right kernel, left kernel, Climb): Kublanovskaya's staircase at lam, one cutoff for every level.
 
-    B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_frame).  Level 1
+    B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_frame, _shrunk).  Level 1
     factors B: its kernel is Ker(a - lam I) (times Z_R), the complement of
     its range Ran(a - lam I)-perp.  In a frame Ran(a - lam I) also holds the
-    certified right kernels, which Ran(Z_L) is orthogonal to, so Ran-perp is
-    Z_L times the complement of Z_L^* Z_R U_1, U_1 level 1's range.
+    certified right kernels and the root spaces already climbed, which Ran(Z_L)
+    is orthogonal to, so Ran-perp is Z_L times the complement of Z_L^* Z_R U_1,
+    U_1 level 1's range; Ran(B^h) at the top likewise.
     A merged cluster cannot distinguish eigenvalues closer to lam than its
     scatter, and cancellation noise in the shift reaches rank_eps * n * |lam|.
     So without a frame, a sigma_max at or below their sum (Tolerance.collapse_bound)
@@ -375,11 +378,28 @@ def _frame(a, certified):
     complements, each from one complete QR.  A left eigenvector at lambda is
     orthogonal to every root vector at mu != lambda, so Z_R spans the sum of
     the other clusters' root spaces, and Z_L that of their root spaces of A^*.
+    This is the first frame; _shrunk narrows it after each climb that reaches
+    its root spaces.
     """
     k = sum(right.dim for right, _ in certified.values())
     z_r, z_l = (np.linalg.qr(np.hstack([pair[side].basis for pair in certified.values()]), mode="complete")[0][:, k:]
                 for side in (1, 0))
     return z_r, z_r.conj().T @ a @ z_r, z_l, (z_l.conj().T @ a @ z_l).conj().T
+
+
+def _shrunk(frame, climb):
+    """The frame past one more cluster, whose climb reached its root spaces R_c and L_c.
+
+    Ran(Z_R) holds R_c and the root spaces still to climb, which L_c is
+    orthogonal to, so Z_R Q_R spans those, Q_R the complement of Z_R^* L_c;
+    likewise Z_L Q_L with Q_L the complement of Z_L^* R_c.  Both subspaces are
+    invariant, so the compressions are Q^* (Z^* A Z) Q, with no product against A.
+    """
+    z_r, b, z_l, b_adj = frame
+    m = climb.space.dim
+    q_r = np.linalg.qr(z_r.conj().T @ climb.adjoint_space.basis, mode="complete")[0][:, m:]
+    q_l = np.linalg.qr(z_l.conj().T @ climb.space.basis, mode="complete")[0][:, m:]
+    return z_r @ q_r, q_r.conj().T @ b @ q_r, z_l @ q_l, q_l.conj().T @ b_adj @ q_l
 
 
 def point_spectrum(a, tol=DEFAULT_TOL):
@@ -404,6 +424,7 @@ def point_spectrum(a, tol=DEFAULT_TOL):
     # the eig vectors are spent: the climbs below run without them in memory
     del vecs
     frame = _frame(a, certified) if 0 < len(certified) < len(groups) else None
+    failing = len(groups) - len(certified)
     clusters = []
     for k, (lam, scatter, idx) in enumerate(groups):
         perp = climb = None
@@ -411,20 +432,12 @@ def point_spectrum(a, tol=DEFAULT_TOL):
             right, left = certified[k]
         else:
             perp, right, left, climb = _climb(a, lam, scatter, tol, len(idx), frame, with_left=True)
+            failing -= 1
+            if frame is not None and failing and climb.space is not None:
+                frame = _shrunk(frame, climb)
         m_a, m_g = len(idx), right.dim
         clusters.append(EigenvalueCluster(
             value=lam, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=(m_a == m_g),
             right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, climb=climb))
     clusters.sort(key=lambda c: (c.value.real, c.value.imag))
     return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw)
-
-
-def eigvec_matrix(spectrum):
-    """Right kernel bases stacked as columns, grouped in cluster order.
-
-    Columns are unit norm with the deterministic phase convention.  The
-    matrix is square iff the matrix was diagonalizable at the working
-    tolerance.
-    """
-    blocks = [c.right_kernel.basis for c in spectrum.clusters]
-    return np.hstack(blocks)

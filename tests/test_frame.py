@@ -1,11 +1,12 @@
-"""Defective clusters climbing in the frame past the certified clusters, against full-size climbs.
+"""Defective clusters climbing in a frame that shrinks past every resolved cluster, against full-size climbs.
 
 When some clusters pass the eig certificate and others fail it,
 point_spectrum builds Z_R, an orthonormal basis of the certified left
 kernels' complement, and Z_L, the same for the right kernels, with A and
 A^* compressed onto them.  Each failing cluster then takes no n x n SVD:
 its climb, whose level 1 gives its right kernel and Ran-perp, and its
-left split run at n_d = n minus the certified multiplicities.  The
+left split run at n_d, n less the certified multiplicities and those of
+every failing cluster whose climb already reached its root spaces.  The
 references here are the full-size routes: root_space without the
 spectrum, and kernel_split of A and of A^*.
 """
@@ -23,7 +24,8 @@ from biortho import (
     root_space,
     subspace_angle,
 )
-from biortho.spectral import kernel_split
+from biortho import spectral
+from biortho.spectral import Climb, kernel_split
 from conftest import Calls
 
 WIDE = Tolerance(cluster_eps=1e-2)
@@ -52,12 +54,20 @@ def _real_similarity():
     return s @ j @ np.linalg.inv(s)
 
 
+def _uneven(seed):
+    # failing clusters of multiplicity 4 and 3, heights 2 to 4 and four Segres, among simple eigenvalues
+    shapes = ((1,), (4,), (1,), (2, 2), (1,), (3, 1), (1,), (2, 1), (1,), (1,))
+    blocks = tuple((float(k), shape) for k, shape in enumerate(shapes))
+    return FamilySpec("block_jordan", sum(sum(s) for _, s in blocks), {"blocks": blocks, "cond": 10.0}, seed)
+
+
 CASES = (
     [pytest.param(_mixed(count, cond, seed), WIDE, id="mixed%d-cond%g" % (count, cond))
      for count, cond, seed in ((4, 10.0, 1), (8, 30.0, 2), (12, 100.0, 3), (28, 10.0, 4))]
     + [pytest.param(_exceptional(simple, points, seed), POINTS, id="points%d-of-%d" % (points, simple))
        for simple, points, seed in ((20, 2, 5), (30, 3, 6), (60, 2, 7))]
     + [pytest.param(_real_similarity(), WIDE, id="real9")]
+    + [pytest.param(_uneven(8), WIDE, id="uneven")]
 )
 
 
@@ -72,6 +82,46 @@ def _climbing(spectrum):
 def _framed(spectrum):
     # a frame is built when some clusters are certified (they climb nothing) and others are not
     return 0 < sum(c.climb is None for c in spectrum.clusters) < len(spectrum.clusters)
+
+
+def _climbs(monkeypatch, stop_short=()):
+    """(lambda, m_a, frame, climb) of each climb point_spectrum makes, in climb order.
+
+    The climbs whose index is in stop_short report no root spaces, as a
+    staircase that stops short of m_a does.
+    """
+    made = []
+    original = spectral._climb
+
+    def recorded(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
+        perp, right, left, climb = original(a, lam, scatter, tol, m_a, frame, with_left)
+        if len(made) in stop_short:
+            climb = Climb(climb.levels, climb.cutoff)
+        made.append((lam, m_a, frame, climb))
+        return perp, right, left, climb
+
+    monkeypatch.setattr(spectral, "_climb", recorded)
+    return made
+
+
+def _expected_svds(made, n_d):
+    """The frame size of each climb and the SVD shapes of them all, in climb order.
+
+    Each climb runs level 1 and its left split at the frame's size; a
+    defective one then takes one SVD per further level at n_d - d_k, and
+    one more that finds the top unless the root space fills the frame.  A
+    climb that reaches its root spaces takes its m_a off the frame of every
+    later one.
+    """
+    sizes, shapes = [], []
+    for _, m_a, _, climb in made:
+        sizes.append(n_d)
+        shapes += [(n_d, n_d)] * 2
+        if climb.levels[0] < m_a:
+            shapes += [(n_d - d, n_d - d) for d in climb.levels if d < n_d]
+        if climb.space is not None:
+            n_d -= m_a
+    return sizes, shapes
 
 
 @pytest.mark.parametrize("source, tol", CASES)
@@ -107,31 +157,77 @@ def test_framed_climbs_match_the_full_size_ones(source, tol, monkeypatch):
 
 @pytest.mark.parametrize("source, tol", CASES)
 def test_only_the_right_split_is_full_size(source, tol, monkeypatch):
-    # the right split is the climb's level 1 and runs at n_d like the rest,
-    # so no SVD of a failing cluster is n x n
+    # the right split is the climb's level 1 and runs in the frame like the
+    # rest, so no SVD of a failing cluster is n x n, and each climb's frame
+    # is the first one less the m_a of every cluster climbed before it
     a = _matrix(source)
     n = a.shape[0]
+    made = _climbs(monkeypatch)
     calls = Calls(monkeypatch, names=("svd",))
     ps = point_spectrum(a, tol)
     assert _framed(ps)
     n_d = n - sum(c.algebraic_multiplicity for c in ps.clusters if c.climb is None)
     assert 0 < n_d < n
-    # each failing cluster: level 1 and its left split at n_d; a defective
-    # one then takes one SVD per further level at n_d - d_k, and one more
-    # that finds the top unless the root space fills the frame
-    expected = []
-    for c in ps.clusters:
-        if c.climb is not None:
-            expected += [(n_d, n_d)] * 2
-            if not c.semi_simple:
-                expected += [(n_d - d, n_d - d) for d in c.climb.levels if d < n_d]
-    assert sorted(calls.shapes["svd"]) == sorted(expected)
+    sizes, shapes = _expected_svds(made, n_d)
+    assert [frame[1].shape for _, _, frame, _ in made] == [(size, size) for size in sizes]
+    assert calls.shapes["svd"] == shapes
+    # every climb reached its root spaces, so the last one fills its frame:
+    # its adjoint root space is Z_L itself
+    _, m_a, frame, climb = made[-1]
+    assert all(c.space is not None for *_, c in made) and m_a == sizes[-1]
+    assert np.array_equal(climb.adjoint_space.basis, spectral.phase_normalize(frame[2]))
     calls.shapes["svd"].clear()
     for c in _climbing(ps):
         rs = root_space(a, c, tol, ps)
         assert rs.staircase == c.climb.levels
     # root_space reads what point_spectrum climbed
     assert calls.shapes["svd"] == []
+
+
+def test_a_climb_that_stops_short_leaves_the_frame_as_it_was(monkeypatch):
+    a = generate(_mixed(8, 30.0, 2))
+    n = a.shape[0]
+    made = _climbs(monkeypatch, stop_short=(0,))
+    calls = Calls(monkeypatch, names=("svd",))
+    ps = point_spectrum(a, WIDE)
+    assert len(made) > 2 and made[0][3].space is None
+    # the second climb takes the first one's frame itself
+    assert made[1][2] is made[0][2]
+    assert made[2][2][1].shape[0] < made[1][2][1].shape[0]
+    n_d = n - sum(c.algebraic_multiplicity for c in ps.clusters if c.climb is None)
+    sizes, shapes = _expected_svds(made, n_d)
+    assert sizes[1] == sizes[0] == n_d
+    assert calls.shapes["svd"] == shapes
+
+
+def _verdicts(a, tol, monkeypatch):
+    # the report's decisions, Segres included, and the centroids in climb order
+    made = _climbs(monkeypatch)
+    report = check_conditions(a, tol)
+    monkeypatch.undo()
+    ps = report.spectrum
+    clusters = [(round(c.value.real, 6), round(c.value.imag, 6), c.algebraic_multiplicity,
+                 c.geometric_multiplicity, root_space(a, c, tol, ps).segre) for c in ps.clusters]
+    decided = ([(v.id, v.status, v.witnesses) for v in report.conditions], report.sigma_set,
+               [(v.cluster_index, v.linked, v.defect_dim) for v in report.skew_links],
+               report.diagonalizable, report.biorthonormal_basis_exists, clusters)
+    assert report.residual_identity_angle <= 1e-10
+    return decided, [round(lam.real, 3) for lam, *_ in made]
+
+
+@pytest.mark.parametrize("source, tol", [CASES[2], CASES[3]])
+def test_the_climb_order_does_not_change_the_verdicts(source, tol, monkeypatch):
+    # P A P^T reorders eig's output, and with it the order of the climbs and
+    # so the frame each cluster climbs in
+    a = _matrix(source)
+    decided, order = _verdicts(a, tol, monkeypatch)
+    reordered = 0
+    for seed in range(4):
+        perm = np.random.default_rng(seed).permutation(a.shape[0])
+        other, other_order = _verdicts(a[perm][:, perm], tol, monkeypatch)
+        assert other == decided
+        reordered += other_order != order
+    assert reordered
 
 
 @pytest.mark.parametrize("spec, tol", [

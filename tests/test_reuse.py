@@ -18,7 +18,6 @@ from biortho import (
     Tolerance,
     check_conditions,
     condition_number,
-    eigvec_matrix,
     generate,
     point_spectrum,
     read_matrix,
@@ -69,7 +68,7 @@ def _reference(a, tol):
     c4p = "root subspaces span %d/%d dimensions (adjoint side %d/%d)" % (
         _rank([r.space.basis for r in roots], tol), n,
         _rank([r.adjoint_space.basis for r in roots], tol), n)
-    v = eigvec_matrix(ps)
+    v = np.hstack([c.right_kernel.basis for c in ps.clusters])
     kappa = condition_number(v, tol) if v.shape[1] == n else float("inf")
     return c2p, c4, c4p, kappa
 

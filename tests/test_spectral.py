@@ -10,7 +10,6 @@ from biortho import (
     FamilySpec,
     Subspace,
     Tolerance,
-    eigvec_matrix,
     generate,
     point_spectrum,
     subspace_angle,
@@ -230,14 +229,14 @@ def test_adjoint_swaps_kernels():
 
 def test_eigvec_matrix_shape_and_phases():
     ps = point_spectrum([[1, 1], [0, 2]])
-    v = eigvec_matrix(ps)
+    v = np.hstack([c.right_kernel.basis for c in ps.clusters])
     assert v.shape == (2, 2)
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
     for j in range(2):
         lead = v[np.argmax(np.abs(v[:, j]) > 1e-8), j]
         assert lead.real > 0 and abs(lead.imag) < 1e-14
     # defective matrix gives a thin eigenvector matrix
-    thin = eigvec_matrix(point_spectrum([[0, 1], [0, 0]]))
+    thin = np.hstack([c.right_kernel.basis for c in point_spectrum([[0, 1], [0, 0]]).clusters])
     assert thin.shape == (2, 1)
 
 
