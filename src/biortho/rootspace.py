@@ -12,12 +12,14 @@ cluster's m_g is d_1 by construction, and point_spectrum keeps each climb
 (EigenvalueCluster.climb).  At the top Q*BQ = [[N, X], [0, T]],
 N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I] with
 S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
-adjoint's root space: A^* climbs no staircase.  In a frame (spectral._frame),
+adjoint's root space: A^* climbs no staircase.  In a frame (spectral._shrunk),
 B is Z_R^* A Z_R - lambda I and the root space Z_R Q[:, :m_a]; the adjoint's
 is Z_L times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
-The frame shrinks past each cluster whose climb reached its root spaces, so
-a later cluster climbs at n_d less their multiplicities, and the last one to
-climb fills its frame when every earlier climb reached the top.
+The frame leaves out the certified clusters and each cluster whose climb
+reached its root spaces, so a later cluster climbs at n_d less their
+multiplicities, and the last one to climb fills its frame when every
+earlier climb reached the top.  Only a single cluster, and the first climb
+when no cluster is certified, climb unframed.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further

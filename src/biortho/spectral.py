@@ -32,13 +32,14 @@ later level and the left split (one SVD of the shifted adjoint) read.
 The climb keeps only its levels, the cutoff and the finished root bases
 (EigenvalueCluster.climb), which rootspace returns.
 
-When some clusters are certified and others are not, the others work
-in a frame (_frame) of dimension n_d, n less the certified multiplicities:
-each climbs Z_R^* A Z_R and takes its left kernel from Z_L^* A^* Z_L, so
-none takes an n x n SVD.  Once a climb reaches its root spaces, the frame
-shrinks past them (_shrunk) before the next cluster climbs, so n_d also
-loses the multiplicity of every cluster already resolved.  The collapse
-test of kernel_split runs only without a frame.  Every SVD goes through
+While some cluster fails, every resolved cluster leaves the frame
+(_shrunk): the certified ones before any climb, and each failing one once
+its climb reaches its root spaces.  A cluster then climbs in a frame of
+dimension n_d, n less the multiplicities resolved before it: it climbs
+Z_R^* A Z_R and takes its left kernel from (Z_L^* A Z_L)^*, so it takes no
+n x n SVD.  Only a single cluster, and the first climb when no cluster is
+certified, climb unframed, at n.  The collapse test of kernel_split runs
+only without a frame.  Every SVD goes through
 _svd: a shifted matrix whose entries are all real (a real A at a real
 lambda) is factored in real arithmetic, and phase_normalize makes every
 basis complex again.
@@ -199,7 +200,7 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
 def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     """(Ran-perp, right kernel, left kernel, Climb): Kublanovskaya's staircase at lam, one cutoff for every level.
 
-    B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_frame, _shrunk).  Level 1
+    B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_shrunk).  Level 1
     factors B: its kernel is Ker(a - lam I) (times Z_R), the complement of
     its range Ran(a - lam I)-perp.  In a frame Ran(a - lam I) also holds the
     certified right kernels and the root spaces already climbed, which Ran(Z_L)
@@ -276,7 +277,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
 
 def _left_kernel(a, lam, cutoff, frame):
     # Ker(a^* - conj(lam) I) at a climb's cutoff, from one SVD, in the frame if any
-    _, s, vh = _svd(_shift(a.conj().T if frame is None else frame[3].copy(), lam.conjugate()), lam.conjugate())
+    _, s, vh = _svd(_shift((a if frame is None else frame[3]).conj().T, lam.conjugate()), lam.conjugate())
     left = vh[np.count_nonzero(s > cutoff):].conj().T
     return Subspace(a.shape[0], phase_normalize(left if frame is None else frame[2] @ left))
 
@@ -371,35 +372,25 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
     }
 
 
-def _frame(a, certified):
-    """(Z_R, Z_R^* A Z_R, Z_L, Z_L^* A^* Z_L), Z_R and Z_L past the certified kernels.
+def _shrunk(a, frame, rights, lefts):
+    """(Z_R, Z_R^* A Z_R, Z_L, Z_L^* A Z_L), the frame past clusters just resolved.
 
-    Z_R and Z_L are orthonormal bases of the certified left and right kernels'
-    complements, each from one complete QR.  A left eigenvector at lambda is
-    orthogonal to every root vector at mu != lambda, so Z_R spans the sum of
-    the other clusters' root spaces, and Z_L that of their root spaces of A^*.
-    This is the first frame; _shrunk narrows it after each climb that reaches
-    its root spaces.
-    """
-    k = sum(right.dim for right, _ in certified.values())
-    z_r, z_l = (np.linalg.qr(np.hstack([pair[side].basis for pair in certified.values()]), mode="complete")[0][:, k:]
-                for side in (1, 0))
-    return z_r, z_r.conj().T @ a @ z_r, z_l, (z_l.conj().T @ a @ z_l).conj().T
-
-
-def _shrunk(frame, climb):
-    """The frame past one more cluster, whose climb reached its root spaces R_c and L_c.
-
+    frame is the frame so far, None for all of C^n, and rights and lefts
+    are the stacked root bases R_c and L_c of the clusters it leaves behind:
+    the certified kernels, or the root spaces a climb reached.  A left root
+    vector at lambda is orthogonal to every root vector at mu != lambda, so
     Ran(Z_R) holds R_c and the root spaces still to climb, which L_c is
-    orthogonal to, so Z_R Q_R spans those, Q_R the complement of Z_R^* L_c;
-    likewise Z_L Q_L with Q_L the complement of Z_L^* R_c.  Both subspaces are
-    invariant, so the compressions are Q^* (Z^* A Z) Q, with no product against A.
+    orthogonal to; Z_R Q_R spans those, Q_R the tail of a complete QR of
+    Z_R^* L_c.  Likewise Z_L Q_L, with Q_L that of Z_L^* R_c.  Both
+    subspaces are invariant, so the compressions are Q^* (Z^* A Z) Q, with
+    no new product against A once a frame exists.
     """
-    z_r, b, z_l, b_adj = frame
-    m = climb.space.dim
-    q_r = np.linalg.qr(z_r.conj().T @ climb.adjoint_space.basis, mode="complete")[0][:, m:]
-    q_l = np.linalg.qr(z_l.conj().T @ climb.space.basis, mode="complete")[0][:, m:]
-    return z_r @ q_r, q_r.conj().T @ b @ q_r, z_l @ q_l, q_l.conj().T @ b_adj @ q_l
+    frame = (None, a, None, a) if frame is None else frame
+    shrunk = ()
+    for z, b, resolved in ((frame[0], frame[1], lefts), (frame[2], frame[3], rights)):
+        q = np.linalg.qr(resolved if z is None else z.conj().T @ resolved, mode="complete")[0][:, resolved.shape[1]:]
+        shrunk += (q if z is None else z @ q, q.conj().T @ b @ q)
+    return shrunk
 
 
 def point_spectrum(a, tol=DEFAULT_TOL):
@@ -423,8 +414,10 @@ def point_spectrum(a, tol=DEFAULT_TOL):
         del adj_vecs
     # the eig vectors are spent: the climbs below run without them in memory
     del vecs
-    frame = _frame(a, certified) if 0 < len(certified) < len(groups) else None
     failing = len(groups) - len(certified)
+    frame = None
+    if certified and failing:
+        frame = _shrunk(a, None, *(np.hstack([s.basis for s in side]) for side in zip(*certified.values())))
     clusters = []
     for k, (lam, scatter, idx) in enumerate(groups):
         perp = climb = None
@@ -433,8 +426,8 @@ def point_spectrum(a, tol=DEFAULT_TOL):
         else:
             perp, right, left, climb = _climb(a, lam, scatter, tol, len(idx), frame, with_left=True)
             failing -= 1
-            if frame is not None and failing and climb.space is not None:
-                frame = _shrunk(frame, climb)
+            if failing and climb.space is not None:
+                frame = _shrunk(a, frame, climb.space.basis, climb.adjoint_space.basis)
         m_a, m_g = len(idx), right.dim
         clusters.append(EigenvalueCluster(
             value=lam, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=(m_a == m_g),

@@ -1,12 +1,14 @@
 """Defective clusters climbing in a frame that shrinks past every resolved cluster, against full-size climbs.
 
-When some clusters pass the eig certificate and others fail it,
-point_spectrum builds Z_R, an orthonormal basis of the certified left
-kernels' complement, and Z_L, the same for the right kernels, with A and
-A^* compressed onto them.  Each failing cluster then takes no n x n SVD:
-its climb, whose level 1 gives its right kernel and Ran-perp, and its
-left split run at n_d, n less the certified multiplicities and those of
-every failing cluster whose climb already reached its root spaces.  The
+When some cluster fails the eig certificate and another cluster is
+resolved first, point_spectrum builds Z_R, an orthonormal basis of the
+resolved left root spaces' complement, and Z_L, the same for the right
+ones, with A compressed onto each.  The certified clusters are resolved
+before any climb; a failing cluster is resolved once its climb reaches
+its root spaces.  Each later climb, whose level 1 gives its right kernel
+and Ran-perp, and its left split run at n_d, n less the multiplicities
+of every cluster resolved before it.  Only a single cluster and the first
+climb of an input with no certified cluster run unframed, at n.  The
 references here are the full-size routes: root_space without the
 spectrum, and kernel_split of A and of A^*.
 """
@@ -61,6 +63,14 @@ def _uneven(seed):
     return FamilySpec("block_jordan", sum(sum(s) for _, s in blocks), {"blocks": blocks, "cond": 10.0}, seed)
 
 
+def _segre21(count, seed):
+    # every cluster a (2, 1) block pair, so none passes the certificate
+    blocks = tuple((float(k), (2, 1)) for k in range(count))
+    return FamilySpec("block_jordan", 3 * count, {"blocks": blocks, "cond": 10.0}, seed)
+
+
+NONE_CERTIFIED = FamilySpec("block_jordan", 6, {"blocks": ((0.0, (2,)), (1.0, (3, 1))), "cond": 10.0}, 3)
+
 CASES = (
     [pytest.param(_mixed(count, cond, seed), WIDE, id="mixed%d-cond%g" % (count, cond))
      for count, cond, seed in ((4, 10.0, 1), (8, 30.0, 2), (12, 100.0, 3), (28, 10.0, 4))]
@@ -68,6 +78,8 @@ CASES = (
        for simple, points, seed in ((20, 2, 5), (30, 3, 6), (60, 2, 7))]
     + [pytest.param(_real_similarity(), WIDE, id="real9")]
     + [pytest.param(_uneven(8), WIDE, id="uneven")]
+    + [pytest.param(_segre21(16, 1), WIDE, id="segre21x16")]
+    + [pytest.param(NONE_CERTIFIED, WIDE, id="none-certified")]
 )
 
 
@@ -80,8 +92,13 @@ def _climbing(spectrum):
 
 
 def _framed(spectrum):
-    # a frame is built when some clusters are certified (they climb nothing) and others are not
-    return 0 < sum(c.climb is None for c in spectrum.clusters) < len(spectrum.clusters)
+    # a frame is built when more than one cluster climbs (unless a climb stops short)
+    return sum(c.climb is not None for c in spectrum.clusters) > 1
+
+
+def _frame_sizes(made, n):
+    # the size of the frame each climb ran in; an unframed climb runs in all of C^n
+    return [n if frame is None else frame[1].shape[0] for _, _, frame, _ in made]
 
 
 def _climbs(monkeypatch, stop_short=()):
@@ -158,8 +175,9 @@ def test_framed_climbs_match_the_full_size_ones(source, tol, monkeypatch):
 @pytest.mark.parametrize("source, tol", CASES)
 def test_only_the_right_split_is_full_size(source, tol, monkeypatch):
     # the right split is the climb's level 1 and runs in the frame like the
-    # rest, so no SVD of a failing cluster is n x n, and each climb's frame
-    # is the first one less the m_a of every cluster climbed before it
+    # rest, so no SVD of a failing cluster is n x n unless it climbs first
+    # with no certified cluster, and each climb's frame is n less the m_a of
+    # every certified cluster and every cluster climbed before it
     a = _matrix(source)
     n = a.shape[0]
     made = _climbs(monkeypatch)
@@ -167,9 +185,10 @@ def test_only_the_right_split_is_full_size(source, tol, monkeypatch):
     ps = point_spectrum(a, tol)
     assert _framed(ps)
     n_d = n - sum(c.algebraic_multiplicity for c in ps.clusters if c.climb is None)
-    assert 0 < n_d < n
+    assert 0 < n_d <= n
+    assert (made[0][2] is None) == (n_d == n)
     sizes, shapes = _expected_svds(made, n_d)
-    assert [frame[1].shape for _, _, frame, _ in made] == [(size, size) for size in sizes]
+    assert _frame_sizes(made, n) == sizes
     assert calls.shapes["svd"] == shapes
     # every climb reached its root spaces, so the last one fills its frame:
     # its adjoint root space is Z_L itself
@@ -197,6 +216,22 @@ def test_a_climb_that_stops_short_leaves_the_frame_as_it_was(monkeypatch):
     n_d = n - sum(c.algebraic_multiplicity for c in ps.clusters if c.climb is None)
     sizes, shapes = _expected_svds(made, n_d)
     assert sizes[1] == sizes[0] == n_d
+    assert calls.shapes["svd"] == shapes
+
+
+def test_a_climb_that_stops_short_before_any_frame_leaves_the_next_one_unframed(monkeypatch):
+    a = generate(_segre21(6, 2))
+    n = a.shape[0]
+    made = _climbs(monkeypatch, stop_short=(0,))
+    calls = Calls(monkeypatch, names=("svd",))
+    ps = point_spectrum(a, WIDE)
+    assert all(c.climb is not None for c in ps.clusters)
+    assert len(made) == 6 and made[0][3].space is None
+    # no frame is built: the second climb runs at n too, and every later one
+    # in a frame past the clusters climbed since
+    assert made[0][2] is None and made[1][2] is None
+    sizes, shapes = _expected_svds(made, n)
+    assert _frame_sizes(made, n) == sizes == [n, n, n - 3, n - 6, n - 9, n - 12]
     assert calls.shapes["svd"] == shapes
 
 
@@ -232,24 +267,31 @@ def test_the_climb_order_does_not_change_the_verdicts(source, tol, monkeypatch):
 
 @pytest.mark.parametrize("spec, tol", [
     pytest.param(FamilySpec("jordan", 12, {"eigenvalue": 0.0, "segre": (8, 4)}), Tolerance(), id="one-cluster"),
-    pytest.param(FamilySpec("block_jordan", 6, {"blocks": ((0.0, (2,)), (1.0, (3, 1))), "cond": 10.0}, 3), WIDE,
-                 id="none-certified"),
+    pytest.param(NONE_CERTIFIED, WIDE, id="none-certified"),
 ])
-def test_without_a_certified_cluster_there_is_no_frame(spec, tol):
+def test_without_a_certified_cluster_the_first_climb_is_unframed(spec, tol, monkeypatch):
     a = generate(spec)
+    n = a.shape[0]
+    made = _climbs(monkeypatch)
     ps = point_spectrum(a, tol)
-    assert not _framed(ps)
-    for c in ps.clusters:
+    monkeypatch.undo()
+    assert all(c.climb is not None for c in ps.clusters)
+    # the first climb runs in all of C^n, the second past the first's root spaces
+    assert _frame_sizes(made, n) == [n, n - made[0][1]][:len(ps.clusters)]
+    for k, (_, _, frame, climb) in enumerate(made):
+        (c,) = [c for c in ps.clusters if c.climb is climb]
         framed, full = root_space(a, c, tol, ps), root_space(a, c, tol)
-        assert framed.staircase == full.staircase
-        assert np.array_equal(framed.space.basis, full.space.basis)
-        assert np.array_equal(framed.adjoint_space.basis, full.adjoint_space.basis)
-        # unframed kernels and Ran-perp are the full-size splits' bit for bit
         perp, right = kernel_split(a, c.value, c.scatter, tol)
         left = kernel_split(a.conj().T, np.conj(c.value), c.scatter, tol)[1]
-        assert np.array_equal(c.right_kernel.basis, right.basis)
-        assert np.array_equal(c.range_perp.basis, perp.basis)
-        assert np.array_equal(c.left_kernel.basis, left.basis)
+        assert framed.staircase == full.staircase and framed.segre == full.segre
+        pairs = ((framed.space, full.space), (framed.adjoint_space, full.adjoint_space),
+                 (c.right_kernel, right), (c.range_perp, perp), (c.left_kernel, left))
+        if frame is None:
+            # unframed kernels, Ran-perp and root spaces are the full-size routes' bit for bit
+            assert k == 0
+            assert all(np.array_equal(mine.basis, theirs.basis) for mine, theirs in pairs)
+        else:
+            assert all(mine.dim == theirs.dim and subspace_angle(mine, theirs) <= 1e-10 for mine, theirs in pairs)
 
 
 def test_a_semi_simple_spectrum_takes_no_frame():
