@@ -67,6 +67,18 @@ class Tolerance:
         that a singular value computed by another route cannot straddle the line."""
         return 1.25 * scatter + self.rank_eps * n * abs(lam)
 
+    def single_block(self, sigma, cutoff, scatter):
+        """Whether level 1 of a climb certifies one Jordan block: scatter <= cutoff and sigma > cutoff + scatter.
+
+        sigma is the smallest kept singular value of the m x m shifted matrix B of
+        a cluster that fills its frame with d_1 = 1, cutoff the climb's, scatter
+        the cluster's.  In a Schur form B = Q(D + N)Q^*, ||D||_2 <= scatter, so by
+        Weyl's inequality sigma_(m-1)(N) >= sigma - scatter > cutoff: the nilpotent
+        N has rank m - 1, one block of size m.  So A lies within scatter of a
+        matrix with Segre (m), a distance the climb's rank rule already discards.
+        """
+        return scatter <= cutoff and sigma > cutoff + scatter
+
     def certificate_cutoff(self, n, fro, lam):
         """The eig certificates' cutoffs rank_eps * n * max(||A - lam I||_F / sqrt(n), |lam|)."""
         return self.rank_eps * n * np.maximum(fro / np.sqrt(n), np.abs(lam))

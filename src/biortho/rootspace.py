@@ -19,7 +19,13 @@ The frame leaves out the certified clusters and each cluster whose climb
 reached its root spaces, so a later cluster climbs at n_d less their
 multiplicities, and the last one to climb fills its frame when every
 earlier climb reached the top.  Only a single cluster, and the first climb
-when no cluster is certified, climb unframed.
+when no cluster is certified, climb unframed.  A cluster of point_spectrum
+that fills its frame with d_1 = 1 climbs no further than level 1 when that
+level certifies one Jordan block (Tolerance.single_block: by Weyl's
+inequality, the nilpotent part of B has rank m_a - 1 when its smallest kept
+singular value exceeds cutoff + scatter and scatter <= cutoff); its staircase
+is 1 .. m_a, and its root spaces are those of the full climb, the frame's.
+root_space without the spectrum always climbs every level.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further

@@ -30,7 +30,13 @@ which the residual identity of conditions reads back.  Its sigma_max
 sets the cluster's one cutoff (Tolerance.climb_cutoff), which every
 later level and the left split (one SVD of the shifted adjoint) read.
 The climb keeps only its levels, the cutoff and the finished root bases
-(EigenvalueCluster.climb), which rootspace returns.
+(EigenvalueCluster.climb), which rootspace returns.  A cluster that fills
+its frame with d_1 = 1 skips the later levels when level 1 certifies one
+Jordan block (Tolerance.single_block): its scatter is at most the cutoff
+and the smallest kept singular value of B exceeds cutoff + scatter, so by
+Weyl's inequality the nilpotent part of B's Schur form has rank m_a - 1,
+and the staircase is 1 .. m_a.  A truncated shift thus takes two SVDs
+(level 1 and the left split), not one per level.
 
 While some cluster fails, every resolved cluster leaves the frame
 (_shrunk): the certified ones before any climb, and each failing one once
@@ -217,9 +223,14 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     later levels, so that the SVD's n x n temporaries precede theirs on the
     heap; a full right kernel is its own left one.  Else the left kernel is None.
     The climb stops at level 1 when m_a is None, d_1 = 0 or d_1 >= m_a; a d_1 =
-    m_a kernel is the root space, with Ran-perp as the adjoint's.  Otherwise
-    each level rotates the kernel of the trailing block of Q^* B Q to the front,
-    until that block is nonsingular or empty.
+    m_a kernel is the root space, with Ran-perp as the adjoint's.  With
+    with_left (point_spectrum's own climbs, whose m_a and scatter are its own
+    clustering of A's eigenvalues), it also stops there when the cluster
+    fills the frame (m_a = n_d), d_1 = 1 and Tolerance.single_block certifies
+    one block of size m_a from level 1's smallest kept singular value, and
+    returns the levels 1 .. m_a and root spaces the full climb would.
+    Otherwise each level rotates the kernel of the trailing block of Q^* B Q
+    to the front, until that block is nonsingular or empty.
     """
     n = a.shape[0]
     z_r, b, z_l, _ = (None, a, None, None) if frame is None else frame
@@ -241,9 +252,11 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     if m_a is None or not 0 < d < m_a:
         top = d == m_a
         return perp, right, left, Climb((d,) if d else (), cutoff, right if top else None, perp if top else None)
-    # a root space that fills the frame is spanned by Q = I, which is never rotated
+    # a root space that fills the frame is spanned by Q = I, which is never rotated;
+    # there level 1 of point_spectrum's own climb may certify one block of size m_a
     q = np.eye(n_d, dtype=complex) if m_a < n_d else None
-    d, levels = 0, []
+    one_block = with_left and q is None and d == 1 and tol.single_block(float(s[rank - 1]), cutoff, scatter)
+    d, levels = (n_d, list(range(1, n_d + 1))) if one_block else (0, [])
     while rank < n_d - d:
         if q is not None:
             q[:, d:] = q[:, d:] @ np.vstack([vh[rank:], vh[:rank]]).conj().T

@@ -160,29 +160,35 @@ def test_unconverged_staircase_svd_names_the_eigenvalue(monkeypatch):
     assert isinstance(err.value, BiorthoError)
 
 
-def test_ill_posed_weighted_shift_is_still_refused():
-    # the weights' product 0.9^496 ~ 2e-23 puts every eigenvalue of a
-    # 1e-16 perturbation at modulus ~0.06; where the staircase stops is
-    # roundoff, so only the refusal and the multiplicity are pinned
+def test_a_weighted_shift_is_one_jordan_block():
+    # A is upper triangular, so its eigenvalues are exactly 0 and its scatter
+    # is 0; past the zero one its singular values are the weights 0.9^j, all
+    # far above the cutoff, so level 1 certifies one block of size 32 (the
+    # full-size climb's trailing SVDs would lose the tail of the staircase to
+    # roundoff, since the weights' product is 0.9^496 ~ 2e-23)
     a = generate(FamilySpec("weighted_shift_trunc", 32, {"ratio": 0.9}))
-    with pytest.raises(RootSpaceMismatchError) as err:
-        check_conditions(a)
-    assert err.value.algebraic_multiplicity == 32
-    # span_report climbs before it takes the one cluster's root ranks from its width
-    with pytest.raises(RootSpaceMismatchError):
-        span_report(a)
+    report = check_conditions(a)
+    (c,) = report.spectrum.clusters
+    assert (c.algebraic_multiplicity, c.geometric_multiplicity) == (32, 1) and c.scatter == 0.0
+    rs = root_space(a, c, DEFAULT, report.spectrum)
+    assert rs.staircase == tuple(range(1, 33)) and rs.segre == (32,)
+    assert span_report(a).root_span_dim == 32
 
 
 def test_a_refusal_names_the_cutoff_and_the_staircase():
-    a = generate(FamilySpec("weighted_shift_trunc", 32, {"ratio": 0.9}))
-    (c,) = point_spectrum(a).clusters
+    # -delta, 0 and delta merge into one cluster at cluster_eps 1e-2, whose
+    # scatter delta is far above the cutoff, so the climb runs in full
+    delta = 1e-3
+    a = np.array([[-delta, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, delta]], dtype=complex)
+    (c,) = point_spectrum(a, WIDE).clusters
     with pytest.raises(RootSpaceMismatchError) as err:
-        check_conditions(a)
+        check_conditions(a, WIDE)
     exc = err.value
     # one cluster at 0: the cutoff is rank_eps * n * ||A||_2, the one the
-    # cluster's climb kept, and the staircase stops short of m_a = 32
-    assert exc.cutoff == c.climb.cutoff == pytest.approx(1e-10 * 32 * np.linalg.norm(a, 2), rel=1e-12)
-    assert exc.staircase == c.climb.levels and exc.staircase[-1] == exc.stabilized_dim < 32
+    # cluster's climb kept, and the staircase stops short of m_a = 3
+    assert exc.cutoff == c.climb.cutoff == pytest.approx(1e-10 * 3 * np.linalg.norm(a, 2), rel=1e-12)
+    assert exc.staircase == c.climb.levels and exc.staircase[-1] == exc.stabilized_dim < 3
+    assert exc.staircase == (1,)
     assert list(exc.staircase) == sorted(exc.staircase)
     assert ("staircase %s" % list(exc.staircase)) in str(exc)
     assert ("rank cutoff %.3e" % exc.cutoff) in str(exc)

@@ -74,6 +74,16 @@ def test_a_sigma_max_at_the_collapse_bound_collapses():
     assert kernel_split(a, 0j, 0.0, _pinned("collapse_bound", np.nextafter(s[0], 0.0)))[1].dim == 0
 
 
+def test_a_single_block_needs_sigma_above_cutoff_plus_scatter():
+    cutoff, scatter = 3e-9, 1e-9
+    at = cutoff + scatter
+    assert not ODD.single_block(at, cutoff, scatter)
+    assert ODD.single_block(np.nextafter(at, np.inf), cutoff, scatter)
+    # a scatter exactly at the cutoff may certify, one above it never does
+    assert ODD.single_block(1.0, cutoff, cutoff)
+    assert not ODD.single_block(1.0, cutoff, np.nextafter(cutoff, np.inf))
+
+
 def test_a_certificate_residual_at_the_cutoff_passes(monkeypatch):
     a = np.array([[1.0, 2.0, 0.5j], [0.0, 2.0, 1.0], [0.3, 0.0, 3.5]], dtype=complex)
     residuals = []
@@ -141,6 +151,8 @@ def test_each_method_is_its_formula(tol):
     for n, sigma, lam in ((3, 1.0, 0j), (32, 0.25, 1e6 + 0j), (7, 5.0, 3 - 4j), (128, 2.5e3, -2e3j)):
         assert tol.climb_cutoff(n, sigma, lam) == tol.rank_eps * n * max(sigma, abs(lam))
         assert tol.collapse_bound(n, sigma / 3, lam) == 1.25 * (sigma / 3) + tol.rank_eps * n * abs(lam)
+    for sigma, cutoff, scatter in ((1.0, 3e-9, 0.0), (4e-9, 3e-9, 1e-9), (0.5, 3e-9, 3e-9), (0.5, 3e-9, 4e-9)):
+        assert tol.single_block(sigma, cutoff, scatter) == (scatter <= cutoff and sigma > cutoff + scatter)
     fro = np.array([1.0, 12.5, 3e4, 0.0])
     lam = np.array([0j, 3 - 4j, 2e2 + 1j, -1e5j])
     for n in (4, 17):
