@@ -24,7 +24,7 @@ from .errors import (
     NotDiagonalizableError,
     SkewLinkFailureError,
 )
-from .linalg import DEFAULT_TOL, _stacked_by_shape, as_matrix, subspace_pairs
+from .linalg import DEFAULT_TOL, _Blocks, _stacked_by_shape, as_matrix, subspace_pairs
 from .spectral import point_spectrum
 
 __all__ = [
@@ -55,16 +55,26 @@ class SkewLinkVerdict:
     self_orthogonality: float
 
 
-def _link(sigma, k1, k2, tol, cluster_index):
-    """The verdict on bases of dimensions k1 and k2 with cross-Gram singular values sigma."""
-    if k1 == 0 and k2 == 0:
-        return SkewLinkVerdict(cluster_index, True, 0, 1.0)
-    if k1 == 0 or k2 == 0:
-        return SkewLinkVerdict(cluster_index, False, k1, 0.0)
-    sigma_min = float(sigma[-1])
-    rank = int(np.count_nonzero(sigma > tol.link_cutoff(k1)))
-    linked = (k1 == k2) and sigma_min > tol.link_cutoff(k1)
-    return SkewLinkVerdict(cluster_index, linked, k1 - rank, sigma_min)
+def _links(sigmas, k1, k2, tol, indices=None):
+    """Verdicts on pairs of bases of dimensions k1 and k2, tagged with indices (default 0, 1, ...).
+
+    sigmas holds each pair's cross-Gram singular values, a _Blocks as
+    subspace_pairs returns them, read once as Python floats.  A pair is
+    linked iff k1 == k2 and sigma_min > Tolerance.link_cutoff(k1);
+    defect_dim counts the singular values at or below that cutoff, k1 less
+    the rank.  Two empty bases are linked at self-orthogonality 1, one empty
+    basis is not, at 0.
+    """
+    values = sigmas.matrix.tolist()
+    verdicts = []
+    for i, d1, d2, lo, w in zip(range(len(sigmas)) if indices is None else indices, np.asarray(k1).tolist(),
+                                np.asarray(k2).tolist(), sigmas.starts.tolist(), sigmas.widths.tolist()):
+        if not w:
+            verdicts.append(SkewLinkVerdict(i, d1 == d2, d1, 1.0 if d1 == d2 else 0.0))
+            continue
+        cut, sigma = tol.link_cutoff(d1), values[lo:lo + w]
+        verdicts.append(SkewLinkVerdict(i, d1 == d2 and sigma[-1] > cut, d1 - sum(v > cut for v in sigma), sigma[-1]))
+    return tuple(verdicts)
 
 
 def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
@@ -74,22 +84,20 @@ def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
     orthonormal bases: linked iff dim(s1) == dim(s2) and
     sigma_min(C) > Tolerance.link_cutoff(dim(s1)).
     """
-    (sigma,), _ = subspace_pairs([s1.basis], [s2.basis])
-    return _link(sigma, s1.dim, s2.dim, tol, cluster_index)
+    sigmas, _ = subspace_pairs(_Blocks.of([s1.basis]), _Blocks.of([s2.basis]))
+    return _links(sigmas, [s1.dim], [s2.dim], tol, [cluster_index])[0]
 
 
 def _kernel_links(spectrum, tol=DEFAULT_TOL):
     """Every cluster's skew link of its right to its left kernel, and the kernels' largest angles.
 
-    One batched pairing gives both: the links from the cross-Gram singular
-    values, the angles (which decide the sigma set) from the leaks.
+    One batched pairing of the stacked kernel bases gives both: the links
+    from the cross-Gram singular values, the angles (which decide the sigma
+    set) from the leaks.
     """
-    clusters = spectrum.clusters
-    sigmas, angles = subspace_pairs([c.right_kernel.basis for c in clusters],
-                                    [c.left_kernel.basis for c in clusters])
-    links = tuple(_link(s, c.right_kernel.dim, c.left_kernel.dim, tol, i)
-                  for i, (s, c) in enumerate(zip(sigmas, clusters)))
-    return links, angles
+    right, left = spectrum._right, spectrum._left
+    sigmas, angles = subspace_pairs(right, left)
+    return _links(sigmas, right.widths, left.widths, tol), angles
 
 
 def multiplicity_match(cluster):
@@ -163,31 +171,30 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
     a = as_matrix(a)
     n = a.shape[0]
     if spectrum is None:
-        spectrum = point_spectrum(a, tol)
+        # a cluster that can never pair climbs no staircase past level 1
+        spectrum = point_spectrum(a, tol, _level_one=True)
     if spectrum.ambient_dim != n:
         raise ValueError("spectrum belongs to a matrix of different size")
     for verdict in _kernel_links(spectrum, tol)[0]:
         if not verdict.linked:
             raise SkewLinkFailureError(verdict.cluster_index, verdict.self_orthogonality)
-    clusters = spectrum.clusters
-    defective = [i for i, c in enumerate(clusters) if not c.semi_simple]
+    right, left = spectrum._right, spectrum._left
+    defective = (right.widths != spectrum._algebraic).nonzero()[0].tolist()
     if defective:
         raise NotDiagonalizableError(defective)
-    # clusters of one kernel dimension share one stacked solve
-    chis = {}
-    for idx, left, psi in _stacked_by_shape([c.left_kernel.basis for c in clusters],
-                                            [c.right_kernel.basis for c in clusters]):
-        gram_h = (left.conj().transpose(0, 2, 1) @ psi).conj().transpose(0, 2, 1)
+    # clusters of one kernel dimension share one stacked solve; every pair
+    # is linked, so both sides have the same widths
+    v, w = right.matrix, np.empty_like(left.matrix)
+    for idx, lefts, psis in _stacked_by_shape(left, right):
+        gram_h = (lefts.conj().transpose(0, 2, 1) @ psis).conj().transpose(0, 2, 1)
         # chi = left @ inv(gram)^*, so that chi^* psi = identity.  The right-hand
         # side is a stack of identities: numpy before 2.0 reads one fewer
         # dimension than the matrices as a stack of vectors
         eyes = np.broadcast_to(np.eye(gram_h.shape[1]), gram_h.shape)
-        chis.update(zip(idx, left @ np.linalg.solve(gram_h, eyes)))
-    pairs = [BiorthoPair(c.right_kernel.basis[:, j].copy(), chis[i][:, j].copy(), i)
-             for i, c in enumerate(clusters) for j in range(c.geometric_multiplicity)]
+        w[:, right.columns(idx)] = (lefts @ np.linalg.solve(gram_h, eyes)).transpose(1, 0, 2).reshape(n, -1)
+    owners = np.arange(len(right)).repeat(right.widths).tolist()
+    pairs = [BiorthoPair(v[:, j].copy(), w[:, j].copy(), i) for j, i in enumerate(owners)]
     if pairs:
-        v = np.column_stack([p.psi for p in pairs])
-        w = np.column_stack([p.chi for p in pairs])
         gram_full = w.conj().T @ v
         residual = float(np.linalg.norm(gram_full - np.eye(len(pairs)), "fro"))
     else:

@@ -24,7 +24,10 @@ The residual identity takes no SVD of its own when the root bases span:
 Ran(A - lambda I)-perp comes from level 1 of each non-certified cluster's
 climb, or from the root bases' inverse (residual_identity_check).  One pairing of
 the kernels gives both the sigma set and the C2 links; C2' and the
-residual identity pair their subspaces in one call each.
+residual identity pair their subspaces in one call each.  The kernels are
+read off the spectrum's stacked bases and its multiplicities off its
+arrays (see spectral.PointSpectrum), so a diagnosis builds no cluster
+object and no RootSpace for a cluster whose kernels are its root spaces.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorthogonal import _kernel_links, _link, multiplicity_match
-from .linalg import DEFAULT_TOL, as_matrix, subspace_pairs
-from .rootspace import root_space, span_report
-from .spectral import _lapack, eigenvalue_groups, kernel_split, point_spectrum
+from .biorthogonal import _kernel_links, _links
+from .linalg import DEFAULT_TOL, _Blocks, as_matrix, subspace_pairs
+from .rootspace import _root_basis, root_space, span_report
+from .spectral import _clustered, _lapack, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -133,31 +136,33 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     factorization would make the angle zero by construction.  A cluster
     that climbed reads the space its level 1 kept
     (EigenvalueCluster.range_perp).  A certified cluster took no SVD;
-    when root_spaces are given, which the caller passes only if their
-    bases R span C^n (R = V when all kernels are root spaces), A = R J
-    R^-1 with J block diagonal and one solve gives every such cluster
-    its rows of R^-1.  Else it takes one SVD of its shifted matrix.
+    when root_spaces are given (as span_report takes them), which the
+    caller passes only if their bases R span C^n (R = V when all kernels
+    are root spaces), A = R J R^-1 with J block diagonal and one solve
+    gives every such cluster its rows of R^-1.  Else it takes one SVD of
+    its shifted matrix.
     """
     a = as_matrix(a)
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
     n = a.shape[0]
-    clusters = spectrum.clusters
-    perps = [None if c.range_perp is None else c.range_perp.basis for c in clusters]
-    if any(p is None for p in perps) and root_spaces is not None:
+    climbed = {i: perp.basis for i, (perp, _, _, _) in spectrum._climbed.items()}
+    k = len(spectrum._algebraic)
+    if len(climbed) < k and root_spaces is not None:
         # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster
-        basis = np.hstack([r.space.basis for r in root_spaces])
+        basis = _root_basis(spectrum._right, root_spaces, "space").matrix
         dual = np.linalg.solve(basis.conj().T, np.eye(n, dtype=complex))
         # a single column is normalized with all others in one pass, a wider
-        # block by a thin QR
-        unit = _unit_columns(dual)
-        sizes = [c.algebraic_multiplicity for c in clusters]
-        starts = np.cumsum(sizes) - sizes
-        perps = [p if p is not None else unit[:, lo:lo + 1] if m == 1 else np.linalg.qr(dual[:, lo:lo + m])[0]
-                 for p, lo, m in zip(perps, starts, sizes)]
-    perps = [kernel_split(a, c.value, c.scatter, tol)[0].basis if p is None else p
-             for p, c in zip(perps, clusters)]
-    _, angles = subspace_pairs(perps, [c.left_kernel.basis for c in clusters])
+        # block of a certified cluster by a thin QR, one stacked QR per size
+        certified = np.ones(k, dtype=bool)
+        certified[list(climbed)] = False
+        perps = _Blocks(_unit_columns(dual), spectrum._algebraic)
+        _Blocks(dual, spectrum._algebraic).qr(perps.matrix, certified)
+        perps = perps.replaced(climbed)
+    else:
+        perps = _Blocks.of([climbed[i] if i in climbed else kernel_split(
+            a, complex(spectrum._values[i]), float(spectrum._scatter[i]), tol)[0].basis for i in range(k)])
+    _, angles = subspace_pairs(perps, spectrum._left)
     return float(angles.max())
 
 
@@ -176,7 +181,7 @@ def _unit_columns(m):
 
 def _check_c1(ps, adjoint_values, radius):
     pvals = ps.values()
-    qvals = np.conj(np.array(adjoint_values))
+    qvals = np.conj(adjoint_values)
     dist = np.abs(pvals[:, None] - qvals[None, :])
     match = dist.argmin(axis=1)
     nearest = dist.min(axis=1)
@@ -232,21 +237,19 @@ def check_conditions(a, tol=DEFAULT_TOL):
     adj_values = ps.adjoint_eigenvalues
     if adj_values is None:
         adj_values = _lapack(np.linalg.eigvals, adj)
-    adj_groups = eigenvalue_groups(adj_values, tol)
-    c1, match = _check_c1(ps, [lam for lam, _, _ in adj_groups], tol.cluster_radius(ps.values()))
+    adj_centroids, _, adj_members = _clustered(adj_values, tol)
+    c1, match = _check_c1(ps, adj_centroids, tol.cluster_radius(ps.values()))
 
     # one pairing of the kernels gives the sigma set and the C2 links
     links, kernel_angles = _kernel_links(ps, tol)
-    sig = tuple(int(i) for i in np.flatnonzero(kernel_angles > tol.angle_threshold))
+    sig = tuple((kernel_angles > tol.angle_threshold).nonzero()[0].tolist())
     c2 = _check_skew(
         "C2",
         {i: links[i] for i in sig},
         "no cluster distinguishes its left kernel from its right kernel",
     )
 
-    mismatched = tuple(
-        i for i, c in enumerate(ps.clusters) if not multiplicity_match(c)
-    )
+    mismatched = tuple((ps._right.widths != ps._left.widths).nonzero()[0].tolist())
     c3 = ConditionVerdict(
         "C3",
         FAIL if mismatched else PASS,
@@ -255,18 +258,22 @@ def check_conditions(a, tol=DEFAULT_TOL):
         mismatched,
     )
 
-    roots = [root_space(a, c, tol, ps) for c in ps.clusters]
+    # a cluster whose kernels are its root spaces gets no RootSpace: None
+    roots = [None] * len(ps._algebraic)
+    for i in (~ps._kernels_are_root_spaces).nonzero()[0].tolist():
+        roots[i] = root_space(a, ps.clusters[i], tol, ps)
 
-    c3_bad = [i for i, c in enumerate(ps.clusters) if c.algebraic_multiplicity != len(adj_groups[match[i]][2])]
+    c3_bad = (ps._algebraic != adj_members.widths[match]).nonzero()[0].tolist()
     # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2
     # one, and a root space that is its adjoint's (all of C^n) is at angle 0
-    climbing = [i for i, (c, r) in enumerate(zip(ps.clusters, roots))
-                if not c.kernels_are_root_spaces and r.space is not r.adjoint_space]
-    sigmas, angles = subspace_pairs([roots[i].space.basis for i in climbing],
-                                    [roots[i].adjoint_space.basis for i in climbing])
-    root_links = {i: _link(s, roots[i].space.dim, roots[i].adjoint_space.dim, tol, i)
-                  for i, s, angle in zip(climbing, sigmas, angles) if angle > tol.angle_threshold}
-    root_links.update({i: links[i] for i in sig if ps.clusters[i].kernels_are_root_spaces})
+    climbing = [i for i, r in enumerate(roots) if r is not None and r.space is not r.adjoint_space]
+    spaces = _Blocks.of([roots[i].space.basis for i in climbing])
+    adjoints = _Blocks.of([roots[i].adjoint_space.basis for i in climbing])
+    sigmas, angles = subspace_pairs(spaces, adjoints)
+    root_links = {link.cluster_index: link
+                  for link, angle in zip(_links(sigmas, spaces.widths, adjoints.widths, tol, climbing), angles)
+                  if angle > tol.angle_threshold}
+    root_links.update({i: links[i] for i in sig if roots[i] is None})
     root_links = dict(sorted(root_links.items()))
     c3p = ConditionVerdict(
         "C3'",
@@ -283,7 +290,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
     )
 
     spans = span_report(a, tol, spectrum=ps, root_spaces=roots)
-    defective = tuple(i for i, c in enumerate(ps.clusters) if not c.semi_simple)
+    defective = tuple((ps._right.widths != ps._algebraic).nonzero()[0].tolist())
     c4 = _check_span("C4", "eigenvectors", spans.eigen_span_dim, spans.adjoint_eigen_span_dim, n, defective)
     c4p = _check_span("C4'", "root subspaces", spans.root_span_dim, spans.adjoint_root_span_dim, n, ())
 

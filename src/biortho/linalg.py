@@ -2,12 +2,16 @@
 
 Subspaces are carried as orthonormal column bases: most from an SVD, a
 certified cluster's kernels from eig columns and a thin QR (spectral).
+Many bases of one ambient space travel side by side in one matrix
+(_Blocks), each a column range: pairings, orthonormality checks and thin
+QRs take one stack per block width, which a reshape of that matrix gives.
 Every cutoff, radius and threshold a verdict turns on is one Tolerance
 method, which states its rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +179,14 @@ class Subspace:
             if not np.isfinite(b).all() or np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() > 1e-6:
                 raise ValueError("basis columns are not orthonormal")
 
+    @classmethod
+    def _checked(cls, ambient_dim, basis):
+        """The Subspace on basis, a block of a _Blocks whose check() has passed."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "basis", basis)
+        return space
+
     @property
     def dim(self):
         return self.basis.shape[1]
@@ -197,37 +209,153 @@ def range_space(m, tol=DEFAULT_TOL):
     return Subspace(m.shape[0], phase_normalize(u[:, :tol.stacked_rank(s, m.shape)]))
 
 
+def _orthonormal(stack):
+    """Whether every basis of a (k, n, d) stack has orthonormal columns, to within 1e-6 (Subspace's check).
+
+    A non-finite stack is refused before its Gram matrices are formed.
+    """
+    if not np.isfinite(stack).all():
+        return False
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    return bool((np.abs(gram - np.eye(stack.shape[2])) <= 1e-6).all())
+
+
+def _groups(keys):
+    """{key: the indices that hold it} for a 1-d int array, keys in order of first appearance."""
+    if not len(keys):
+        return {}
+    if keys.min() == keys.max():
+        # one key, as when every cluster is simple: no sort
+        return {int(keys[0]): np.arange(len(keys))}
+    return {int(keys[i]): (keys == keys[i]).nonzero()[0] for i in np.sort(np.unique(keys, return_index=True)[1])}
+
+
+class _Blocks(Sequence):
+    """Bases side by side in one matrix: block i is the columns starts[i] .. starts[i] + widths[i].
+
+    A sequence of its blocks, each a view.  The blocks of one width come out
+    as one C-contiguous (k, n, d) stack (stack), the array np.stack would
+    build from them, by one column gather and one reshape.  The matrix may
+    also be 1-d, each block a run of its entries.
+    """
+
+    def __init__(self, matrix, widths):
+        self.matrix, self.widths, self._starts = matrix, np.asarray(widths, dtype=int), None
+
+    @property
+    def starts(self):
+        if self._starts is None:
+            self._starts = self.widths.cumsum() - self.widths
+        return self._starts
+
+    @classmethod
+    def of(cls, bases):
+        """The bases of a list side by side; an empty list gives no blocks."""
+        matrix = np.concatenate(bases, axis=1) if len(bases) else np.zeros((0, 0), dtype=complex)
+        return cls(matrix, [b.shape[1] for b in bases])
+
+    def __len__(self):
+        return len(self.widths)
+
+    def __getitem__(self, i):
+        lo = self.starts[i]
+        return self.matrix[..., lo:lo + self.widths[i]]
+
+    def __iter__(self):
+        for lo, width in zip(self.starts.tolist(), self.widths.tolist()):
+            yield self.matrix[..., lo:lo + width]
+
+    def columns(self, idx):
+        """The column indices of the blocks idx, which share one width, block after block (a slice for all blocks)."""
+        if len(idx) == len(self.widths):
+            return slice(None)
+        return (self.starts[idx][:, None] + np.arange(self.widths[idx[0]])).ravel()
+
+    def stack(self, idx):
+        """The blocks idx, which share one width d, as one C-contiguous (len(idx), n, d) array."""
+        n, d = self.matrix.shape[0], int(self.widths[idx[0]])
+        return np.ascontiguousarray(self.matrix[:, self.columns(idx)].reshape(n, len(idx), d).transpose(1, 0, 2))
+
+    def check(self, where):
+        """Raise ValueError unless every block where the boolean array where holds has orthonormal columns.
+
+        One _orthonormal call per block width, the check Subspace makes of one basis.
+        """
+        among = where.nonzero()[0]
+        for d, sub in _groups(self.widths[among]).items():
+            if d and not _orthonormal(self.stack(among[sub])):
+                raise ValueError("basis columns are not orthonormal")
+
+    def qr(self, out, where=None):
+        """out, with the Q of each block's thin QR written into the block's columns.
+
+        Only blocks of width 2 or more are factored, and of those only the
+        ones where the boolean array where holds, when it is given.  One
+        stacked np.linalg.qr per width, equal bit for bit to one call per block.
+        """
+        multiple = self.widths > 1 if where is None else (self.widths > 1) & where
+        if multiple.any():
+            among = multiple.nonzero()[0]
+            for sub in _groups(self.widths[among]).values():
+                idx = among[sub]
+                out[:, self.columns(idx)] = np.linalg.qr(self.stack(idx))[0].transpose(1, 0, 2).reshape(len(out), -1)
+        return out
+
+    def take(self, order):
+        """The blocks in the given order, in one new matrix."""
+        widths = self.widths[order]
+        if (widths == 1).all():
+            return _Blocks(self.matrix[:, order], widths)
+        cols = (self.starts[order] - widths.cumsum() + widths).repeat(widths) + np.arange(widths.sum())
+        return _Blocks(self.matrix[:, cols], widths)
+
+    def replaced(self, blocks):
+        """These blocks with block i replaced by the basis blocks[i], for each i in the dict blocks."""
+        if not blocks:
+            return self
+        pieces, at, widths = [], 0, self.widths.copy()
+        for i in sorted(blocks):
+            pieces += [self.matrix[:, at:self.starts[i]], blocks[i]]
+            at = self.starts[i] + self.widths[i]
+            widths[i] = blocks[i].shape[1]
+        pieces.append(self.matrix[:, at:])
+        return _Blocks(np.concatenate(pieces, axis=1), widths)
+
+
 def _stacked_by_shape(firsts, seconds):
-    """Equal-length lists of bases grouped by shape, for batched products.
+    """Two equal-length _Blocks grouped by block shape, for batched products.
 
     Returns one (indices, stacked firsts, stacked seconds) triple per
-    (d1, d2), in order of first appearance.  Raises ValueError when a pair's
-    bases live in different ambient dimensions.
+    (d1, d2), in order of first appearance.  Raises ValueError when the two
+    live in different ambient dimensions.
     """
-    shapes = {}
-    for i, (b1, b2) in enumerate(zip(firsts, seconds)):
-        if b1.shape[0] != b2.shape[0]:
-            raise ValueError("subspaces live in different ambient dimensions (%d vs %d)"
-                             % (b1.shape[0], b2.shape[0]))
-        shapes.setdefault((b1.shape[1], b2.shape[1]), []).append(i)
-    return [(idx, np.stack([firsts[i] for i in idx]), np.stack([seconds[i] for i in idx]))
-            for idx in shapes.values()]
+    if len(firsts.widths) and firsts.matrix.shape[0] != seconds.matrix.shape[0]:
+        raise ValueError("subspaces live in different ambient dimensions (%d vs %d)"
+                         % (firsts.matrix.shape[0], seconds.matrix.shape[0]))
+    shapes = firsts.widths * (seconds.widths.max(initial=0) + 1) + seconds.widths
+    return [(idx, firsts.stack(idx), seconds.stack(idx)) for idx in _groups(shapes).values()]
 
 
 def subspace_pairs(firsts, seconds):
     """Cross-Gram singular values and largest principal angle of each pair of bases.
 
-    firsts and seconds are equal-length lists of orthonormal bases B1 and B2
-    of one ambient space.  Returns, per pair, the singular values of
-    C = B2^* B1 in non-increasing order, and an array of the largest principal
-    angles: pi/2 for unequal dimensions, 0 when both bases are empty, else
-    arcsin ||B2 - B1 C^*||_2, the gap of the orthogonal projectors.  The leak
-    keeps small angles that sqrt(1 - sigma_min(C)^2) loses; its 2-norm is the
-    root of its d x d Gram's largest singular value.  Pairs are batched by
-    shape: one stacked product and one batched SVD per (d1, d2).
+    firsts and seconds are equal-length sequences of orthonormal bases B1 and
+    B2 of one ambient space: lists, or _Blocks.  Returns, per pair, the
+    singular values of C = B2^* B1 in non-increasing order (a list for lists,
+    a _Blocks over one 1-d array for _Blocks), and an array of the largest
+    principal angles: pi/2 for unequal dimensions, 0 when both bases are
+    empty, else arcsin ||B2 - B1 C^*||_2, the gap of the orthogonal
+    projectors.  The leak keeps small angles that sqrt(1 - sigma_min(C)^2)
+    loses; its 2-norm is the root of its d x d Gram's largest singular
+    value.  Pairs are batched by shape: one stacked product and one batched
+    SVD per (d1, d2).
     """
-    sigmas = {}
-    angles = np.zeros(len(firsts))
+    blocks = isinstance(firsts, _Blocks)
+    if not blocks:
+        firsts, seconds = _Blocks.of(firsts), _Blocks.of(seconds)
+    widths = np.minimum(firsts.widths, seconds.widths)
+    sigmas = _Blocks(np.zeros(widths.sum()), widths)
+    angles = np.zeros(len(firsts.widths))
     for idx, b1, b2 in _stacked_by_shape(firsts, seconds):
         d1, d2 = b1.shape[2], b2.shape[2]
         cross = b2.conj().transpose(0, 2, 1) @ b1
@@ -239,11 +367,12 @@ def subspace_pairs(firsts, seconds):
             gram = re.transpose(0, 2, 1) @ re + im.transpose(0, 2, 1) @ im
             gram = gram + 1j * (re.transpose(0, 2, 1) @ im - im.transpose(0, 2, 1) @ re)
             cross = np.concatenate([cross, gram])
-        s = np.linalg.svd(cross, compute_uv=False) if min(d1, d2) else np.zeros((len(idx), 0))
-        if d1 == d2 > 0:
-            angles[idx] = np.arcsin(np.minimum(1.0, np.sqrt(s[len(idx):, 0])))
-        sigmas.update(zip(idx, s))
-    return [sigmas[i] for i in range(len(firsts))], angles
+        if min(d1, d2):
+            s = np.linalg.svd(cross, compute_uv=False)
+            sigmas.matrix[sigmas.columns(idx)] = s[:len(idx)].ravel()
+            if d1 == d2:
+                angles[idx] = np.arcsin(np.minimum(1.0, np.sqrt(s[len(idx):, 0])))
+    return (sigmas if blocks else list(sigmas)), angles
 
 
 def subspace_angle(s1, s2):

@@ -50,14 +50,17 @@ def _encode_kappa(value):
 
 
 def _diagnosis_body(diagnosis):
+    # read off the spectrum's arrays, so no cluster object is built
+    spectrum = diagnosis.spectrum
     clusters = [
         {
-            "value": [c.value.real, c.value.imag],
-            "algebraic_multiplicity": c.algebraic_multiplicity,
-            "geometric_multiplicity": c.geometric_multiplicity,
-            "semi_simple": c.semi_simple,
+            "value": [value.real, value.imag],
+            "algebraic_multiplicity": m_a,
+            "geometric_multiplicity": m_g,
+            "semi_simple": m_a == m_g,
         }
-        for c in diagnosis.spectrum.clusters
+        for value, m_a, m_g in zip(spectrum._values.tolist(), spectrum._algebraic.tolist(),
+                                   spectrum._right.widths.tolist())
     ]
     return {
         "spectrum": {"ambient_dim": diagnosis.ambient_dim, "clusters": clusters},

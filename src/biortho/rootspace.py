@@ -29,8 +29,10 @@ root_space without the spectrum always climbs every level.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further
-(EigenvalueCluster.kernels_are_root_spaces).  When all clusters do, the
-root spans are the eigenvector spans.  The SVD that ranks V gives kappa_v,
+(EigenvalueCluster.kernels_are_root_spaces); check_conditions builds no
+RootSpace for it, and the stacked root bases take its kernel columns from
+the spectrum's stacked kernel bases.  When all clusters do, the root spans
+are the eigenvector spans.  The SVD that ranks V gives kappa_v,
 infinite exactly when the rank falls short of n, and ||V^*V - I||_2, zero
 exactly when V's orthonormal kernel bases are mutually orthogonal.  One
 cluster's root space is all of C^n, one orthonormal block: its rank is n.
@@ -123,33 +125,42 @@ class SpanReport:
     eigen_gram_defect: float
 
 
-def _stacked_rank(blocks, tol):
-    basis = np.hstack(blocks)
+def _stacked_rank(basis, tol):
     s = np.linalg.svd(basis, compute_uv=False)
     return tol.stacked_rank(s, basis.shape), s
+
+
+def _root_basis(kernels, root_spaces, side):
+    """The stacked root bases of one side (a _Blocks, widths m_a) from its kernels and root_spaces.
+
+    side names the RootSpace field to read, space or adjoint_space; a
+    cluster whose root_spaces entry is None keeps its kernel.
+    """
+    return kernels.replaced({i: getattr(r, side).basis for i, r in enumerate(root_spaces) if r is not None})
 
 
 def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
     """Ranks of the stacked eigenvector and root bases of a matrix and its adjoint.
 
     spectrum and root_spaces may be passed to reuse existing results;
-    they must belong to the same matrix and tolerance.
+    they must belong to the same matrix and tolerance.  root_spaces holds
+    one RootSpace per cluster, or None for a cluster whose kernels are its
+    root spaces.
     """
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
     n = spectrum.ambient_dim
-    clusters = spectrum.clusters
-    eigen, s = _stacked_rank([c.right_kernel.basis for c in clusters], tol)
-    adjoint_eigen, _ = _stacked_rank([c.left_kernel.basis for c in clusters], tol)
+    eigen, s = _stacked_rank(spectrum._right.matrix, tol)
+    adjoint_eigen, _ = _stacked_rank(spectrum._left.matrix, tol)
     root, adjoint_root = eigen, adjoint_eigen
-    if not all(c.kernels_are_root_spaces for c in clusters):
+    if not spectrum._kernels_are_root_spaces.all():
         if root_spaces is None:
-            root_spaces = [root_space(a, c, tol, spectrum) for c in clusters]
+            root_spaces = [root_space(a, c, tol, spectrum) for c in spectrum.clusters]
         if len(root_spaces) == 1:
             root, adjoint_root = root_spaces[0].space.dim, root_spaces[0].adjoint_space.dim
         else:
-            root, _ = _stacked_rank([r.space.basis for r in root_spaces], tol)
-            adjoint_root, _ = _stacked_rank([r.adjoint_space.basis for r in root_spaces], tol)
+            root, _ = _stacked_rank(_root_basis(spectrum._right, root_spaces, "space").matrix, tol)
+            adjoint_root, _ = _stacked_rank(_root_basis(spectrum._left, root_spaces, "adjoint_space").matrix, tol)
     return SpanReport(
         eigen_span_dim=eigen,
         root_span_dim=root,

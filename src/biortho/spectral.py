@@ -12,7 +12,7 @@ cluster first tries a residual certificate.  A cluster of m raw
 eigenvalues takes its members' eig(A) columns as its right block and
 the eig(A^*) columns at the m adjoint eigenvalues nearest conj(lambda)
 as its left block; each block is orthonormalized (a unit column, else a
-thin QR).  When every cluster is simple, each side's vectors first take
+thin QR, one stacked QR per block size and side).  When every cluster is simple, each side's vectors first take
 one correction against their own residuals (see _refined).  Both blocks
 Q must then pass ||(A - lambda I) Q||_F <= Tolerance.certificate_cutoff,
 scaled by max(||A - lambda I||_F / sqrt(n), |lambda|).  By Courant-Fischer,
@@ -50,6 +50,18 @@ _svd: a shifted matrix whose entries are all real (a real A at a real
 lambda) is factored in real arithmetic, and phase_normalize makes every
 basis complex again.
 
+The spectrum is held as arrays (PointSpectrum): one right and one left
+kernel basis matrix, n x sum(m_g), each cluster a column range of them,
+with the clusters' values, algebraic multiplicities and scatters beside
+them.  The certificate's columns go into them as they are, after one
+orthonormality check per block width of its certified blocks, and each
+climb its own block, checked as the Subspace it built.
+The diagnosis reads only these arrays.  The EigenvalueCluster objects,
+each kernel a view of the matrices, are built when PointSpectrum.clusters
+is first read.  biorthonormalize sets point_spectrum's _level_one: a
+failing cluster with 0 < d_1 < m_a, which can never pair, then stops
+after level 1 and the left split.
+
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
 eigenvalue (The Algebraic Eigenvalue Problem, 1965): a perturbation E
@@ -64,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClusteringError, EigenIterationError
-from .linalg import DEFAULT_TOL, Subspace, as_matrix, phase_normalize
+from .linalg import DEFAULT_TOL, Subspace, _Blocks, as_matrix, phase_normalize
 
 __all__ = [
     "EigenvalueCluster",
@@ -86,6 +98,17 @@ class Climb:
     adjoint_space: Subspace = None
 
 
+def _check_multiplicity(value, m_a, m_g):
+    if not 1 <= m_g <= m_a:
+        raise ClusteringError(
+            "cluster at %.6g%+.6gj has geometric multiplicity %d outside "
+            "[1, %d]; the cluster and rank resolutions disagree, retry "
+            "with a larger cluster_eps (to merge coalescing eigenvalues) "
+            "or a larger rank_eps (to blur kernel ranks to the cluster "
+            "radius)" % (value.real, value.imag, m_g, m_a)
+        )
+
+
 @dataclass(frozen=True)
 class EigenvalueCluster:
     """One clustered eigenvalue with its kernel data.
@@ -98,7 +121,9 @@ class EigenvalueCluster:
     range_perp is Ran(A - value I)-perp from level 1 of the same climb as
     the right kernel, kept for the residual identity, and climb that climb's
     levels, cutoff and root spaces (see _climb); both None for a certified
-    cluster, which took no SVD.
+    cluster, which took no SVD.  A cluster of point_spectrum is built when
+    PointSpectrum.clusters is first read, its kernels views of the
+    spectrum's stacked bases.
     """
 
     value: complex
@@ -113,18 +138,10 @@ class EigenvalueCluster:
 
     def __post_init__(self):
         m_a = self.algebraic_multiplicity
-        m_g = self.geometric_multiplicity
-        if not 1 <= m_g <= m_a:
-            raise ClusteringError(
-                "cluster at %.6g%+.6gj has geometric multiplicity %d outside "
-                "[1, %d]; the cluster and rank resolutions disagree, retry "
-                "with a larger cluster_eps (to merge coalescing eigenvalues) "
-                "or a larger rank_eps (to blur kernel ranks to the cluster "
-                "radius)" % (self.value.real, self.value.imag, m_g, m_a)
-            )
-        if self.right_kernel.dim != m_g:
+        _check_multiplicity(self.value, m_a, self.geometric_multiplicity)
+        if self.right_kernel.dim != self.geometric_multiplicity:
             raise ClusteringError("right kernel dimension disagrees with m_g")
-        if self.semi_simple != (m_a == m_g):
+        if self.semi_simple != (m_a == self.geometric_multiplicity):
             raise ClusteringError("semi_simple flag disagrees with multiplicities")
 
     @property
@@ -140,23 +157,85 @@ class PointSpectrum:
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
     eig(A^*) call of the certificate, which runs whenever there is more
     than one cluster, and is None otherwise.
+
+    The clusters are also held as arrays, which the diagnosis reads: per
+    cluster its value, algebraic multiplicity and scatter (_values,
+    _algebraic, _scatter), and the right and left kernel bases side by side
+    in one matrix per side (_right and _left, two _Blocks, whose widths are
+    the kernel dimensions).  _climbed maps the index of each cluster that
+    climbed to its range_perp, right and left kernels and climb, as _climb
+    returned them.  point_spectrum builds only the arrays; clusters builds
+    the EigenvalueCluster objects from them when first read, a certified
+    cluster's kernels as views of the stacks.  A spectrum built from its
+    clusters takes its arrays from them.
     """
 
     ambient_dim: int
     clusters: tuple
     adjoint_eigenvalues: np.ndarray = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        clusters = self.clusters
+        self._set(
+            values=np.array([c.value for c in clusters], dtype=complex),
+            algebraic=np.array([c.algebraic_multiplicity for c in clusters], dtype=int),
+            scatter=np.array([c.scatter for c in clusters], dtype=float),
+            right=_Blocks.of([c.right_kernel.basis for c in clusters]),
+            left=_Blocks.of([c.left_kernel.basis for c in clusters]),
+            climbed={i: (c.range_perp, c.right_kernel, c.left_kernel, c.climb)
+                     for i, c in enumerate(clusters) if c.range_perp is not None},
+        )
+
+    def _set(self, **arrays):
+        for name, value in arrays.items():
+            object.__setattr__(self, "_" + name, value)
+
+    @classmethod
+    def _of_arrays(cls, ambient_dim, adjoint_eigenvalues, **arrays):
+        """A spectrum from its arrays alone (see the class docstring), its clusters built when first read."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "ambient_dim", ambient_dim)
+        object.__setattr__(ps, "adjoint_eigenvalues", adjoint_eigenvalues)
+        ps._set(**arrays)
+        return ps
+
+    def __getattr__(self, name):
+        # only a spectrum made by _of_arrays lacks its clusters, until they are first read
+        if name != "clusters" or "_right" not in vars(self):
+            raise AttributeError(name)
+        n = self.ambient_dim
+        clusters = []
+        for i, (value, m_a, m_g, scatter, right, left) in enumerate(zip(
+                self._values.tolist(), self._algebraic.tolist(), self._right.widths.tolist(),
+                self._scatter.tolist(), self._right, self._left)):
+            if i in self._climbed:
+                perp, right, left, climb = self._climbed[i]
+            else:
+                perp, right, left, climb = None, Subspace._checked(n, right), Subspace._checked(n, left), None
+            clusters.append(EigenvalueCluster(
+                value=value, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=m_a == m_g,
+                right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, climb=climb))
+        clusters = tuple(clusters)
+        object.__setattr__(self, "clusters", clusters)
+        return clusters
+
     def values(self):
-        return np.array([c.value for c in self.clusters])
+        return self._values.copy()
+
+    @property
+    def _kernels_are_root_spaces(self):
+        # per cluster, EigenvalueCluster.kernels_are_root_spaces
+        return (self._right.widths == self._algebraic) & (self._left.widths == self._algebraic)
 
 
 def _single_linkage_groups(values, radius):
-    """Connected components of the graph linking values within radius.
+    """Connected components of the graph linking values within radius, as a _Blocks of member indices.
 
     Groups come in order of their smallest index, members in increasing
     index order.  Every value repeatedly takes the smallest label among
     its neighbours and then that label's own label; the labels settle on
-    each component's smallest index.
+    each component's smallest index, so a stable sort by label lists the
+    groups in order.
     """
     n = len(values)
     linked = np.abs(values[:, None] - values[None, :]) <= radius
@@ -167,10 +246,8 @@ def _single_linkage_groups(values, radius):
         if np.array_equal(lowest, labels):
             break
         labels = lowest
-    groups = {}
-    for i, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(i)
-    return list(groups.values())
+    sizes = np.bincount(labels, minlength=n)
+    return _Blocks(labels.argsort(kind="stable"), sizes[sizes > 0])
 
 
 def _lapack(solver, a, lam=None):
@@ -203,7 +280,7 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
     return _climb(a, lam, scatter, tol)[:2]
 
 
-def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
+def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_one=False):
     """(Ran-perp, right kernel, left kernel, Climb): Kublanovskaya's staircase at lam, one cutoff for every level.
 
     B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_shrunk).  Level 1
@@ -222,8 +299,9 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
     With with_left, it also decides the left kernel (_left_kernel) before the
     later levels, so that the SVD's n x n temporaries precede theirs on the
     heap; a full right kernel is its own left one.  Else the left kernel is None.
-    The climb stops at level 1 when m_a is None, d_1 = 0 or d_1 >= m_a; a d_1 =
-    m_a kernel is the root space, with Ran-perp as the adjoint's.  With
+    The climb stops at level 1 when m_a is None, d_1 = 0 or d_1 >= m_a, and
+    with level_one when d_1 < m_a too; a d_1 = m_a kernel is the root space,
+    with Ran-perp as the adjoint's.  With
     with_left (point_spectrum's own climbs, whose m_a and scatter are its own
     clustering of A's eigenvalues), it also stops there when the cluster
     fills the frame (m_a = n_d), d_1 = 1 and Tolerance.single_block certifies
@@ -249,7 +327,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False):
         right, perp = Subspace(n, phase_normalize(kernel)), Subspace(n, phase_normalize(perp))
     d = right.dim
     left = None if not with_left else right if d == n else _left_kernel(a, lam, cutoff, frame)
-    if m_a is None or not 0 < d < m_a:
+    if m_a is None or not 0 < d < m_a or level_one:
         top = d == m_a
         return perp, right, left, Climb((d,) if d else (), cutoff, right if top else None, perp if top else None)
     # a root space that fills the frame is spanned by Q = I, which is never rotated;
@@ -295,20 +373,30 @@ def _left_kernel(a, lam, cutoff, frame):
     return Subspace(a.shape[0], phase_normalize(left if frame is None else frame[2] @ left))
 
 
+def _clustered(values, tol):
+    """Raw eigenvalues grouped by single linkage, as arrays: (centroids, scatters, members).
+
+    members is a _Blocks over the member indices, one block per group.  A
+    group's centroid is its members' mean, a single value's own bits, and
+    its scatter the largest distance of a member from the centroid.
+    """
+    members = _single_linkage_groups(values, tol.cluster_radius(values))
+    centroids = values[members.matrix[members.starts]].astype(complex, copy=False)
+    scatters = np.zeros(len(members))
+    for k in (members.widths > 1).nonzero()[0].tolist():
+        idx = members[k]
+        centroids[k] = values[idx].mean()
+        scatters[k] = np.abs(values[idx] - centroids[k]).max()
+    return centroids, scatters, members
+
+
 def eigenvalue_groups(values, tol=DEFAULT_TOL):
     """Raw eigenvalues grouped by single linkage.
 
     Returns one (centroid, scatter, member indices) triple per group.
     """
-    groups = []
-    for idx in _single_linkage_groups(values, tol.cluster_radius(values)):
-        if len(idx) == 1:
-            # the mean of one value is that value, bit for bit
-            groups.append((complex(values[idx[0]]), 0.0, idx))
-            continue
-        lam = complex(values[idx].mean())
-        groups.append((lam, float(np.abs(values[idx] - lam).max()), idx))
-    return groups
+    centroids, scatters, members = _clustered(values, tol)
+    return [(lam, scatter, idx.tolist()) for lam, scatter, idx in zip(centroids.tolist(), scatters.tolist(), members)]
 
 
 def _refined(a, values, vectors):
@@ -339,50 +427,50 @@ def _block_norms(r, starts):
     return np.sqrt(np.add.reduceat((r.conj() * r).real.sum(axis=0), starts))
 
 
-def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol):
-    """Certified right and left kernels of eigenvalue groups, by group index.
+def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, lam, members, tol):
+    """Right and left kernel blocks of eigenvalue groups, and which groups they certify.
 
-    A group of m raw eigenvalues at centroid lam takes its members' eig(A)
+    A group of m raw eigenvalues (members, a _Blocks of their indices) at
+    centroid lam takes its members' eig(A)
     columns as its right block, and the eig(A^*) columns at the m adjoint
     eigenvalues nearest conj(lam) as its left block, each orthonormalized.
     When every group is simple, each side's vectors are first refined
-    against that side's own residuals.  A group is left out when either
-    block's residual ||(A - lam I) Q||_F exceeds Tolerance.certificate_cutoff
-    (or is not finite), so the caller falls back to the SVD route for it.
+    against that side's own residuals.  Returns the two sides as _Blocks,
+    one block per group in group order, and a boolean array: a group is
+    certified unless either block's residual ||(A - lam I) Q||_F exceeds
+    Tolerance.certificate_cutoff (or is not finite), and the caller takes
+    the SVD route for it.
     """
     n = a.shape[0]
     adj = a.conj().T
-    if len(groups) == n:
+    sizes, starts = members.widths, members.starts
+    if len(sizes) == n:
         vecs = _refined(a, raw, vecs)
         adj_vecs = _refined(adj, adj_raw, adj_vecs)
-    lam = np.array([g[0] for g in groups])
-    sizes = np.array([len(g[2]) for g in groups])
-    starts = np.cumsum(sizes) - sizes
-    shift = np.repeat(lam, sizes)
-    # one sort gives every group's nearest adjoint eigenvalues, m of them
-    nearest = np.argsort(np.abs(adj_raw[None, :] - lam.conj()[:, None]), axis=1, kind="stable")
-    right = vecs[:, [i for g in groups for i in g[2]]]
-    left = adj_vecs[:, nearest[np.arange(n)[None, :] < sizes[:, None]]]
+    shift = lam.repeat(sizes)
+    # one stable sort gives every group's nearest adjoint eigenvalues, m of
+    # them; when every group is simple, the first of each row is its argmin
+    distance = np.abs(adj_raw[None, :] - lam.conj()[:, None])
+    if len(sizes) == n:
+        nearest = distance.argmin(axis=1)
+    else:
+        nearest = np.argsort(distance, axis=1, kind="stable")[np.arange(n)[None, :] < sizes[:, None]]
+    right = vecs[:, members.matrix]
+    left = adj_vecs[:, nearest]
     right = right / np.linalg.norm(right, axis=0)
     left = left / np.linalg.norm(left, axis=0)
-    for k in np.flatnonzero(sizes > 1):
-        cols = slice(starts[k], starts[k] + sizes[k])
-        right[:, cols] = np.linalg.qr(right[:, cols])[0]
-        left[:, cols] = np.linalg.qr(left[:, cols])[0]
+    # a multiple group's block is orthonormalized by one stacked QR per size and side
+    right = _Blocks(right, sizes).qr(right)
+    left = _Blocks(left, sizes).qr(left)
     right_res = _block_norms(a @ right - right * shift, starts)
     left_res = _block_norms(adj @ left - left * shift.conj(), starts)
     diag = np.diag(a)
     off = a - np.diag(diag)
     fro = np.sqrt(np.vdot(off, off).real + (np.abs(diag[None, :] - lam[:, None]) ** 2).sum(axis=1))
     cutoff = tol.certificate_cutoff(n, fro, lam)
-    certified = (right_res <= cutoff) & (left_res <= cutoff)
     # each column takes its own phase, so one call per side serves every block
-    right, left = phase_normalize(right), phase_normalize(left)
-    return {
-        k: (Subspace(n, right[:, lo:lo + m]), Subspace(n, left[:, lo:lo + m]))
-        for k, (lo, m) in enumerate(zip(starts, sizes))
-        if certified[k]
-    }
+    return (_Blocks(phase_normalize(right), sizes), _Blocks(phase_normalize(left), sizes),
+            (right_res <= cutoff) & (left_res <= cutoff))
 
 
 def _shrunk(a, frame, rights, lefts):
@@ -406,44 +494,57 @@ def _shrunk(a, frame, rights, lefts):
     return shrunk
 
 
-def point_spectrum(a, tol=DEFAULT_TOL):
+def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
     """Compute the clustered point spectrum of a square matrix.
 
     Raises EigenIterationError if the QR iteration fails to converge and
     ClusteringError if a cluster's kernel dimension is inconsistent with
     its cardinality (a sign the tolerances cut a coalescing group apart).
+    With _level_one, which biorthonormalize sets, a cluster whose climb
+    finds 0 < d_1 < m_a, and so can never pair, climbs no further than level
+    1 and the left split (_climb's level_one).
     """
     a = as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError("point spectrum requires a square matrix")
     raw, vecs = _lapack(np.linalg.eig, a)
-    groups = eigenvalue_groups(raw, tol)
-    adj_raw = None
-    certified = {}
-    if len(groups) > 1:
+    values, scatters, members = _clustered(raw, tol)
+    adj_raw = right = left = None
+    certified = np.zeros(len(members), dtype=bool)
+    if len(members) > 1:
         adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
-        certified = _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, groups, tol)
+        right, left, certified = _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, values, members, tol)
+        right.check(certified)
+        left.check(certified)
         del adj_vecs
     # the eig vectors are spent: the climbs below run without them in memory
     del vecs
-    failing = len(groups) - len(certified)
+    failing = (~certified).nonzero()[0]
     frame = None
-    if certified and failing:
-        frame = _shrunk(a, None, *(np.hstack([s.basis for s in side]) for side in zip(*certified.values())))
-    clusters = []
-    for k, (lam, scatter, idx) in enumerate(groups):
-        perp = climb = None
-        if k in certified:
-            right, left = certified[k]
-        else:
-            perp, right, left, climb = _climb(a, lam, scatter, tol, len(idx), frame, with_left=True)
-            failing -= 1
-            if failing and climb.space is not None:
-                frame = _shrunk(a, frame, climb.space.basis, climb.adjoint_space.basis)
-        m_a, m_g = len(idx), right.dim
-        clusters.append(EigenvalueCluster(
-            value=lam, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=(m_a == m_g),
-            right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, climb=climb))
-    clusters.sort(key=lambda c: (c.value.real, c.value.imag))
-    return PointSpectrum(ambient_dim=n, clusters=tuple(clusters), adjoint_eigenvalues=adj_raw)
+    if certified.any() and len(failing):
+        kept = certified.repeat(right.widths)
+        frame = _shrunk(a, None, right.matrix[:, kept], left.matrix[:, kept])
+    climbed = {}
+    for k in failing.tolist():
+        lam, m_a = complex(values[k]), int(members.widths[k])
+        climbed[k] = _climb(a, lam, float(scatters[k]), tol, m_a, frame, with_left=True, level_one=_level_one)
+        climb = climbed[k][3]
+        _check_multiplicity(lam, m_a, climbed[k][1].dim)
+        if k != failing[-1] and climb.space is not None:
+            frame = _shrunk(a, frame, climb.space.basis, climb.adjoint_space.basis)
+    # each climb's kernels take its cluster's block of the certificate's stacks
+    rights = {k: c[1].basis for k, c in climbed.items()}
+    lefts = {k: c[2].basis for k, c in climbed.items()}
+    if right is None:
+        right, left = _Blocks.of([rights[0]]), _Blocks.of([lefts[0]])
+    else:
+        right, left = right.replaced(rights), left.replaced(lefts)
+    order = np.lexsort((values.imag, values.real))
+    rank = order.argsort()
+    if (order != np.arange(len(order))).any():
+        right, left = right.take(order), left.take(order)
+    return PointSpectrum._of_arrays(
+        n, adj_raw, values=values[order], algebraic=members.widths[order], scatter=scatters[order],
+        right=right, left=left,
+        climbed={int(rank[k]): c for k, c in climbed.items()})

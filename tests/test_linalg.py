@@ -19,7 +19,7 @@ from biortho import (
     root_space,
     subspace_angle,
 )
-from biortho.linalg import subspace_pairs
+from biortho.linalg import _Blocks, subspace_pairs
 
 from conftest import random_complex
 
@@ -308,6 +308,50 @@ def test_subspace_pairs_match_the_cross_gram_and_the_projector_gap(seed, n, spec
         # a pair alone gives what it gives inside the mixed batch
         (alone,), alone_angle = subspace_pairs([b1], [b2])
         assert np.array_equal(alone, sigma) and alone_angle[0] == angle
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12), st.lists(st.integers(1, 4), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_a_stacked_qr_is_one_qr_per_block_bit_for_bit(seed, n, widths):
+    # what the certificate and the residual identity rely on: one np.linalg.qr
+    # over the (k, n, d) stack of a width's blocks, read off one matrix by a
+    # reshape, gives each block the Q its own call gives
+    widths = [min(w, n) for w in widths]
+    m = random_complex(n, sum(widths), seed)
+    blocks = _Blocks(m, widths)
+    out = blocks.qr(m.copy())
+    for i, b in enumerate(blocks):
+        expected = np.linalg.qr(b)[0] if b.shape[1] > 1 else b
+        assert np.array_equal(_Blocks(out, widths)[i], expected)
+    for d in set(widths):
+        idx = np.flatnonzero(np.array(widths) == d)
+        q = np.linalg.qr(blocks.stack(idx))[0]
+        assert all(np.array_equal(q[k], np.linalg.qr(blocks[i])[0]) for k, i in enumerate(idx))
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_subspace_pairs_on_stacked_bases_match_the_per_pair_lists(seed, n, shapes):
+    # the diagnosis pairs the blocks of two stacked kernel matrices; the
+    # singular values and angles are those of the per-cluster lists, bit for bit
+    firsts = [_orthonormal_basis(random_complex(n, min(d1, n), seed + 2 * k)) for k, (d1, _) in enumerate(shapes)]
+    seconds = [_orthonormal_basis(random_complex(n, min(d2, n), seed + 2 * k + 1)) for k, (_, d2) in enumerate(shapes)]
+    for bases in (firsts, seconds):
+        blocks = _Blocks.of(bases)
+        for d in set(blocks.widths.tolist()):
+            idx = np.flatnonzero(blocks.widths == d)
+            # a reshape of one matrix gives the array np.stack builds, in its layout
+            stack, reference = blocks.stack(idx), np.stack([bases[i] for i in idx])
+            assert np.array_equal(stack, reference) and stack.flags.c_contiguous and reference.flags.c_contiguous
+    sigmas, angles = subspace_pairs(firsts, seconds)
+    stacked, stacked_angles = subspace_pairs(_Blocks.of(firsts), _Blocks.of(seconds))
+    assert isinstance(stacked, _Blocks) and len(stacked) == len(sigmas)
+    assert all(np.array_equal(s, t) for s, t in zip(sigmas, stacked))
+    assert np.array_equal(angles, stacked_angles)
 
 
 def test_subspace_pairs_of_nothing_is_empty():

@@ -158,7 +158,7 @@ def test_single_linkage_matches_union_find(seed, n, radius):
     # coarse grid points put many pairs exactly at the radius
     values = (rng.integers(0, 6, n) + 1j * rng.integers(0, 6, n)) * 0.2 if seed % 2 else (
         rng.uniform(0, 1, n) + 1j * rng.uniform(0, 1, n))
-    assert _single_linkage_groups(values, radius) == _union_find_groups(values, radius)
+    assert [g.tolist() for g in _single_linkage_groups(values, radius)] == _union_find_groups(values, radius)
 
 
 def test_single_linkage_chains_in_scrambled_order():
@@ -169,7 +169,7 @@ def test_single_linkage_chains_in_scrambled_order():
     broken = 100.0 + np.concatenate([np.arange(10) * 0.5, 5.0 + 1e-9 + np.arange(10) * 0.5]) + 0j
     values = np.concatenate([chain, broken])[rng.permutation(50)]
     groups = _single_linkage_groups(values, 0.5)
-    assert groups == _union_find_groups(values, 0.5)
+    assert [g.tolist() for g in groups] == _union_find_groups(values, 0.5)
     assert sorted(len(g) for g in groups) == [10, 10, 30]
     assert len(_single_linkage_groups(values, 0.4999)) == 50
 

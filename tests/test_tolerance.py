@@ -18,7 +18,8 @@ import pytest
 import biortho
 from biortho import Tolerance, check_conditions, point_spectrum, sigma_set, span_report
 from biortho import spectral
-from biortho.biorthogonal import _kernel_links, _link
+from biortho.biorthogonal import _kernel_links, _links
+from biortho.linalg import _Blocks
 from biortho.spectral import eigenvalue_groups, kernel_split
 
 FIELDS = ("rank_eps", "cluster_eps", "residual_eps")
@@ -112,9 +113,9 @@ def test_two_eigenvalues_at_the_radius_are_one_cluster():
 
 def test_a_cross_gram_singular_value_at_the_link_cutoff_counts_as_zero():
     at = ODD.link_cutoff(2)
-    link = _link(np.array([1.0, at]), 2, 2, ODD, 0)
+    (link,) = _links(_Blocks(np.array([1.0, at]), [2]), [2], [2], ODD)
     assert not link.linked and link.defect_dim == 1 and link.self_orthogonality == at
-    assert _link(np.array([1.0, np.nextafter(at, 1.0)]), 2, 2, ODD, 0).linked
+    assert _links(_Blocks(np.array([1.0, np.nextafter(at, 1.0)]), [2]), [2], [2], ODD)[0].linked
 
 
 def test_kernels_at_the_angle_threshold_count_as_equal():
