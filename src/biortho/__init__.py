@@ -13,7 +13,6 @@ from .biorthogonal import (
     SkewLinkVerdict,
     biorthonormalize,
     expand,
-    multiplicity_match,
     resolution_of_identity,
     skew_link_check,
 )

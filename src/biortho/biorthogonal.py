@@ -30,7 +30,6 @@ from .spectral import point_spectrum
 __all__ = [
     "SkewLinkVerdict",
     "skew_link_check",
-    "multiplicity_match",
     "BiorthoPair",
     "BiorthonormalSystem",
     "biorthonormalize",
@@ -98,11 +97,6 @@ def _kernel_links(spectrum, tol=DEFAULT_TOL):
     right, left = spectrum._right, spectrum._left
     sigmas, angles = subspace_pairs(right, left)
     return _links(sigmas, right.widths, left.widths, tol), angles
-
-
-def multiplicity_match(cluster):
-    """True iff the cluster's right and left kernels have equal dimension."""
-    return cluster.right_kernel.dim == cluster.left_kernel.dim
 
 
 @dataclass(frozen=True)
@@ -194,15 +188,11 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
         w[:, right.columns(idx)] = (lefts @ np.linalg.solve(gram_h, eyes)).transpose(1, 0, 2).reshape(n, -1)
     owners = np.arange(len(right)).repeat(right.widths).tolist()
     pairs = [BiorthoPair(v[:, j].copy(), w[:, j].copy(), i) for j, i in enumerate(owners)]
-    if pairs:
-        gram_full = w.conj().T @ v
-        residual = float(np.linalg.norm(gram_full - np.eye(len(pairs)), "fro"))
-    else:
-        residual = 0.0
+    # every pair is linked and no cluster defective, so there are n pairs
     return BiorthonormalSystem(
         ambient_dim=n,
         pairs=tuple(pairs),
-        gram_residual=residual,
+        gram_residual=float(np.linalg.norm(w.conj().T @ v - np.eye(len(pairs)), "fro")),
         complete=(len(pairs) == n),
     )
 

@@ -134,9 +134,8 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     Ran(A - lambda I)-perp must come from A's own right side, apart from
     the left kernel it is compared with; reading both off one
     factorization would make the angle zero by construction.  A cluster
-    that climbed reads the space its level 1 kept
-    (EigenvalueCluster.range_perp).  A certified cluster took no SVD;
-    when root_spaces are given (as span_report takes them), which the
+    that climbed reads the space its level 1 kept (Climb.range_perp).  A
+    certified cluster took no SVD; when root_spaces are given (as span_report takes them), which the
     caller passes only if their bases R span C^n (R = V when all kernels
     are root spaces), A = R J R^-1 with J block diagonal and one solve
     gives every such cluster its rows of R^-1.  Else it takes one SVD of
@@ -146,7 +145,7 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
     n = a.shape[0]
-    climbed = {i: perp.basis for i, (perp, _, _, _) in spectrum._climbed.items()}
+    climbed = {i: climb.range_perp.basis for i, climb in spectrum._climbed.items()}
     k = len(spectrum._algebraic)
     if len(climbed) < k and root_spaces is not None:
         # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster

@@ -152,9 +152,9 @@ class Subspace:
 
     ``basis`` has shape ``(ambient_dim, k)``; ``k == 0`` encodes the
     trivial subspace.  Construction refuses non-finite entries and checks
-    orthonormality loosely (1e-6) to catch outright misuse; the tight
-    residual bound is a property of the factory functions and is covered
-    by their tests.
+    orthonormality loosely (1e-6, _orthonormal, the rule _Blocks.check
+    applies to a stack) to catch outright misuse; the tight residual bound
+    is a property of the factory functions and is covered by their tests.
     """
 
     ambient_dim: int
@@ -169,15 +169,8 @@ class Subspace:
             )
         if b.shape[1] > self.ambient_dim:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        if b.shape[1] == 1:
-            # a non-finite column has a NaN or infinite squared norm, and
-            # NaN compares False against any bound
-            if not abs(np.vdot(b, b).real - 1.0) <= 1e-6:
-                raise ValueError("basis columns are not orthonormal")
-        elif b.shape[1]:
-            # a non-finite basis is refused before its Gram matrix is formed
-            if not np.isfinite(b).all() or np.abs(b.conj().T @ b - np.eye(b.shape[1])).max() > 1e-6:
-                raise ValueError("basis columns are not orthonormal")
+        if not _orthonormal(b[None]):
+            raise ValueError("basis columns are not orthonormal")
 
     @classmethod
     def _checked(cls, ambient_dim, basis):
@@ -210,7 +203,9 @@ def range_space(m, tol=DEFAULT_TOL):
 
 
 def _orthonormal(stack):
-    """Whether every basis of a (k, n, d) stack has orthonormal columns, to within 1e-6 (Subspace's check).
+    """Whether every basis of a (k, n, d) stack has orthonormal columns, to within 1e-6.
+
+    Subspace checks its one basis as a stack of one, _Blocks.check each stack of one width.
 
     A non-finite stack is refused before its Gram matrices are formed.
     """
@@ -339,20 +334,16 @@ def _stacked_by_shape(firsts, seconds):
 def subspace_pairs(firsts, seconds):
     """Cross-Gram singular values and largest principal angle of each pair of bases.
 
-    firsts and seconds are equal-length sequences of orthonormal bases B1 and
-    B2 of one ambient space: lists, or _Blocks.  Returns, per pair, the
-    singular values of C = B2^* B1 in non-increasing order (a list for lists,
-    a _Blocks over one 1-d array for _Blocks), and an array of the largest
-    principal angles: pi/2 for unequal dimensions, 0 when both bases are
-    empty, else arcsin ||B2 - B1 C^*||_2, the gap of the orthogonal
+    firsts and seconds are two _Blocks of equal length, orthonormal bases B1
+    and B2 of one ambient space.  Returns, per pair, the singular values of
+    C = B2^* B1 in non-increasing order (a _Blocks over one 1-d array), and
+    an array of the largest principal angles: pi/2 for unequal dimensions,
+    0 when both bases are empty, else arcsin ||B2 - B1 C^*||_2, the gap of the orthogonal
     projectors.  The leak keeps small angles that sqrt(1 - sigma_min(C)^2)
     loses; its 2-norm is the root of its d x d Gram's largest singular
     value.  Pairs are batched by shape: one stacked product and one batched
     SVD per (d1, d2).
     """
-    blocks = isinstance(firsts, _Blocks)
-    if not blocks:
-        firsts, seconds = _Blocks.of(firsts), _Blocks.of(seconds)
     widths = np.minimum(firsts.widths, seconds.widths)
     sigmas = _Blocks(np.zeros(widths.sum()), widths)
     angles = np.zeros(len(firsts.widths))
@@ -372,12 +363,12 @@ def subspace_pairs(firsts, seconds):
             sigmas.matrix[sigmas.columns(idx)] = s[:len(idx)].ravel()
             if d1 == d2:
                 angles[idx] = np.arcsin(np.minimum(1.0, np.sqrt(s[len(idx):, 0])))
-    return (sigmas if blocks else list(sigmas)), angles
+    return sigmas, angles
 
 
 def subspace_angle(s1, s2):
     """Largest principal angle between two subspaces, in [0, pi/2] (see subspace_pairs)."""
-    return float(subspace_pairs([s1.basis], [s2.basis])[1][0])
+    return float(subspace_pairs(_Blocks.of([s1.basis]), _Blocks.of([s2.basis]))[1][0])
 
 
 def condition_number(m, tol=DEFAULT_TOL):

@@ -101,7 +101,7 @@ def root_space(a, cluster, tol=DEFAULT_TOL, spectrum=None):
         a = as_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("root space requires a square matrix")
-        climb = _climb(a, lam, cluster.scatter, tol, m_a)[3]
+        climb = _climb(a, lam, cluster.scatter, tol, m_a)[2]
     if climb.space is None:
         raise RootSpaceMismatchError(lam, climb.levels[-1] if climb.levels else 0, m_a, climb.cutoff, climb.levels)
     segre = _segre_from_staircase(climb.levels, lam)

@@ -29,9 +29,9 @@ construction, and the complement of its range is Ran(A - lambda I)-perp,
 which the residual identity of conditions reads back.  Its sigma_max
 sets the cluster's one cutoff (Tolerance.climb_cutoff), which every
 later level and the left split (one SVD of the shifted adjoint) read.
-The climb keeps only its levels, the cutoff and the finished root bases
-(EigenvalueCluster.climb), which rootspace returns.  A cluster that fills
-its frame with d_1 = 1 skips the later levels when level 1 certifies one
+The climb keeps only its levels, the cutoff, level 1's Ran-perp and the
+finished root bases (Climb, EigenvalueCluster.climb), which rootspace
+returns.  A cluster that fills its frame with d_1 = 1 skips the later levels when level 1 certifies one
 Jordan block (Tolerance.single_block): its scatter is at most the cutoff
 and the smallest kept singular value of B exceeds cutoff + scatter, so by
 Weyl's inequality the nilpotent part of B's Schur form has rank m_a - 1,
@@ -55,10 +55,11 @@ kernel basis matrix, n x sum(m_g), each cluster a column range of them,
 with the clusters' values, algebraic multiplicities and scatters beside
 them.  The certificate's columns go into them as they are, after one
 orthonormality check per block width of its certified blocks, and each
-climb its own block, checked as the Subspace it built.
-The diagnosis reads only these arrays.  The EigenvalueCluster objects,
-each kernel a view of the matrices, are built when PointSpectrum.clusters
-is first read.  biorthonormalize sets point_spectrum's _level_one: a
+climb its own block, checked as the Subspace it built; the Climb itself
+is kept beside the arrays, by cluster index.  The diagnosis reads only
+these.  The EigenvalueCluster objects, each kernel a view of the
+matrices, are built when PointSpectrum.clusters is first read.
+biorthonormalize sets point_spectrum's _level_one: a
 failing cluster with 0 < d_1 < m_a, which can never pair, then stops
 after level 1 and the left split.
 
@@ -82,18 +83,19 @@ __all__ = [
     "EigenvalueCluster",
     "PointSpectrum",
     "point_spectrum",
-    "eigenvalue_groups",
     "kernel_split",
 ]
 
 
 @dataclass(frozen=True)
 class Climb:
-    """A staircase climb's levels d_1 .. d_h, its one rank cutoff, and the root
-    spaces of A and A^* when d_h is the algebraic multiplicity, else None."""
+    """A staircase climb's levels d_1 .. d_h, its one rank cutoff, level 1's
+    Ran(A - lambda I)-perp, and the root spaces of A and A^* when d_h is the
+    algebraic multiplicity, else None."""
 
     levels: tuple
     cutoff: float
+    range_perp: Subspace
     space: Subspace = None
     adjoint_space: Subspace = None
 
@@ -118,12 +120,11 @@ class EigenvalueCluster:
     of the right kernel; semi_simple is their equality.  scatter is the
     largest distance of a merged raw eigenvalue from the centroid, the
     resolution below which this cluster cannot distinguish eigenvalues.
-    range_perp is Ran(A - value I)-perp from level 1 of the same climb as
-    the right kernel, kept for the residual identity, and climb that climb's
-    levels, cutoff and root spaces (see _climb); both None for a certified
-    cluster, which took no SVD.  A cluster of point_spectrum is built when
-    PointSpectrum.clusters is first read, its kernels views of the
-    spectrum's stacked bases.
+    climb is the staircase climb whose level 1 gave the right kernel (see
+    _climb), None for a certified cluster, which took no SVD; range_perp
+    reads its Ran(A - value I)-perp, kept for the residual identity.  A
+    cluster of point_spectrum is built when PointSpectrum.clusters is first
+    read, its kernels views of the spectrum's stacked bases.
     """
 
     value: complex
@@ -133,7 +134,6 @@ class EigenvalueCluster:
     right_kernel: Subspace
     left_kernel: Subspace
     scatter: float = 0.0
-    range_perp: Subspace = field(default=None, compare=False, repr=False)
     climb: Climb = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -143,6 +143,11 @@ class EigenvalueCluster:
             raise ClusteringError("right kernel dimension disagrees with m_g")
         if self.semi_simple != (m_a == self.geometric_multiplicity):
             raise ClusteringError("semi_simple flag disagrees with multiplicities")
+
+    @property
+    def range_perp(self):
+        """Ran(A - value I)-perp from level 1 of the cluster's climb, None for a certified cluster."""
+        return None if self.climb is None else self.climb.range_perp
 
     @property
     def kernels_are_root_spaces(self):
@@ -163,9 +168,8 @@ class PointSpectrum:
     _algebraic, _scatter), and the right and left kernel bases side by side
     in one matrix per side (_right and _left, two _Blocks, whose widths are
     the kernel dimensions).  _climbed maps the index of each cluster that
-    climbed to its range_perp, right and left kernels and climb, as _climb
-    returned them.  point_spectrum builds only the arrays; clusters builds
-    the EigenvalueCluster objects from them when first read, a certified
+    climbed to its Climb.  point_spectrum builds only the arrays; clusters
+    builds the EigenvalueCluster objects from them when first read, every
     cluster's kernels as views of the stacks.  A spectrum built from its
     clusters takes its arrays from them.
     """
@@ -182,8 +186,7 @@ class PointSpectrum:
             scatter=np.array([c.scatter for c in clusters], dtype=float),
             right=_Blocks.of([c.right_kernel.basis for c in clusters]),
             left=_Blocks.of([c.left_kernel.basis for c in clusters]),
-            climbed={i: (c.range_perp, c.right_kernel, c.left_kernel, c.climb)
-                     for i, c in enumerate(clusters) if c.range_perp is not None},
+            climbed={i: c.climb for i, c in enumerate(clusters) if c.climb is not None},
         )
 
     def _set(self, **arrays):
@@ -208,13 +211,10 @@ class PointSpectrum:
         for i, (value, m_a, m_g, scatter, right, left) in enumerate(zip(
                 self._values.tolist(), self._algebraic.tolist(), self._right.widths.tolist(),
                 self._scatter.tolist(), self._right, self._left)):
-            if i in self._climbed:
-                perp, right, left, climb = self._climbed[i]
-            else:
-                perp, right, left, climb = None, Subspace._checked(n, right), Subspace._checked(n, left), None
             clusters.append(EigenvalueCluster(
                 value=value, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=m_a == m_g,
-                right_kernel=right, left_kernel=left, scatter=scatter, range_perp=perp, climb=climb))
+                right_kernel=Subspace._checked(n, right), left_kernel=Subspace._checked(n, left), scatter=scatter,
+                climb=self._climbed.get(i)))
         clusters = tuple(clusters)
         object.__setattr__(self, "clusters", clusters)
         return clusters
@@ -277,16 +277,17 @@ def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
 
     Raises EigenIterationError if the SVD fails to converge.
     """
-    return _climb(a, lam, scatter, tol)[:2]
+    right, _, climb = _climb(a, lam, scatter, tol)
+    return climb.range_perp, right
 
 
 def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_one=False):
-    """(Ran-perp, right kernel, left kernel, Climb): Kublanovskaya's staircase at lam, one cutoff for every level.
+    """(right kernel, left kernel, Climb): Kublanovskaya's staircase at lam, one cutoff for every level.
 
     B is a - lam I, or Z_R^* a Z_R - lam I in a frame (_shrunk).  Level 1
     factors B: its kernel is Ker(a - lam I) (times Z_R), the complement of
-    its range Ran(a - lam I)-perp.  In a frame Ran(a - lam I) also holds the
-    certified right kernels and the root spaces already climbed, which Ran(Z_L)
+    its range Ran(a - lam I)-perp (Climb.range_perp).  In a frame
+    Ran(a - lam I) also holds the certified right kernels and the root spaces already climbed, which Ran(Z_L)
     is orthogonal to, so Ran-perp is Z_L times the complement of Z_L^* Z_R U_1,
     U_1 level 1's range; Ran(B^h) at the top likewise.
     A merged cluster cannot distinguish eigenvalues closer to lam than its
@@ -329,7 +330,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
     left = None if not with_left else right if d == n else _left_kernel(a, lam, cutoff, frame)
     if m_a is None or not 0 < d < m_a or level_one:
         top = d == m_a
-        return perp, right, left, Climb((d,) if d else (), cutoff, right if top else None, perp if top else None)
+        return right, left, Climb((d,) if d else (), cutoff, perp, right if top else None, perp if top else None)
     # a root space that fills the frame is spanned by Q = I, which is never rotated;
     # there level 1 of point_spectrum's own climb may certify one block of size m_a
     q = np.eye(n_d, dtype=complex) if m_a < n_d else None
@@ -345,7 +346,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
             u, s, vh = _svd(trailing, lam)
             rank = int(np.count_nonzero(s > cutoff))
     if d != m_a:
-        return perp, right, left, Climb(tuple(levels), cutoff)
+        return right, left, Climb(tuple(levels), cutoff, perp)
     top = np.eye(n_d, dtype=complex) if q is None else q[:, :d]
     space = adjoint = Subspace(n, phase_normalize(top if z_r is None else z_r @ top))
     if d < n_d:
@@ -363,7 +364,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
         adjoint = Subspace(n, phase_normalize((q if z_r is None else z_l) @ ran[:, n_d - d:]))
     elif z_l is not None:
         adjoint = Subspace(n, phase_normalize(z_l))
-    return perp, right, left, Climb(tuple(levels), cutoff, space, adjoint)
+    return right, left, Climb(tuple(levels), cutoff, perp, space, adjoint)
 
 
 def _left_kernel(a, lam, cutoff, frame):
@@ -388,15 +389,6 @@ def _clustered(values, tol):
         centroids[k] = values[idx].mean()
         scatters[k] = np.abs(values[idx] - centroids[k]).max()
     return centroids, scatters, members
-
-
-def eigenvalue_groups(values, tol=DEFAULT_TOL):
-    """Raw eigenvalues grouped by single linkage.
-
-    Returns one (centroid, scatter, member indices) triple per group.
-    """
-    centroids, scatters, members = _clustered(values, tol)
-    return [(lam, scatter, idx.tolist()) for lam, scatter, idx in zip(centroids.tolist(), scatters.tolist(), members)]
 
 
 def _refined(a, values, vectors):
@@ -525,17 +517,16 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
     if certified.any() and len(failing):
         kept = certified.repeat(right.widths)
         frame = _shrunk(a, None, right.matrix[:, kept], left.matrix[:, kept])
-    climbed = {}
+    climbed, rights, lefts = {}, {}, {}
     for k in failing.tolist():
         lam, m_a = complex(values[k]), int(members.widths[k])
-        climbed[k] = _climb(a, lam, float(scatters[k]), tol, m_a, frame, with_left=True, level_one=_level_one)
-        climb = climbed[k][3]
-        _check_multiplicity(lam, m_a, climbed[k][1].dim)
+        kernel, left_kernel, climb = _climb(a, lam, float(scatters[k]), tol, m_a, frame, with_left=True,
+                                            level_one=_level_one)
+        _check_multiplicity(lam, m_a, kernel.dim)
+        # each climb's kernels take its cluster's block of the certificate's stacks
+        climbed[k], rights[k], lefts[k] = climb, kernel.basis, left_kernel.basis
         if k != failing[-1] and climb.space is not None:
             frame = _shrunk(a, frame, climb.space.basis, climb.adjoint_space.basis)
-    # each climb's kernels take its cluster's block of the certificate's stacks
-    rights = {k: c[1].basis for k, c in climbed.items()}
-    lefts = {k: c[2].basis for k, c in climbed.items()}
     if right is None:
         right, left = _Blocks.of([rights[0]]), _Blocks.of([lefts[0]])
     else:

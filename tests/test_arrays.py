@@ -30,7 +30,9 @@ from biortho import (
     skew_link_check,
 )
 from biortho import conditions, linalg, rootspace
+from biortho.spectral import Climb
 from conftest import Calls, count_norm2
+from test_frame import CASES as FRAMED
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
@@ -57,6 +59,8 @@ INPUTS = [pytest.param(p, tol, id="%s-%s" % (p.stem, name)) for p in CORPUS
 
 
 def _matrix(source):
+    if isinstance(source, np.ndarray):
+        return source
     return read_matrix(source) if isinstance(source, Path) else generate(source)
 
 
@@ -166,6 +170,19 @@ def test_reading_a_cluster_builds_its_kernels_as_views():
         assert np.shares_memory(c.right_kernel.basis, ps._right.matrix)
         assert np.shares_memory(c.left_kernel.basis, ps._left.matrix)
         assert c.value == ps.values()[i] and c.algebraic_multiplicity == 1 == c.geometric_multiplicity
+
+
+@pytest.mark.parametrize("source, tol", INPUTS + FRAMED)
+def test_every_climb_is_one_record_and_every_kernel_a_view_of_the_stacks(source, tol):
+    # a climbed cluster keeps its Climb alone, Ran-perp included, and its
+    # kernels are column ranges of the stacks like a certified cluster's
+    ps = point_spectrum(_matrix(source), tol)
+    for climb in ps._climbed.values():
+        assert isinstance(climb, Climb) and isinstance(climb.range_perp, linalg.Subspace)
+    for i, c in enumerate(ps.clusters):
+        assert c.climb is ps._climbed.get(i)
+        assert np.shares_memory(c.right_kernel.basis, ps._right.matrix)
+        assert np.shares_memory(c.left_kernel.basis, ps._left.matrix)
 
 
 def test_a_broken_certified_basis_is_refused_by_the_stacked_check():

@@ -16,7 +16,6 @@ from biortho import (
     condition_number,
     expand,
     generate,
-    multiplicity_match,
     point_spectrum,
     resolution_of_identity,
     skew_link_check,
@@ -75,8 +74,9 @@ def test_skew_link_is_symmetric(seed):
 
 
 def test_multiplicity_match_on_random_matrix():
-    for c in point_spectrum(random_complex(5, None, 8)).clusters:
-        assert multiplicity_match(c)
+    # C3 reads the kernel dimensions off the stacked bases' widths
+    ps = point_spectrum(random_complex(5, None, 8))
+    assert np.array_equal(ps._right.widths, ps._left.widths)
 
 
 def test_biorthonormalize_triangular_oracle():

@@ -111,11 +111,11 @@ def _climbs(monkeypatch, stop_short=()):
     original = spectral._climb
 
     def recorded(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, **switches):
-        perp, right, left, climb = original(a, lam, scatter, tol, m_a, frame, with_left, **switches)
+        right, left, climb = original(a, lam, scatter, tol, m_a, frame, with_left, **switches)
         if len(made) in stop_short:
-            climb = Climb(climb.levels, climb.cutoff)
+            climb = Climb(climb.levels, climb.cutoff, climb.range_perp)
         made.append((lam, m_a, frame, climb))
-        return perp, right, left, climb
+        return right, left, climb
 
     monkeypatch.setattr(spectral, "_climb", recorded)
     return made

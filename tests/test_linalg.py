@@ -292,7 +292,7 @@ def test_subspace_pairs_match_the_cross_gram_and_the_projector_gap(seed, n, spec
         firsts.append(b1)
         seconds.append(b2)
         tilts.append(tilt)
-    sigmas, angles = subspace_pairs(firsts, seconds)
+    sigmas, angles = subspace_pairs(_Blocks.of(firsts), _Blocks.of(seconds))
     assert len(sigmas) == len(angles) == len(specs)
     for b1, b2, tilt, sigma, angle in zip(firsts, seconds, tilts, sigmas, angles):
         d1, d2 = b1.shape[1], b2.shape[1]
@@ -306,7 +306,7 @@ def test_subspace_pairs_match_the_cross_gram_and_the_projector_gap(seed, n, spec
         elif d1 == 0:
             assert angle == 0.0
         # a pair alone gives what it gives inside the mixed batch
-        (alone,), alone_angle = subspace_pairs([b1], [b2])
+        (alone,), alone_angle = subspace_pairs(_Blocks.of([b1]), _Blocks.of([b2]))
         assert np.array_equal(alone, sigma) and alone_angle[0] == angle
 
 
@@ -337,7 +337,7 @@ def test_a_stacked_qr_is_one_qr_per_block_bit_for_bit(seed, n, widths):
 @settings(max_examples=40, deadline=None)
 def test_subspace_pairs_on_stacked_bases_match_the_per_pair_lists(seed, n, shapes):
     # the diagnosis pairs the blocks of two stacked kernel matrices; the
-    # singular values and angles are those of the per-cluster lists, bit for bit
+    # singular values and angles are those of one pair alone, bit for bit
     firsts = [_orthonormal_basis(random_complex(n, min(d1, n), seed + 2 * k)) for k, (d1, _) in enumerate(shapes)]
     seconds = [_orthonormal_basis(random_complex(n, min(d2, n), seed + 2 * k + 1)) for k, (_, d2) in enumerate(shapes)]
     for bases in (firsts, seconds):
@@ -347,16 +347,16 @@ def test_subspace_pairs_on_stacked_bases_match_the_per_pair_lists(seed, n, shape
             # a reshape of one matrix gives the array np.stack builds, in its layout
             stack, reference = blocks.stack(idx), np.stack([bases[i] for i in idx])
             assert np.array_equal(stack, reference) and stack.flags.c_contiguous and reference.flags.c_contiguous
-    sigmas, angles = subspace_pairs(firsts, seconds)
     stacked, stacked_angles = subspace_pairs(_Blocks.of(firsts), _Blocks.of(seconds))
-    assert isinstance(stacked, _Blocks) and len(stacked) == len(sigmas)
-    assert all(np.array_equal(s, t) for s, t in zip(sigmas, stacked))
-    assert np.array_equal(angles, stacked_angles)
+    assert isinstance(stacked, _Blocks) and len(stacked) == len(stacked_angles) == len(shapes)
+    for b1, b2, sigma, angle in zip(firsts, seconds, stacked, stacked_angles):
+        (alone,), alone_angle = subspace_pairs(_Blocks.of([b1]), _Blocks.of([b2]))
+        assert np.array_equal(alone, sigma) and alone_angle[0] == angle
 
 
 def test_subspace_pairs_of_nothing_is_empty():
-    sigmas, angles = subspace_pairs([], [])
-    assert sigmas == [] and angles.shape == (0,)
+    sigmas, angles = subspace_pairs(_Blocks.of([]), _Blocks.of([]))
+    assert len(sigmas) == 0 and sigmas.matrix.shape == (0,) and angles.shape == (0,)
 
 
 def test_subspace_angle_resolves_small_angles():

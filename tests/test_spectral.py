@@ -15,7 +15,7 @@ from biortho import (
     subspace_angle,
 )
 
-from biortho.spectral import _single_linkage_groups, eigenvalue_groups
+from biortho.spectral import _clustered, _single_linkage_groups
 
 from conftest import random_complex
 
@@ -181,7 +181,8 @@ def test_group_centroids_are_the_member_means_bit_for_bit(seed, n, cluster_eps):
     # of that one value exactly, with scatter 0
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for lam, scatter, idx in eigenvalue_groups(values, Tolerance(cluster_eps=cluster_eps)):
+    centroids, scatters, members = _clustered(values, Tolerance(cluster_eps=cluster_eps))
+    for lam, scatter, idx in zip(centroids.tolist(), scatters.tolist(), members):
         mean = complex(values[idx].mean())
         assert (lam.real, lam.imag) == (mean.real, mean.imag)
         assert np.signbit([lam.real, lam.imag]).tolist() == np.signbit([mean.real, mean.imag]).tolist()

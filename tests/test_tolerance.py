@@ -20,7 +20,7 @@ from biortho import Tolerance, check_conditions, point_spectrum, sigma_set, span
 from biortho import spectral
 from biortho.biorthogonal import _kernel_links, _links
 from biortho.linalg import _Blocks
-from biortho.spectral import eigenvalue_groups, kernel_split
+from biortho.spectral import _clustered, kernel_split
 
 FIELDS = ("rank_eps", "cluster_eps", "residual_eps")
 # report serializes and prints the fields, cli builds the Tolerance from flags
@@ -107,8 +107,9 @@ def test_a_certificate_residual_at_the_cutoff_passes(monkeypatch):
 def test_two_eigenvalues_at_the_radius_are_one_cluster():
     tol = Tolerance(cluster_eps=1e-8)
     assert tol.cluster_radius(np.array([0.0, 1e-8])) == 1e-8
-    assert len(eigenvalue_groups(np.array([0.0, 1e-8], dtype=complex), tol)) == 1
-    assert len(eigenvalue_groups(np.array([0.0, np.nextafter(1e-8, 1.0)], dtype=complex), tol)) == 2
+    # _clustered's third result holds one block of member indices per cluster
+    assert len(_clustered(np.array([0.0, 1e-8], dtype=complex), tol)[2]) == 1
+    assert len(_clustered(np.array([0.0, np.nextafter(1e-8, 1.0)], dtype=complex), tol)[2]) == 2
 
 
 def test_a_cross_gram_singular_value_at_the_link_cutoff_counts_as_zero():
