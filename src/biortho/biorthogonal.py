@@ -101,11 +101,18 @@ def _kernel_links(spectrum, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class BiorthoPair:
-    """One (psi, chi) pair tagged with the cluster it belongs to."""
+    """One (psi, chi) pair tagged with the cluster it belongs to; equal pairs agree entry for entry."""
 
     psi: np.ndarray
     chi: np.ndarray
     cluster_index: int
+
+    def __eq__(self, other):
+        # the generated __eq__ would ask an array comparison for one truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cluster_index == other.cluster_index and np.array_equal(self.psi, other.psi)
+                and np.array_equal(self.chi, other.chi))
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,10 @@ class BiorthonormalSystem:
     """A family of pairs with (chi_j, psi_i) = delta_ij.
 
     complete means the pairs span the whole space, i.e. their count
-    equals ambient_dim.  gram_residual is the Frobenius distance of the
-    full cross-Gram from the identity, a cheap certificate recomputable
-    from the pairs alone.
+    equals ambient_dim.  biorthonormalize returns only complete systems;
+    expand's IncompleteSystemError guards systems built by hand.
+    gram_residual is the Frobenius distance of the full cross-Gram from
+    the identity, a cheap certificate recomputable from the pairs alone.
     """
 
     ambient_dim: int

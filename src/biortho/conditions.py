@@ -13,7 +13,7 @@ conj(lambda) are the clusters' left kernels: for a certified cluster
 its eig vectors of A^* (see spectral), otherwise the left null vectors
 of A - lambda I at the cutoff of the cluster's climb.  Its root vectors come from the deflation that
 climbs A's staircase, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its
-final form Q*(A - lambda I)Q = [[N, X], [0, T]] (see rootspace), or are
+final form Q*(A - lambda I)Q = [[N, X], [0, T]] (see spectral._climb), or are
 the left kernel again where a cluster's kernels are its root subspaces,
 and C2' then reuses its C2 verdict.
 Its spectrum comes from a separate computation, so that C1 and C3'
@@ -138,8 +138,10 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     certified cluster took no SVD; when root_spaces are given (as span_report takes them), which the
     caller passes only if their bases R span C^n (R = V when all kernels
     are root spaces), A = R J R^-1 with J block diagonal and one solve
-    gives every such cluster its rows of R^-1.  Else it takes one SVD of
-    its shifted matrix.
+    gives every such cluster its rows of R^-1, orthonormalized as the
+    certificate's kernels are (_Blocks.orthonormalized) before the climbed
+    clusters' Ran-perps replace theirs.  Else it takes one SVD of its
+    shifted matrix.
     """
     a = as_matrix(a)
     if spectrum is None:
@@ -151,31 +153,12 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
         # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster
         basis = _root_basis(spectrum._right, root_spaces, "space").matrix
         dual = np.linalg.solve(basis.conj().T, np.eye(n, dtype=complex))
-        # a single column is normalized with all others in one pass, a wider
-        # block of a certified cluster by a thin QR, one stacked QR per size
-        certified = np.ones(k, dtype=bool)
-        certified[list(climbed)] = False
-        perps = _Blocks(_unit_columns(dual), spectrum._algebraic)
-        _Blocks(dual, spectrum._algebraic).qr(perps.matrix, certified)
-        perps = perps.replaced(climbed)
+        perps = _Blocks(dual, spectrum._algebraic).orthonormalized().replaced(climbed)
     else:
         perps = _Blocks.of([climbed[i] if i in climbed else kernel_split(
             a, complex(spectrum._values[i]), float(spectrum._scatter[i]), tol)[0].basis for i in range(k)])
     _, angles = subspace_pairs(perps, spectrum._left)
     return float(angles.max())
-
-
-def _unit_columns(m):
-    """m with every column scaled to unit 2-norm.
-
-    Each squared norm is re.re + im.im from two BLAS dots over the column's
-    strided real and imaginary parts, the sums np.linalg.norm takes of a
-    single column, so each column is scaled exactly as one norm() call would.
-    """
-    rows = m.T.copy()
-    re, im = rows.real[:, None, :], rows.imag[:, None, :]
-    squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
-    return m / np.sqrt(squares[:, 0, 0])
 
 
 def _check_c1(ps, adjoint_values, radius):
@@ -264,8 +247,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     c3_bad = (ps._algebraic != adj_members.widths[match]).nonzero()[0].tolist()
     # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2
-    # one, and a root space that is its adjoint's (all of C^n) is at angle 0
-    climbing = [i for i, r in enumerate(roots) if r is not None and r.space is not r.adjoint_space]
+    # one, and a root space of all of C^n (one cluster) is its adjoint's, at angle 0
+    climbing = [i for i, r in enumerate(roots) if r is not None and r.space.dim < n]
     spaces = _Blocks.of([roots[i].space.basis for i in climbing])
     adjoints = _Blocks.of([roots[i].adjoint_space.basis for i in climbing])
     sigmas, angles = subspace_pairs(spaces, adjoints)

@@ -3,10 +3,11 @@
 Subspaces are carried as orthonormal column bases: most from an SVD, a
 certified cluster's kernels from eig columns and a thin QR (spectral).
 Many bases of one ambient space travel side by side in one matrix
-(_Blocks), each a column range: pairings, orthonormality checks and thin
-QRs take one stack per block width, which a reshape of that matrix gives.
-Every cutoff, radius and threshold a verdict turns on is one Tolerance
-method, which states its rule.
+(_Blocks), each a column range, one stack per block width reshaped from
+it.  Blocks become orthonormal bases one way (_Blocks.orthonormalized),
+and pairs of bases are compared one way (subspace_pairs).  Every cutoff,
+radius and threshold a verdict turns on is one Tolerance method, which
+states its rule.
 """
 
 from __future__ import annotations
@@ -172,6 +173,12 @@ class Subspace:
         if not _orthonormal(b[None]):
             raise ValueError("basis columns are not orthonormal")
 
+    def __eq__(self, other):
+        # the generated __eq__ would ask an array comparison for one truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and np.array_equal(self.basis, other.basis)
+
     @classmethod
     def _checked(cls, ambient_dim, basis):
         """The Subspace on basis, a block of a _Blocks whose check() has passed."""
@@ -281,20 +288,21 @@ class _Blocks(Sequence):
             if d and not _orthonormal(self.stack(among[sub])):
                 raise ValueError("basis columns are not orthonormal")
 
-    def qr(self, out, where=None):
-        """out, with the Q of each block's thin QR written into the block's columns.
+    def orthonormalized(self):
+        """Orthonormal bases of the blocks' spans, side by side: a new _Blocks of the same widths.
 
-        Only blocks of width 2 or more are factored, and of those only the
-        ones where the boolean array where holds, when it is given.  One
-        stacked np.linalg.qr per width, equal bit for bit to one call per block.
+        Every column is divided by its 2-norm, one np.linalg.norm over the
+        matrix, then each block of width 2 or more is replaced by the Q of
+        its thin QR: one stacked np.linalg.qr per width, equal bit for bit to
+        one call per block.
         """
-        multiple = self.widths > 1 if where is None else (self.widths > 1) & where
-        if multiple.any():
-            among = multiple.nonzero()[0]
-            for sub in _groups(self.widths[among]).values():
-                idx = among[sub]
-                out[:, self.columns(idx)] = np.linalg.qr(self.stack(idx))[0].transpose(1, 0, 2).reshape(len(out), -1)
-        return out
+        units = _Blocks(self.matrix / np.linalg.norm(self.matrix, axis=0), self.widths)
+        among = (self.widths > 1).nonzero()[0]
+        for sub in _groups(self.widths[among]).values():
+            idx = among[sub]
+            q = np.linalg.qr(units.stack(idx))[0]
+            units.matrix[:, units.columns(idx)] = q.transpose(1, 0, 2).reshape(len(units.matrix), -1)
+        return units
 
     def take(self, order):
         """The blocks in the given order, in one new matrix."""
@@ -340,9 +348,9 @@ def subspace_pairs(firsts, seconds):
     an array of the largest principal angles: pi/2 for unequal dimensions,
     0 when both bases are empty, else arcsin ||B2 - B1 C^*||_2, the gap of the orthogonal
     projectors.  The leak keeps small angles that sqrt(1 - sigma_min(C)^2)
-    loses; its 2-norm is the root of its d x d Gram's largest singular
-    value.  Pairs are batched by shape: one stacked product and one batched
-    SVD per (d1, d2).
+    loses; its 2-norm is the root of the largest singular value of its
+    d x d Gram L^*L, one complex product.  Pairs are batched by shape: one
+    stacked product and one batched SVD per (d1, d2).
     """
     widths = np.minimum(firsts.widths, seconds.widths)
     sigmas = _Blocks(np.zeros(widths.sum()), widths)
@@ -353,11 +361,7 @@ def subspace_pairs(firsts, seconds):
         angles[idx] = 0.0 if d1 == d2 else np.pi / 2
         if d1 == d2 > 0:
             leak = b2 - b1 @ cross.conj().transpose(0, 2, 1)
-            re, im = leak.real, leak.imag
-            # L^*L from real products: on one column, exactly the sum np.linalg.norm takes
-            gram = re.transpose(0, 2, 1) @ re + im.transpose(0, 2, 1) @ im
-            gram = gram + 1j * (re.transpose(0, 2, 1) @ im - im.transpose(0, 2, 1) @ re)
-            cross = np.concatenate([cross, gram])
+            cross = np.concatenate([cross, leak.conj().transpose(0, 2, 1) @ leak])
         if min(d1, d2):
             s = np.linalg.svd(cross, compute_uv=False)
             sigmas.matrix[sigmas.columns(idx)] = s[:len(idx)].ravel()

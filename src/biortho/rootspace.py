@@ -1,38 +1,24 @@
-"""Root (generalized eigen) subspaces via kernel staircases.
+"""Root (generalized eigen) subspaces via kernel staircases, and the spans they give.
 
 For a cluster at lambda the staircase is d_k = dim Ker(B^k), B = A - lambda I.
 It rises to the height h, where Ker(B^h) is the root subspace; its steps (the
-Weyr characteristic) conjugate into the Jordan block sizes.  Kublanovskaya's
-deflation (Kagstrom & Ruhe, ACM TOMS 6(3), 1980) climbs it with no power of B:
-the SVD of the trailing block of Q*BQ rotates that block's kernel to the
-front; each step is its nullity at the cluster's one cutoff.  Its first level
-is the eigenspace: spectral._climb takes the cluster's right kernel, Ran-perp
-and the cutoff (Tolerance.climb_cutoff) from level 1, so a non-certified
-cluster's m_g is d_1 by construction, and point_spectrum keeps each climb
-(EigenvalueCluster.climb).  At the top Q*BQ = [[N, X], [0, T]],
-N nilpotent, T nonsingular; Ran(B^h) = Q[-S; I] with
-S = -sum_(i<h) N^i X T^-(i+1), and its complement Ker((B^*)^h) is the
-adjoint's root space: A^* climbs no staircase.  In a frame (spectral._shrunk),
-B is Z_R^* A Z_R - lambda I and the root space Z_R Q[:, :m_a]; the adjoint's
-is Z_L times the complement of Z_L^* Z_R Q[-S; I], and Z_L when m_a = n_d.
-The frame leaves out the certified clusters and each cluster whose climb
-reached its root spaces, so a later cluster climbs at n_d less their
-multiplicities, and the last one to climb fills its frame when every
-earlier climb reached the top.  Only a single cluster, and the first climb
-when no cluster is certified, climb unframed.  A cluster of point_spectrum
-that fills its frame with d_1 = 1 climbs no further than level 1 when that
-level certifies one Jordan block (Tolerance.single_block: by Weyl's
-inequality, the nilpotent part of B has rank m_a - 1 when its smallest kept
-singular value exceeds cutoff + scatter and scatter <= cutoff); its staircase
-is 1 .. m_a, and its root spaces are those of the full climb, the frame's.
-root_space without the spectrum always climbs every level.
+Weyr characteristic) conjugate into the Jordan block sizes (the Segre
+characteristic).  The staircase and both root subspaces, the adjoint's
+Ker((B^*)^h) among them, come from Kublanovskaya's deflation (Kagstrom &
+Ruhe, ACM TOMS 6(3), 1980), which spectral._climb runs once for each cluster
+that fails the eig certificate; its docstring tells how, in a frame past the
+resolved clusters and with the single-block certificate.  root_space reads
+the climb point_spectrum kept (EigenvalueCluster.climb) and turns its
+staircase into the Segre characteristic; without the spectrum it climbs anew
+at full size, every level.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further
 (EigenvalueCluster.kernels_are_root_spaces); check_conditions builds no
 RootSpace for it, and the stacked root bases take its kernel columns from
 the spectrum's stacked kernel bases.  When all clusters do, the root spans
-are the eigenvector spans.  The SVD that ranks V gives kappa_v,
+are the eigenvector spans.  span_report ranks the stacked bases of both
+sides: the SVD that ranks V gives kappa_v,
 infinite exactly when the rank falls short of n, and ||V^*V - I||_2, zero
 exactly when V's orthonormal kernel bases are mutually orthogonal.  One
 cluster's root space is all of C^n, one orthonormal block: its rank is n.

@@ -11,11 +11,13 @@ When there is more than one cluster, eig(A^*) runs too, and every
 cluster first tries a residual certificate.  A cluster of m raw
 eigenvalues takes its members' eig(A) columns as its right block and
 the eig(A^*) columns at the m adjoint eigenvalues nearest conj(lambda)
-as its left block; each block is orthonormalized (a unit column, else a
-thin QR, one stacked QR per block size and side).  When every cluster is simple, each side's vectors first take
-one correction against their own residuals (see _refined).  Both blocks
-Q must then pass ||(A - lambda I) Q||_F <= Tolerance.certificate_cutoff,
-scaled by max(||A - lambda I||_F / sqrt(n), |lambda|).  By Courant-Fischer,
+as its left block; each side's blocks are orthonormalized in one call
+(_Blocks.orthonormalized: unit columns, then a thin QR of each multiple
+block, one stacked QR per block size).  When every cluster is simple,
+each side's vectors first take one correction against their own
+residuals (see _refined).  Both blocks Q must then pass
+||(A - lambda I) Q||_F <= Tolerance.certificate_cutoff, scaled by
+max(||A - lambda I||_F / sqrt(n), |lambda|).  By Courant-Fischer,
 sigma_(n-m+1)(A - lambda I) <= ||(A - lambda I) Q||_2 <= ||.||_F, and
 the Frobenius norm over sqrt(n) bounds sigma_max from below, so a
 certified Q proves the SVD would find a kernel of dimension at least m
@@ -309,7 +311,12 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
     one block of size m_a from level 1's smallest kept singular value, and
     returns the levels 1 .. m_a and root spaces the full climb would.
     Otherwise each level rotates the kernel of the trailing block of Q^* B Q
-    to the front, until that block is nonsingular or empty.
+    to the front, until that block is nonsingular or empty.  At the top
+    Q^* B Q = [[N, X], [0, T]], N nilpotent, T nonsingular: the root space is
+    Q[:, :m_a], and the complement of Ran(B^h) = Q[-S; I], S = -sum_(i<h)
+    N^i X T^-(i+1), is the adjoint's, Ker((B^*)^h), so A^* climbs no
+    staircase.  In a frame they are Z_R Q[:, :m_a] and Z_L times the
+    complement of Z_L^* Z_R Q[-S; I].
     """
     n = a.shape[0]
     z_r, b, z_l, _ = (None, a, None, None) if frame is None else frame
@@ -425,7 +432,8 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, lam, members, tol):
     A group of m raw eigenvalues (members, a _Blocks of their indices) at
     centroid lam takes its members' eig(A)
     columns as its right block, and the eig(A^*) columns at the m adjoint
-    eigenvalues nearest conj(lam) as its left block, each orthonormalized.
+    eigenvalues nearest conj(lam) as its left block, each side's blocks
+    orthonormalized by one _Blocks.orthonormalized call.
     When every group is simple, each side's vectors are first refined
     against that side's own residuals.  Returns the two sides as _Blocks,
     one block per group in group order, and a boolean array: a group is
@@ -447,13 +455,8 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, lam, members, tol):
         nearest = distance.argmin(axis=1)
     else:
         nearest = np.argsort(distance, axis=1, kind="stable")[np.arange(n)[None, :] < sizes[:, None]]
-    right = vecs[:, members.matrix]
-    left = adj_vecs[:, nearest]
-    right = right / np.linalg.norm(right, axis=0)
-    left = left / np.linalg.norm(left, axis=0)
-    # a multiple group's block is orthonormalized by one stacked QR per size and side
-    right = _Blocks(right, sizes).qr(right)
-    left = _Blocks(left, sizes).qr(left)
+    right = _Blocks(vecs[:, members.matrix], sizes).orthonormalized().matrix
+    left = _Blocks(adj_vecs[:, nearest], sizes).orthonormalized().matrix
     right_res = _block_norms(a @ right - right * shift, starts)
     left_res = _block_norms(adj @ left - left * shift.conj(), starts)
     diag = np.diag(a)

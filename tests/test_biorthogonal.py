@@ -230,3 +230,19 @@ def test_equal_kernel_dimensions_share_one_solve_and_keep_their_own_duals(monkey
         lam = ps.clusters[p.cluster_index].value
         assert np.linalg.norm(a @ p.psi - lam * p.psi) <= 1e-8 * kappa
         assert np.linalg.norm(a.conj().T @ p.chi - np.conj(lam) * p.chi) <= 1e-8 * kappa * np.linalg.norm(p.chi)
+
+
+def test_a_spectrum_of_another_size_is_refused():
+    a = random_complex(4, None, 5)
+    with pytest.raises(ValueError, match="different size"):
+        biorthonormalize(a, point_spectrum(random_complex(3, None, 5)))
+
+
+def test_a_system_without_pairs_has_empty_psi_and_chi_matrices():
+    # biorthonormalize returns only complete systems; a hand-built empty one
+    # still gives n x 0 matrices and refuses to expand
+    system = BiorthonormalSystem(ambient_dim=3, pairs=(), gram_residual=0.0, complete=False)
+    for m in (system.psi_matrix(), system.chi_matrix()):
+        assert m.shape == (3, 0) and m.dtype == complex
+    with pytest.raises(IncompleteSystemError):
+        expand(system, np.ones(3))

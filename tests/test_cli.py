@@ -203,6 +203,25 @@ def test_gallery_rejects_malformed_blocks(capsys):
     assert "eigenvalue:size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gallery", "jordan", "--size", "2", "--lambda", "1+x"], "cannot parse '1+x' as a complex number"),
+    (["gallery", "jordan", "--size", "3", "--segre", "3,x"], "cannot parse '3,x' as a comma-separated integer list"),
+    (["study", "ep_family", "--sizes", "2", "--t", "0.1,x"], "cannot parse '0.1,x' as a comma-separated number list"),
+    (["gallery", "block_jordan", "--size", "2", "--blocks", ";"], "no blocks found in ';'"),
+])
+def test_malformed_family_flags_exit_one_naming_the_text(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_gallery_blocks_skip_an_empty_chunk(capsys):
+    outputs = []
+    for blocks in ("0:2,1;", "0:2,1"):
+        assert main(["gallery", "block_jordan", "--size", "3", "--blocks", blocks]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_gallery_unknown_family_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["gallery", "toeplitz", "--size", "2"])

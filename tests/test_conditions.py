@@ -297,17 +297,6 @@ def test_mark_a_takes_no_svd_of_gram_blocks(monkeypatch):
     assert sorted(calls.shapes["svd"]) == [(48, 2, 2), (48, 2, 2), (48, 48), (48, 48)]
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_unit_columns_scale_each_column_as_one_norm_call(seed, rows, cols):
-    from biortho.conditions import _unit_columns
-
-    rng = np.random.default_rng(seed)
-    m = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) * 10.0 ** rng.uniform(-6, 6)
-    reference = np.hstack([m[:, j:j + 1] / np.linalg.norm(m[:, j:j + 1]) for j in range(cols)])
-    assert _unit_columns(m).tobytes() == reference.tobytes()
-
-
 @pytest.mark.parametrize("path", CORPUS, ids=[p.name for p in CORPUS])
 def test_the_sigma_set_is_the_reports(path):
     # check_conditions reads the sigma set off the kernel pairing it shares

@@ -245,6 +245,29 @@ def test_a_whole_space_root_pair_is_not_paired(monkeypatch):
     assert report.condition("C2'").status == "VACUOUS"
 
 
+def test_a_whole_space_root_pair_is_told_by_its_dimension(monkeypatch):
+    # C2' leaves out a root space of all of C^n by its dimension, not because
+    # root_space hands back one Subspace for both sides: with a copy of each,
+    # a truncated shift still pairs no 64 x 64 bases
+    n = 64
+    a = generate(FamilySpec("shift_trunc", n, {}))
+    original, copied = conditions.root_space, []
+
+    def copies(*args, **kwargs):
+        r = original(*args, **kwargs)
+        copied.append(r.space.dim)
+        return dataclasses.replace(r, space=Subspace(n, r.space.basis.copy()),
+                                   adjoint_space=Subspace(n, r.adjoint_space.basis.copy()))
+
+    monkeypatch.setattr(conditions, "root_space", copies)
+    record = _recorded(monkeypatch, ("subspace_pairs",))
+    report = check_conditions(a)
+    assert copied == [n]
+    # the kernel pairing, C2' and the residual identity
+    assert [firsts.widths.tolist() for _, firsts in record] == [[1], [], [1]]
+    assert report.condition("C2'").status == "VACUOUS"
+
+
 def test_inputs_without_a_simple_cluster_gain_no_eigen_call(monkeypatch):
     a = generate(FamilySpec("jordan", 4, {"eigenvalue": 0.0, "segre": (3, 1)}))
     calls = Calls(monkeypatch)

@@ -315,14 +315,16 @@ def test_subspace_pairs_match_the_cross_gram_and_the_projector_gap(seed, n, spec
 def test_a_stacked_qr_is_one_qr_per_block_bit_for_bit(seed, n, widths):
     # what the certificate and the residual identity rely on: one np.linalg.qr
     # over the (k, n, d) stack of a width's blocks, read off one matrix by a
-    # reshape, gives each block the Q its own call gives
+    # reshape, gives each block the Q its own call gives, after one norm over
+    # the whole matrix scales every column
     widths = [min(w, n) for w in widths]
     m = random_complex(n, sum(widths), seed)
     blocks = _Blocks(m, widths)
-    out = blocks.qr(m.copy())
-    for i, b in enumerate(blocks):
+    out = blocks.orthonormalized()
+    assert out.matrix is not m and np.array_equal(out.widths, blocks.widths)
+    for i, b in enumerate(_Blocks(m / np.linalg.norm(m, axis=0), widths)):
         expected = np.linalg.qr(b)[0] if b.shape[1] > 1 else b
-        assert np.array_equal(_Blocks(out, widths)[i], expected)
+        assert np.array_equal(out[i], expected)
     for d in set(widths):
         idx = np.flatnonzero(np.array(widths) == d)
         q = np.linalg.qr(blocks.stack(idx))[0]
@@ -378,6 +380,8 @@ def test_subspace_rejects_skewed_basis():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(ValueError):
         Subspace(2, np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="exceeds ambient"):
+        Subspace(2, np.eye(2, 3, dtype=complex))
 
 
 @pytest.mark.parametrize("norm, ok", [(1 + 2e-6, False), (1 - 2e-6, False), (1 + 2e-7, True), (1 - 2e-7, True)])

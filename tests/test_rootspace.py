@@ -177,3 +177,12 @@ def test_segre_is_the_conjugate_of_the_weyr_characteristic():
             assert got == segre and all(type(k) is int for k in got)
     with pytest.raises(ClusteringError, match="increasing steps"):
         _segre_from_staircase([1, 3], 0j)
+
+
+def test_root_space_of_a_non_square_matrix_is_refused():
+    # a cluster whose kernels are not its root spaces, climbed anew without its spectrum
+    a = generate(FamilySpec("jordan", 3, {"eigenvalue": 0.0, "segre": (3,)}))
+    (c,) = point_spectrum(a).clusters
+    assert not c.kernels_are_root_spaces
+    with pytest.raises(ValueError, match="square"):
+        root_space(np.ones((3, 4)), c)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from biortho import (
     EigenIterationError,
     EigenvalueCluster,
     FamilySpec,
+    PointSpectrum,
     Subspace,
     Tolerance,
     generate,
@@ -15,7 +19,7 @@ from biortho import (
     subspace_angle,
 )
 
-from biortho.spectral import _clustered, _single_linkage_groups
+from biortho.spectral import _clustered, _refined, _single_linkage_groups
 
 from conftest import random_complex
 
@@ -257,6 +261,44 @@ def test_cluster_invariant_enforced():
             right_kernel=Subspace(2, basis2),
             left_kernel=Subspace(2, basis2),
         )
+
+
+@pytest.mark.parametrize("m_g, semi_simple, message", [
+    (1, False, "right kernel dimension"),   # a kernel of dimension 2 for m_g = 1
+    (2, False, "semi_simple flag"),          # m_a = m_g = 2, yet flagged not semi-simple
+])
+def test_a_cluster_that_contradicts_its_multiplicities_is_refused(m_g, semi_simple, message):
+    basis2 = np.eye(3, dtype=complex)[:, :2]
+    with pytest.raises(ClusteringError, match=message):
+        EigenvalueCluster(
+            value=0.0,
+            algebraic_multiplicity=2,
+            geometric_multiplicity=m_g,
+            semi_simple=semi_simple,
+            right_kernel=Subspace(3, basis2),
+            left_kernel=Subspace(3, basis2),
+        )
+
+
+def test_a_missing_spectrum_attribute_is_an_attribute_error_on_both_routes():
+    # point_spectrum builds the clusters when first read; a spectrum built from
+    # its clusters has them at once.  Neither makes up any other attribute,
+    # which copy and pickle probe on a bare instance
+    computed = point_spectrum(random_complex(5, None, 8))
+    for ps in (computed, PointSpectrum(5, computed.clusters)):
+        with pytest.raises(AttributeError):
+            ps.no_such_field
+        assert len(ps.clusters) == 5
+        with pytest.raises(AttributeError):
+            ps.no_such_field
+        for twin in (copy.copy(ps), pickle.loads(pickle.dumps(ps))):
+            assert twin == ps
+
+
+def test_refined_leaves_the_vectors_when_they_are_singular():
+    # one correction needs V^-1; a singular V keeps eig's vectors as they are
+    vectors = np.ones((2, 2), dtype=complex)
+    assert _refined(np.eye(2, dtype=complex), np.array([1.0, 2.0]), vectors) is vectors
 
 
 def test_spectrum_determinism():
