@@ -76,6 +76,16 @@ def _links(sigmas, k1, k2, tol, indices=None):
     return tuple(verdicts)
 
 
+def _pair_links(firsts, seconds, tol, indices=None):
+    """Skew links (see _links) and largest angles of the pairs of bases of two _Blocks, from one subspace_pairs call.
+
+    For a spectrum's stacked kernel bases, the links decide C2 and the
+    angles the sigma set.
+    """
+    sigmas, angles = subspace_pairs(firsts, seconds)
+    return _links(sigmas, firsts.widths, seconds.widths, tol, indices), angles
+
+
 def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
     """Check whether two subspaces intersect each other's complement trivially.
 
@@ -83,23 +93,10 @@ def skew_link_check(s1, s2, tol=DEFAULT_TOL, cluster_index=-1):
     orthonormal bases: linked iff dim(s1) == dim(s2) and
     sigma_min(C) > Tolerance.link_cutoff(dim(s1)).
     """
-    sigmas, _ = subspace_pairs(_Blocks.of([s1.basis]), _Blocks.of([s2.basis]))
-    return _links(sigmas, [s1.dim], [s2.dim], tol, [cluster_index])[0]
+    return _pair_links(_Blocks.of([s1.basis]), _Blocks.of([s2.basis]), tol, [cluster_index])[0][0]
 
 
-def _kernel_links(spectrum, tol=DEFAULT_TOL):
-    """Every cluster's skew link of its right to its left kernel, and the kernels' largest angles.
-
-    One batched pairing of the stacked kernel bases gives both: the links
-    from the cross-Gram singular values, the angles (which decide the sigma
-    set) from the leaks.
-    """
-    right, left = spectrum._right, spectrum._left
-    sigmas, angles = subspace_pairs(right, left)
-    return _links(sigmas, right.widths, left.widths, tol), angles
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiorthoPair:
     """One (psi, chi) pair tagged with the cluster it belongs to; equal pairs agree entry for entry."""
 
@@ -177,10 +174,10 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
         spectrum = point_spectrum(a, tol, _level_one=True)
     if spectrum.ambient_dim != n:
         raise ValueError("spectrum belongs to a matrix of different size")
-    for verdict in _kernel_links(spectrum, tol)[0]:
+    right, left = spectrum._right, spectrum._left
+    for verdict in _pair_links(right, left, tol)[0]:
         if not verdict.linked:
             raise SkewLinkFailureError(verdict.cluster_index, verdict.self_orthogonality)
-    right, left = spectrum._right, spectrum._left
     defective = (right.widths != spectrum._algebraic).nonzero()[0].tolist()
     if defective:
         raise NotDiagonalizableError(defective)

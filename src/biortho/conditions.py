@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorthogonal import _kernel_links, _links
+from .biorthogonal import _pair_links
 from .linalg import DEFAULT_TOL, _Blocks, as_matrix, subspace_pairs
 from .rootspace import _root_basis, root_space, span_report
 from .spectral import _clustered, _lapack, kernel_split, point_spectrum
@@ -123,7 +123,8 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
     A cluster enters the set when its kernels sit at an angle above
     Tolerance.angle_threshold, as kernels of unequal dimension always do (pi/2).
     """
-    return tuple(int(i) for i in np.flatnonzero(_kernel_links(spectrum, tol)[1] > tol.angle_threshold))
+    angles = _pair_links(spectrum._right, spectrum._left, tol)[1]
+    return tuple(int(i) for i in np.flatnonzero(angles > tol.angle_threshold))
 
 
 def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None):
@@ -197,6 +198,13 @@ def _check_skew(cid, verdicts, empty_detail):
     return ConditionVerdict(cid, PASS, detail, tuple(verdicts))
 
 
+def _check_dims(cid, mismatched, detail, agree):
+    """FAIL on the clusters the boolean array mismatched flags, else PASS; detail's %s names them or says agree."""
+    bad = tuple(mismatched.nonzero()[0].tolist())
+    how = "differ for cluster(s) %s" % (list(bad),) if bad else agree
+    return ConditionVerdict(cid, FAIL if bad else PASS, detail % how, bad)
+
+
 def _check_span(cid, what, dim, adjoint_dim, n, witnesses):
     status = PASS if dim == adjoint_dim == n else FAIL
     detail = "%s span %d/%d dimensions (adjoint side %d/%d)" % (what, dim, n, adjoint_dim, n)
@@ -223,7 +231,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
     c1, match = _check_c1(ps, adj_centroids, tol.cluster_radius(ps.values()))
 
     # one pairing of the kernels gives the sigma set and the C2 links
-    links, kernel_angles = _kernel_links(ps, tol)
+    links, kernel_angles = _pair_links(ps._right, ps._left, tol)
     sig = tuple((kernel_angles > tol.angle_threshold).nonzero()[0].tolist())
     c2 = _check_skew(
         "C2",
@@ -231,39 +239,25 @@ def check_conditions(a, tol=DEFAULT_TOL):
         "no cluster distinguishes its left kernel from its right kernel",
     )
 
-    mismatched = tuple((ps._right.widths != ps._left.widths).nonzero()[0].tolist())
-    c3 = ConditionVerdict(
-        "C3",
-        FAIL if mismatched else PASS,
-        "left and right kernel dimensions %s"
-        % ("differ for cluster(s) %s" % (list(mismatched),) if mismatched else "agree on every cluster"),
-        mismatched,
-    )
+    c3 = _check_dims("C3", ps._right.widths != ps._left.widths, "left and right kernel dimensions %s",
+                     "agree on every cluster")
 
     # a cluster whose kernels are its root spaces gets no RootSpace: None
     roots = [None] * len(ps._algebraic)
     for i in (~ps._kernels_are_root_spaces).nonzero()[0].tolist():
         roots[i] = root_space(a, ps.clusters[i], tol, ps)
 
-    c3_bad = (ps._algebraic != adj_members.widths[match]).nonzero()[0].tolist()
     # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2
     # one, and a root space of all of C^n (one cluster) is its adjoint's, at angle 0
     climbing = [i for i, r in enumerate(roots) if r is not None and r.space.dim < n]
     spaces = _Blocks.of([roots[i].space.basis for i in climbing])
     adjoints = _Blocks.of([roots[i].adjoint_space.basis for i in climbing])
-    sigmas, angles = subspace_pairs(spaces, adjoints)
     root_links = {link.cluster_index: link
-                  for link, angle in zip(_links(sigmas, spaces.widths, adjoints.widths, tol, climbing), angles)
-                  if angle > tol.angle_threshold}
+                  for link, angle in zip(*_pair_links(spaces, adjoints, tol, climbing)) if angle > tol.angle_threshold}
     root_links.update({i: links[i] for i in sig if roots[i] is None})
     root_links = dict(sorted(root_links.items()))
-    c3p = ConditionVerdict(
-        "C3'",
-        FAIL if c3_bad else PASS,
-        "root-space dimensions %s under conjugation of the spectrum"
-        % ("differ for cluster(s) %s" % (list(c3_bad),) if c3_bad else "match"),
-        tuple(c3_bad),
-    )
+    c3p = _check_dims("C3'", ps._algebraic != adj_members.widths[match],
+                      "root-space dimensions %s under conjugation of the spectrum", "match")
 
     c2p = _check_skew(
         "C2'",

@@ -147,7 +147,7 @@ def phase_normalize(basis):
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n held as an orthonormal column basis.
 
@@ -305,12 +305,12 @@ class _Blocks(Sequence):
         return units
 
     def take(self, order):
-        """The blocks in the given order, in one new matrix."""
+        """The blocks in the given order, in one new matrix (or 1-d array)."""
         widths = self.widths[order]
         if (widths == 1).all():
-            return _Blocks(self.matrix[:, order], widths)
+            return _Blocks(self.matrix[..., order], widths)
         cols = (self.starts[order] - widths.cumsum() + widths).repeat(widths) + np.arange(widths.sum())
-        return _Blocks(self.matrix[:, cols], widths)
+        return _Blocks(self.matrix[..., cols], widths)
 
     def replaced(self, blocks):
         """These blocks with block i replaced by the basis blocks[i], for each i in the dict blocks."""

@@ -55,15 +55,18 @@ basis complex again.
 The spectrum is held as arrays (PointSpectrum): one right and one left
 kernel basis matrix, n x sum(m_g), each cluster a column range of them,
 with the clusters' values, algebraic multiplicities and scatters beside
-them.  The certificate's columns go into them as they are, after one
-orthonormality check per block width of its certified blocks, and each
-climb its own block, checked as the Subspace it built; the Climb itself
-is kept beside the arrays, by cluster index.  The diagnosis reads only
-these.  The EigenvalueCluster objects, each kernel a view of the
-matrices, are built when PointSpectrum.clusters is first read.
-biorthonormalize sets point_spectrum's _level_one: a
-failing cluster with 0 < d_1 < m_a, which can never pair, then stops
-after level 1 and the left split.
+them.  Every one of them is in report order, by centroid (Re, Im), from
+the moment the clusters form: point_spectrum sorts the groups before the
+certificate runs, so the certificate's stacks, the frame and the climbs
+all run in that order and nothing is remapped after.  The certificate's
+columns go into them as they are, after one orthonormality check per
+block width of its certified blocks, and each climb its own block,
+checked as the Subspace it built; the Climb itself is kept beside the
+arrays, by cluster index.  The diagnosis reads only these.  The
+EigenvalueCluster objects, each kernel a view of the matrices, are built
+when PointSpectrum.clusters is first read.  biorthonormalize sets
+point_spectrum's _level_one: a failing cluster with 0 < d_1 < m_a, which
+can never pair, then stops after level 1 and the left split.
 
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
@@ -159,7 +162,7 @@ class EigenvalueCluster:
 
 @dataclass(frozen=True)
 class PointSpectrum:
-    """All eigenvalue clusters of one matrix, sorted by (Re, Im).
+    """All eigenvalue clusters of one matrix, sorted by centroid (Re, Im).
 
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
     eig(A^*) call of the certificate, which runs whenever there is more
@@ -170,10 +173,11 @@ class PointSpectrum:
     _algebraic, _scatter), and the right and left kernel bases side by side
     in one matrix per side (_right and _left, two _Blocks, whose widths are
     the kernel dimensions).  _climbed maps the index of each cluster that
-    climbed to its Climb.  point_spectrum builds only the arrays; clusters
-    builds the EigenvalueCluster objects from them when first read, every
-    cluster's kernels as views of the stacks.  A spectrum built from its
-    clusters takes its arrays from them.
+    climbed to its Climb.  point_spectrum builds every array and record in
+    report order as the clusters form, so a new one needs no remap.  It
+    builds only the arrays; clusters builds the EigenvalueCluster objects
+    from them when first read, every cluster's kernels as views of the
+    stacks.  A spectrum built from its clusters takes its arrays from them.
     """
 
     ambient_dim: int
@@ -384,9 +388,11 @@ def _left_kernel(a, lam, cutoff, frame):
 def _clustered(values, tol):
     """Raw eigenvalues grouped by single linkage, as arrays: (centroids, scatters, members).
 
-    members is a _Blocks over the member indices, one block per group.  A
-    group's centroid is its members' mean, a single value's own bits, and
-    its scatter the largest distance of a member from the centroid.
+    members is a _Blocks over the member indices, one block per group, the
+    groups in order of their smallest member (point_spectrum then sorts
+    them into report order).  A group's centroid is its members' mean, a
+    single value's own bits, and its scatter the largest distance of a
+    member from the centroid.
     """
     members = _single_linkage_groups(values, tol.cluster_radius(values))
     centroids = values[members.matrix[members.starts]].astype(complex, copy=False)
@@ -436,8 +442,9 @@ def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, lam, members, tol):
     orthonormalized by one _Blocks.orthonormalized call.
     When every group is simple, each side's vectors are first refined
     against that side's own residuals.  Returns the two sides as _Blocks,
-    one block per group in group order, and a boolean array: a group is
-    certified unless either block's residual ||(A - lam I) Q||_F exceeds
+    one block per group in the order of members (point_spectrum's report
+    order), and a boolean array: a group is certified unless either
+    block's residual ||(A - lam I) Q||_F exceeds
     Tolerance.certificate_cutoff (or is not finite), and the caller takes
     the SVD route for it.
     """
@@ -505,6 +512,11 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
         raise ValueError("point spectrum requires a square matrix")
     raw, vecs = _lapack(np.linalg.eig, a)
     values, scatters, members = _clustered(raw, tol)
+    # report order, by centroid (Re, Im), from here on: the certificate's
+    # stacks, the frame and every climb run in it
+    order = np.lexsort((values.imag, values.real))
+    if (order != np.arange(len(order))).any():
+        values, scatters, members = values[order], scatters[order], members.take(order)
     adj_raw = right = left = None
     certified = np.zeros(len(members), dtype=bool)
     if len(members) > 1:
@@ -534,11 +546,5 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
         right, left = _Blocks.of([rights[0]]), _Blocks.of([lefts[0]])
     else:
         right, left = right.replaced(rights), left.replaced(lefts)
-    order = np.lexsort((values.imag, values.real))
-    rank = order.argsort()
-    if (order != np.arange(len(order))).any():
-        right, left = right.take(order), left.take(order)
-    return PointSpectrum._of_arrays(
-        n, adj_raw, values=values[order], algebraic=members.widths[order], scatter=scatters[order],
-        right=right, left=left,
-        climbed={int(rank[k]): c for k, c in climbed.items()})
+    return PointSpectrum._of_arrays(n, adj_raw, values=values, algebraic=members.widths, scatter=scatters,
+                                    right=right, left=left, climbed=climbed)

@@ -67,3 +67,27 @@ def test_subspaces_and_pairs_compare_their_arrays_entry_for_entry():
     assert pair != BiorthoPair(psi, chi, 1)
     assert pair != BiorthoPair(chi, psi, 0)
     assert pair != BiorthoPair(psi, np.append(chi, 0.0), 0)
+
+
+def test_the_result_types_refuse_hash_by_their_own_name():
+    # they compare by value, so none hashes; the TypeError names the type that
+    # holds the arrays, not a numpy type inside it
+    a, tol = CASES[1]
+    report, spectrum, roots, _ = _results(a, tol)
+    climbed = next(c for c in spectrum.clusters if c.climb is not None)
+    system = biorthonormalize(CASES[0][0])
+    results = {"Subspace": climbed.right_kernel, "Climb": climbed.climb, "EigenvalueCluster": climbed,
+               "PointSpectrum": spectrum, "RootSpace": root_space(a, climbed, tol, spectrum),
+               "DiagnosisReport": report, "BiorthoPair": system.pairs[0], "BiorthonormalSystem": system}
+    for name, result in results.items():
+        assert type(result).__name__ == name
+        with pytest.raises(TypeError) as caught:
+            hash(result)
+        message = str(caught.value)
+        assert message in ("unhashable type: 'Subspace'", "unhashable type: 'BiorthoPair'")
+        assert "numpy" not in message and "ndarray" not in message
+        assert result == result and not result != result
+    # a pair against another type defers to it, and so is unequal
+    pair = system.pairs[0]
+    assert pair.__eq__(pair.psi.tolist()) is NotImplemented
+    assert pair != "BiorthoPair" and not pair == (pair.psi, pair.chi, pair.cluster_index)

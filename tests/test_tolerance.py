@@ -18,7 +18,7 @@ import pytest
 import biortho
 from biortho import Tolerance, check_conditions, point_spectrum, sigma_set, span_report
 from biortho import spectral
-from biortho.biorthogonal import _kernel_links, _links
+from biortho.biorthogonal import _links, _pair_links
 from biortho.linalg import _Blocks
 from biortho.spectral import _clustered, kernel_split
 
@@ -121,7 +121,7 @@ def test_a_cross_gram_singular_value_at_the_link_cutoff_counts_as_zero():
 
 def test_kernels_at_the_angle_threshold_count_as_equal():
     ps = point_spectrum(NON_NORMAL)
-    top = _kernel_links(ps, Tolerance())[1].max()
+    top = _pair_links(ps._right, ps._left, Tolerance())[1].max()
     assert top > 0.0
     at, below = _pinned("angle_threshold", top), _pinned("angle_threshold", np.nextafter(top, 0.0))
     assert sigma_set(ps, at) == check_conditions(NON_NORMAL, at).sigma_set == ()
