@@ -116,9 +116,9 @@ class BiorthoPair:
 class BiorthonormalSystem:
     """A family of pairs with (chi_j, psi_i) = delta_ij.
 
-    complete means the pairs span the whole space, i.e. their count
-    equals ambient_dim.  biorthonormalize returns only complete systems;
-    expand's IncompleteSystemError guards systems built by hand.
+    complete is read off the pairs: they span the whole space when their
+    count equals ambient_dim.  biorthonormalize returns only complete
+    systems; expand's IncompleteSystemError guards systems built by hand.
     gram_residual is the Frobenius distance of the full cross-Gram from
     the identity, a cheap certificate recomputable from the pairs alone.
     """
@@ -126,7 +126,10 @@ class BiorthonormalSystem:
     ambient_dim: int
     pairs: tuple
     gram_residual: float
-    complete: bool
+
+    @property
+    def complete(self):
+        return len(self.pairs) == self.ambient_dim
 
     def psi_matrix(self):
         if not self.pairs:
@@ -145,15 +148,7 @@ class BiorthonormalSystem:
         (psi_i, f) of the adjoint-side expansion.  The Gram matrix turns
         into its conjugate transpose, so the residual carries over.
         """
-        flipped = tuple(
-            replace(p, psi=p.chi, chi=p.psi) for p in self.pairs
-        )
-        return BiorthonormalSystem(
-            ambient_dim=self.ambient_dim,
-            pairs=flipped,
-            gram_residual=self.gram_residual,
-            complete=self.complete,
-        )
+        return replace(self, pairs=tuple(replace(p, psi=p.chi, chi=p.psi) for p in self.pairs))
 
 
 def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
@@ -198,7 +193,6 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
         ambient_dim=n,
         pairs=tuple(pairs),
         gram_residual=float(np.linalg.norm(w.conj().T @ v - np.eye(len(pairs)), "fro")),
-        complete=(len(pairs) == n),
     )
 
 

@@ -26,8 +26,8 @@ climb, or from the root bases' inverse (residual_identity_check).  One pairing o
 the kernels gives both the sigma set and the C2 links; C2' and the
 residual identity pair their subspaces in one call each.  The kernels are
 read off the spectrum's stacked bases and its multiplicities off its
-arrays (see spectral.PointSpectrum), so a diagnosis builds no cluster
-object and no RootSpace for a cluster whose kernels are its root spaces.
+arrays (see spectral.PointSpectrum), so a diagnosis builds a cluster's
+view and RootSpace only where its kernels are not its root spaces.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
     # a cluster whose kernels are its root spaces gets no RootSpace: None
     roots = [None] * len(ps._algebraic)
     for i in (~ps._kernels_are_root_spaces).nonzero()[0].tolist():
-        roots[i] = root_space(a, ps.clusters[i], tol, ps)
+        roots[i] = root_space(a, ps._cluster(i), tol, ps)
 
     # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2
     # one, and a root space of all of C^n (one cluster) is its adjoint's, at angle 0

@@ -263,10 +263,6 @@ class _Blocks(Sequence):
         lo = self.starts[i]
         return self.matrix[..., lo:lo + self.widths[i]]
 
-    def __iter__(self):
-        for lo, width in zip(self.starts.tolist(), self.widths.tolist()):
-            yield self.matrix[..., lo:lo + width]
-
     def columns(self, idx):
         """The column indices of the blocks idx, which share one width, block after block (a slice for all blocks)."""
         if len(idx) == len(self.widths):

@@ -62,9 +62,9 @@ all run in that order and nothing is remapped after.  The certificate's
 columns go into them as they are, after one orthonormality check per
 block width of its certified blocks, and each climb its own block,
 checked as the Subspace it built; the Climb itself is kept beside the
-arrays, by cluster index.  The diagnosis reads only these.  The
-EigenvalueCluster objects, each kernel a view of the matrices, are built
-when PointSpectrum.clusters is first read.  biorthonormalize sets
+arrays, by cluster index.  The diagnosis reads these, and builds a view
+(PointSpectrum._cluster) only of a cluster whose kernels are not its root
+spaces, for root_space.  biorthonormalize sets
 point_spectrum's _level_one: a failing cluster with 0 < d_1 < m_a, which
 can never pair, then stops after level 1 and the left split.
 
@@ -121,33 +121,35 @@ class EigenvalueCluster:
     """One clustered eigenvalue with its kernel data.
 
     value is the cluster centroid; algebraic_multiplicity the number of
-    raw eigenvalues merged into it; geometric_multiplicity the dimension
-    of the right kernel; semi_simple is their equality.  scatter is the
-    largest distance of a merged raw eigenvalue from the centroid, the
+    raw eigenvalues merged into it.  The geometric multiplicity is read off
+    the right kernel, dim Ker(A - value I), and the cluster is semi-simple
+    when the two multiplicities are equal; neither is stored.  scatter is
+    the largest distance of a merged raw eigenvalue from the centroid, the
     resolution below which this cluster cannot distinguish eigenvalues.
     climb is the staircase climb whose level 1 gave the right kernel (see
     _climb), None for a certified cluster, which took no SVD; range_perp
     reads its Ran(A - value I)-perp, kept for the residual identity.  A
-    cluster of point_spectrum is built when PointSpectrum.clusters is first
-    read, its kernels views of the spectrum's stacked bases.
+    cluster of point_spectrum is a view (PointSpectrum._cluster), its
+    kernels column ranges of the spectrum's stacked bases.
     """
 
     value: complex
     algebraic_multiplicity: int
-    geometric_multiplicity: int
-    semi_simple: bool
     right_kernel: Subspace
     left_kernel: Subspace
     scatter: float = 0.0
     climb: Climb = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        m_a = self.algebraic_multiplicity
-        _check_multiplicity(self.value, m_a, self.geometric_multiplicity)
-        if self.right_kernel.dim != self.geometric_multiplicity:
-            raise ClusteringError("right kernel dimension disagrees with m_g")
-        if self.semi_simple != (m_a == self.geometric_multiplicity):
-            raise ClusteringError("semi_simple flag disagrees with multiplicities")
+        _check_multiplicity(self.value, self.algebraic_multiplicity, self.right_kernel.dim)
+
+    @property
+    def geometric_multiplicity(self):
+        return self.right_kernel.dim
+
+    @property
+    def semi_simple(self):
+        return self.right_kernel.dim == self.algebraic_multiplicity
 
     @property
     def range_perp(self):
@@ -175,9 +177,9 @@ class PointSpectrum:
     the kernel dimensions).  _climbed maps the index of each cluster that
     climbed to its Climb.  point_spectrum builds every array and record in
     report order as the clusters form, so a new one needs no remap.  It
-    builds only the arrays; clusters builds the EigenvalueCluster objects
-    from them when first read, every cluster's kernels as views of the
-    stacks.  A spectrum built from its clusters takes its arrays from them.
+    builds only the arrays; _cluster builds one cluster's view from them,
+    its kernels views of the stacks, and clusters every view when first
+    read.  A spectrum built from its clusters takes its arrays from them.
     """
 
     ambient_dim: int
@@ -212,18 +214,16 @@ class PointSpectrum:
         # only a spectrum made by _of_arrays lacks its clusters, until they are first read
         if name != "clusters" or "_right" not in vars(self):
             raise AttributeError(name)
-        n = self.ambient_dim
-        clusters = []
-        for i, (value, m_a, m_g, scatter, right, left) in enumerate(zip(
-                self._values.tolist(), self._algebraic.tolist(), self._right.widths.tolist(),
-                self._scatter.tolist(), self._right, self._left)):
-            clusters.append(EigenvalueCluster(
-                value=value, algebraic_multiplicity=m_a, geometric_multiplicity=m_g, semi_simple=m_a == m_g,
-                right_kernel=Subspace._checked(n, right), left_kernel=Subspace._checked(n, left), scatter=scatter,
-                climb=self._climbed.get(i)))
-        clusters = tuple(clusters)
+        clusters = tuple(self._cluster(i) for i in range(len(self._algebraic)))
         object.__setattr__(self, "clusters", clusters)
         return clusters
+
+    def _cluster(self, i):
+        """Cluster i's view: an EigenvalueCluster built from the arrays, its kernels views of the stacks."""
+        n = self.ambient_dim
+        return EigenvalueCluster(
+            complex(self._values[i]), int(self._algebraic[i]), Subspace._checked(n, self._right[i]),
+            Subspace._checked(n, self._left[i]), float(self._scatter[i]), self._climbed.get(i))
 
     def values(self):
         return self._values.copy()

@@ -29,7 +29,7 @@ from biortho import (
     root_space,
     skew_link_check,
 )
-from biortho import conditions, linalg, rootspace
+from biortho import conditions, linalg, rootspace, spectral
 from biortho.spectral import Climb
 from conftest import Calls, count_norm2
 from test_frame import CASES as FRAMED
@@ -112,9 +112,11 @@ def test_clusters_read_after_a_diagnosis_are_what_the_arrays_pair(source, tol):
 
 
 def _counted(monkeypatch):
-    """Subspace constructions, checked (__post_init__) or over a checked stack (_checked), and root_space calls."""
-    counts = {"subspace": 0, "root_space": 0}
+    """Subspace constructions, checked (__post_init__) or over a checked stack (_checked), EigenvalueCluster
+    constructions and root_space calls."""
+    counts = {"subspace": 0, "cluster": 0, "root_space": 0}
     post_init, checked = linalg.Subspace.__post_init__, getattr(linalg.Subspace, "_checked", None)
+    cluster_post_init = spectral.EigenvalueCluster.__post_init__
 
     def counted_post_init(self):
         counts["subspace"] += 1
@@ -124,8 +126,13 @@ def _counted(monkeypatch):
         counts["subspace"] += 1
         return checked(ambient_dim, basis)
 
+    def counted_cluster(self):
+        counts["cluster"] += 1
+        cluster_post_init(self)
+
     monkeypatch.setattr(linalg.Subspace, "__post_init__", counted_post_init)
     monkeypatch.setattr(linalg.Subspace, "_checked", counted_checked, raising=False)
+    monkeypatch.setattr(spectral.EigenvalueCluster, "__post_init__", counted_cluster)
     original = rootspace.root_space
 
     def counted_root_space(*args, **kwargs):
@@ -149,6 +156,7 @@ def test_a_diagnosis_builds_no_per_cluster_object_on_simple_clusters(monkeypatch
             norms = count_norm2(patched)
             report = check_conditions(a)
         counts[n] = made
+        assert made["cluster"] == 0
         assert len(report.spectrum.clusters) == n
         # two eig calls; the spans of V and W, one batched SVD each for the
         # kernel pairing and the residual identity, and the 2-norm of A;
@@ -158,6 +166,21 @@ def test_a_diagnosis_builds_no_per_cluster_object_on_simple_clusters(monkeypatch
         assert calls.shapes["solve"] == [(n, n)] * 3 and calls.shapes["qr"] == []
     assert counts[48]["subspace"] <= counts[16]["subspace"]
     assert counts[48]["root_space"] <= counts[16]["root_space"]
+
+
+def test_a_diagnosis_builds_a_view_only_of_a_cluster_whose_kernels_are_not_its_root_spaces(monkeypatch):
+    # defective (2, 1) and (3) blocks among simple and semi-simple ones: one
+    # view, and one root_space call, per cluster that climbs to its root
+    # spaces, and PointSpectrum.clusters is never read
+    spec, tol = MIXES[0].values
+    with monkeypatch.context() as patched:
+        made = _counted(patched)
+        report = check_conditions(generate(spec), tol)
+    ps = report.spectrum
+    assert "clusters" not in vars(ps)
+    climbing = int((~ps._kernels_are_root_spaces).sum())
+    assert 0 < climbing < len(ps._algebraic)
+    assert made["cluster"] == made["root_space"] == climbing
 
 
 def test_reading_a_cluster_builds_its_kernels_as_views():

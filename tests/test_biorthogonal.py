@@ -137,8 +137,6 @@ def test_defective_but_linked_cluster_raises_not_diagonalizable():
     cluster = EigenvalueCluster(
         value=0.0,
         algebraic_multiplicity=2,
-        geometric_multiplicity=1,
-        semi_simple=False,
         right_kernel=e1,
         left_kernel=e1,
     )
@@ -155,7 +153,6 @@ def test_incomplete_system_cannot_expand():
         ambient_dim=2,
         pairs=full.pairs[:1],
         gram_residual=0.0,
-        complete=False,
     )
     with pytest.raises(IncompleteSystemError):
         expand(partial, [1.0, 0.0])
@@ -241,7 +238,7 @@ def test_a_spectrum_of_another_size_is_refused():
 def test_a_system_without_pairs_has_empty_psi_and_chi_matrices():
     # biorthonormalize returns only complete systems; a hand-built empty one
     # still gives n x 0 matrices and refuses to expand
-    system = BiorthonormalSystem(ambient_dim=3, pairs=(), gram_residual=0.0, complete=False)
+    system = BiorthonormalSystem(ambient_dim=3, pairs=(), gram_residual=0.0)
     for m in (system.psi_matrix(), system.chi_matrix()):
         assert m.shape == (3, 0) and m.dtype == complex
     with pytest.raises(IncompleteSystemError):

@@ -1,0 +1,61 @@
+"""Derived facts under dataclasses.replace, the form the benchmark's checks are tested with.
+
+perfbench/tests builds faulty results with dataclasses.replace on
+PointSpectrum.clusters, EigenvalueCluster fields, BiorthonormalSystem.pairs,
+BiorthoPair.chi and DiagnosisReport fields, so those constructors are part
+of the benchmark's contract.  A cluster's geometric multiplicity and
+semi-simplicity are read off its right kernel, and a system's completeness
+off its pairs, so a replaced field carries them along; this test makes a
+break of that a tier-1 failure.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from biortho import (
+    IncompleteSystemError,
+    Subspace,
+    biorthonormalize,
+    check_conditions,
+    expand,
+)
+
+# a 2 x 2 Jordan block at 0 beside the simple eigenvalue 1
+JORDAN = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex)
+
+
+def test_a_wider_right_kernel_carries_the_multiplicities_with_it():
+    report = check_conditions(JORDAN)
+    clusters = list(report.spectrum.clusters)
+    c = clusters[0]
+    assert (c.algebraic_multiplicity, c.geometric_multiplicity, c.semi_simple) == (2, 1, False)
+    wide = replace(c, right_kernel=Subspace(3, np.eye(3, dtype=complex)[:, :2]))
+    assert (wide.geometric_multiplicity, wide.semi_simple) == (2, True)
+    clusters[0] = wide
+    # replace calls PointSpectrum(n, clusters, ...), as the benchmark's tests do
+    spectrum = replace(report.spectrum, clusters=tuple(clusters))
+    assert spectrum.clusters[0] is wide
+    assert np.array_equal(spectrum._values, [x.value for x in clusters])
+    assert np.array_equal(spectrum._algebraic, [x.algebraic_multiplicity for x in clusters])
+    assert np.array_equal(spectrum._scatter, [x.scatter for x in clusters])
+    assert spectrum._right.widths.tolist() == [x.geometric_multiplicity for x in clusters] == [2, 1]
+    assert spectrum._left.widths.tolist() == [x.left_kernel.dim for x in clusters]
+    assert np.array_equal(spectrum._right.matrix, np.hstack([x.right_kernel.basis for x in clusters]))
+    assert np.array_equal(spectrum._left.matrix, np.hstack([x.left_kernel.basis for x in clusters]))
+    assert spectrum._kernels_are_root_spaces.tolist() == [x.kernels_are_root_spaces for x in clusters]
+    for i, x in enumerate(clusters):
+        assert spectrum._cluster(i) == x
+
+
+def test_a_prefix_of_the_pairs_is_an_incomplete_system():
+    a = np.array([[1, 1], [0, 2]], dtype=complex)
+    system = biorthonormalize(a)
+    assert system.complete and len(system.pairs) == 2
+    partial = replace(system, pairs=system.pairs[:1])
+    assert not partial.complete
+    with pytest.raises(IncompleteSystemError):
+        expand(partial, [1.0, 0.0])
+    # the swapped system reads its completeness off its own pairs too
+    assert system.swapped().complete and not partial.swapped().complete

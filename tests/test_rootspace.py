@@ -114,8 +114,6 @@ def test_mismatch_against_cluster_multiplicity():
     wrong = ps.clusters[0].__class__(
         value=ps.clusters[0].value,
         algebraic_multiplicity=2,
-        geometric_multiplicity=1,
-        semi_simple=False,
         right_kernel=ps.clusters[0].right_kernel,
         left_kernel=ps.clusters[0].left_kernel,
     )

@@ -115,8 +115,8 @@ def test_a_cluster_without_its_spectrum_climbs_in_full(monkeypatch):
     # own clustering, so root_space climbs it level by level
     a = generate(FamilySpec("shift_trunc", 24))
     e = np.eye(24, dtype=complex)
-    hand = EigenvalueCluster(value=0j, algebraic_multiplicity=24, geometric_multiplicity=1, semi_simple=False,
-                             right_kernel=Subspace(24, e[:, :1]), left_kernel=Subspace(24, e[:, 23:]))
+    hand = EigenvalueCluster(value=0j, algebraic_multiplicity=24, right_kernel=Subspace(24, e[:, :1]),
+                             left_kernel=Subspace(24, e[:, 23:]))
     calls = Calls(monkeypatch, names=("svd",))
     rs = root_space(a, hand)
     assert rs.staircase == tuple(range(1, 25))

@@ -256,28 +256,26 @@ def test_cluster_invariant_enforced():
         EigenvalueCluster(
             value=0.0,
             algebraic_multiplicity=1,
-            geometric_multiplicity=2,
-            semi_simple=False,
             right_kernel=Subspace(2, basis2),
             left_kernel=Subspace(2, basis2),
         )
 
 
-@pytest.mark.parametrize("m_g, semi_simple, message", [
-    (1, False, "right kernel dimension"),   # a kernel of dimension 2 for m_g = 1
-    (2, False, "semi_simple flag"),          # m_a = m_g = 2, yet flagged not semi-simple
+@pytest.mark.parametrize("width, semi_simple", [
+    (2, True),    # a kernel of dimension 2 at m_a = 2
+    (1, False),   # a kernel of dimension 1 at m_a = 2
 ])
-def test_a_cluster_that_contradicts_its_multiplicities_is_refused(m_g, semi_simple, message):
-    basis2 = np.eye(3, dtype=complex)[:, :2]
-    with pytest.raises(ClusteringError, match=message):
-        EigenvalueCluster(
-            value=0.0,
-            algebraic_multiplicity=2,
-            geometric_multiplicity=m_g,
-            semi_simple=semi_simple,
-            right_kernel=Subspace(3, basis2),
-            left_kernel=Subspace(3, basis2),
-        )
+def test_a_cluster_reads_its_multiplicities_off_its_kernel(width, semi_simple):
+    # m_g and semi-simplicity are the right kernel's, so no argument can contradict them
+    basis = np.eye(3, dtype=complex)[:, :width]
+    c = EigenvalueCluster(
+        value=0.0,
+        algebraic_multiplicity=2,
+        right_kernel=Subspace(3, basis),
+        left_kernel=Subspace(3, basis),
+    )
+    assert c.geometric_multiplicity == width
+    assert c.semi_simple is semi_simple
 
 
 def test_a_missing_spectrum_attribute_is_an_attribute_error_on_both_routes():
