@@ -24,10 +24,10 @@ The residual identity takes no SVD of its own when the root bases span:
 Ran(A - lambda I)-perp comes from level 1 of each non-certified cluster's
 climb, or from the root bases' inverse (residual_identity_check).  One pairing of
 the kernels gives both the sigma set and the C2 links; C2' and the
-residual identity pair their subspaces in one call each.  The kernels are
-read off the spectrum's stacked bases and its multiplicities off its
-arrays (see spectral.PointSpectrum), so a diagnosis builds a cluster's
-view and RootSpace only where its kernels are not its root spaces.
+residual identity pair their subspaces in one call each.  The kernels,
+the root bases (stacked once, PointSpectrum._roots) and the
+multiplicities are read off the spectrum's arrays, so a diagnosis builds
+no per-cluster object but its SkewLinkVerdicts.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 
 from .biorthogonal import _pair_links
 from .linalg import DEFAULT_TOL, _Blocks, as_matrix, subspace_pairs
-from .rootspace import _root_basis, root_space, span_report
-from .spectral import _clustered, _lapack, kernel_split, point_spectrum
+from .rootspace import span_report
+from .spectral import _clustered, _lapack, _shift, kernel_split, point_spectrum
 
 __all__ = [
     "PASS",
@@ -86,8 +86,9 @@ class NormalityReport:
     V their orthonormal bases side by side (SpanReport.eigen_gram_defect),
     (b) every cluster semi-simple, (c) spectrum conjugation symmetric,
     (d) eigenvectors span, (e) left kernels equal right kernels
-    everywhere.  is_normal is decided directly from the commutator, at
-    Tolerance.normality_threshold.
+    everywhere.  is_normal is decided from the commutator of the centred
+    B = A - (tr A / n) I, which is A's but rounds at the scale of B, not of
+    a shift A + cI, at Tolerance.normality_threshold.
     """
 
     is_normal: bool
@@ -127,7 +128,7 @@ def sigma_set(spectrum, tol=DEFAULT_TOL):
     return tuple(int(i) for i in np.flatnonzero(angles > tol.angle_threshold))
 
 
-def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None):
+def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, roots_span=False):
     """Largest angle between Ran(A - lambda I)-perp and Ker(A* - conj(lambda) I).
 
     The two subspaces coincide for every lambda in exact arithmetic, so
@@ -136,13 +137,13 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     the left kernel it is compared with; reading both off one
     factorization would make the angle zero by construction.  A cluster
     that climbed reads the space its level 1 kept (Climb.range_perp).  A
-    certified cluster took no SVD; when root_spaces are given (as span_report takes them), which the
-    caller passes only if their bases R span C^n (R = V when all kernels
-    are root spaces), A = R J R^-1 with J block diagonal and one solve
-    gives every such cluster its rows of R^-1, orthonormalized as the
-    certificate's kernels are (_Blocks.orthonormalized) before the climbed
-    clusters' Ran-perps replace theirs.  Else it takes one SVD of its
-    shifted matrix.
+    certified cluster took no SVD; with roots_span, which the caller sets
+    only if the spectrum's stacked root bases R (PointSpectrum._roots)
+    span C^n (R = V when all kernels are root spaces), A = R J R^-1 with J
+    block diagonal and one solve gives every such cluster its rows of
+    R^-1, orthonormalized as the certificate's kernels are
+    (_Blocks.orthonormalized) before the climbed clusters' Ran-perps
+    replace theirs.  Else it takes one SVD of its shifted matrix.
     """
     a = as_matrix(a)
     if spectrum is None:
@@ -150,9 +151,9 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, root_spaces=None)
     n = a.shape[0]
     climbed = {i: climb.range_perp.basis for i, climb in spectrum._climbed.items()}
     k = len(spectrum._algebraic)
-    if len(climbed) < k and root_spaces is not None:
+    if len(climbed) < k and roots_span:
         # the columns of (R^-1)^* = (R^*)^-1, one block of m_a per cluster
-        basis = _root_basis(spectrum._right, root_spaces, "space").matrix
+        basis = spectrum._roots[0].matrix
         dual = np.linalg.solve(basis.conj().T, np.eye(n, dtype=complex))
         perps = _Blocks(dual, spectrum._algebraic).orthonormalized().replaced(climbed)
     else:
@@ -223,10 +224,9 @@ def check_conditions(a, tol=DEFAULT_TOL):
     if n != a.shape[1]:
         raise ValueError("diagnosis requires a square matrix")
     ps = point_spectrum(a, tol)
-    adj = a.conj().T
     adj_values = ps.adjoint_eigenvalues
     if adj_values is None:
-        adj_values = _lapack(np.linalg.eigvals, adj)
+        adj_values = _lapack(np.linalg.eigvals, a.conj().T)
     adj_centroids, _, adj_members = _clustered(adj_values, tol)
     c1, match = _check_c1(ps, adj_centroids, tol.cluster_radius(ps.values()))
 
@@ -242,19 +242,14 @@ def check_conditions(a, tol=DEFAULT_TOL):
     c3 = _check_dims("C3", ps._right.widths != ps._left.widths, "left and right kernel dimensions %s",
                      "agree on every cluster")
 
-    # a cluster whose kernels are its root spaces gets no RootSpace: None
-    roots = [None] * len(ps._algebraic)
-    for i in (~ps._kernels_are_root_spaces).nonzero()[0].tolist():
-        roots[i] = root_space(a, ps._cluster(i), tol, ps)
-
     # C2' verdicts: a cluster whose kernels are its root spaces reuses its C2
     # one, and a root space of all of C^n (one cluster) is its adjoint's, at angle 0
-    climbing = [i for i, r in enumerate(roots) if r is not None and r.space.dim < n]
-    spaces = _Blocks.of([roots[i].space.basis for i in climbing])
-    adjoints = _Blocks.of([roots[i].adjoint_space.basis for i in climbing])
-    root_links = {link.cluster_index: link
-                  for link, angle in zip(*_pair_links(spaces, adjoints, tol, climbing)) if angle > tol.angle_threshold}
-    root_links.update({i: links[i] for i in sig if roots[i] is None})
+    spaces, adjoints = ps._roots
+    own = ps._kernels_are_root_spaces
+    climbing = (~own & (ps._algebraic < n)).nonzero()[0]
+    root_links = {link.cluster_index: link for link, angle in zip(*_pair_links(
+        spaces.take(climbing), adjoints.take(climbing), tol, climbing.tolist())) if angle > tol.angle_threshold}
+    root_links.update({i: links[i] for i in sig if own[i]})
     root_links = dict(sorted(root_links.items()))
     c3p = _check_dims("C3'", ps._algebraic != adj_members.widths[match],
                       "root-space dimensions %s under conjugation of the spectrum", "match")
@@ -265,15 +260,16 @@ def check_conditions(a, tol=DEFAULT_TOL):
         "no cluster distinguishes its root subspace from the adjoint's",
     )
 
-    spans = span_report(a, tol, spectrum=ps, root_spaces=roots)
+    spans = span_report(a, tol, spectrum=ps)
     defective = tuple((ps._right.widths != ps._algebraic).nonzero()[0].tolist())
     c4 = _check_span("C4", "eigenvectors", spans.eigen_span_dim, spans.adjoint_eigen_span_dim, n, defective)
     c4p = _check_span("C4'", "root subspaces", spans.root_span_dim, spans.adjoint_root_span_dim, n, ())
 
-    commutator = a @ adj - adj @ a
+    # the centred B (see NormalityReport), whose commutator is A's
+    centred = _shift(a.copy(), np.trace(a) / n)
+    commutator = centred @ centred.conj().T - centred.conj().T @ centred
     commutator_norm = float(np.linalg.norm(commutator, "fro"))
-    norm_a = float(np.linalg.norm(a, 2))
-    is_normal = commutator_norm <= tol.normality_threshold(norm_a)
+    is_normal = commutator_norm <= tol.normality_threshold(float(np.linalg.norm(centred)))
     properties = {
         "a": PASS if spans.eigen_gram_defect <= tol.angle_threshold else FAIL,
         "b": FAIL if defective else PASS,
@@ -285,7 +281,7 @@ def check_conditions(a, tol=DEFAULT_TOL):
 
     # exactly when biorthonormalize(a, ps, tol) succeeds
     exists = not defective and all(link.linked for link in links)
-    angle = residual_identity_check(a, ps, tol, root_spaces=roots if spans.root_span_dim == n else None)
+    angle = residual_identity_check(a, ps, tol, roots_span=spans.root_span_dim == n)
 
     return DiagnosisReport(
         ambient_dim=n,

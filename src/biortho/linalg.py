@@ -101,9 +101,9 @@ class Tolerance:
         """10 * residual_eps, for subspace angles and the Gram defect of the eigenvector bases."""
         return 10.0 * self.residual_eps
 
-    def normality_threshold(self, norm_a):
-        """residual_eps * max(1, ||A||_2^2), for the commutator norm."""
-        return self.residual_eps * max(1.0, norm_a * norm_a)
+    def normality_threshold(self, norm_b):
+        """residual_eps * ||B||_F^2, for the commutator norm, B = A - (tr A / n) I the centred matrix."""
+        return self.residual_eps * norm_b * norm_b
 
 
 DEFAULT_TOL = Tolerance()

@@ -7,17 +7,17 @@ characteristic).  The staircase and both root subspaces, the adjoint's
 Ker((B^*)^h) among them, come from Kublanovskaya's deflation (Kagstrom &
 Ruhe, ACM TOMS 6(3), 1980), which spectral._climb runs once for each cluster
 that fails the eig certificate; its docstring tells how, in a frame past the
-resolved clusters and with the single-block certificate.  root_space reads
-the climb point_spectrum kept (EigenvalueCluster.climb) and turns its
+resolved clusters and with the single-block certificate.  span_report and
+check_conditions read the root bases the spectrum stacks (PointSpectrum._roots).
+root_space reads one cluster's climb (EigenvalueCluster.climb) and turns its
 staircase into the Segre characteristic; without the spectrum it climbs anew
 at full size, every level.
 
 A cluster whose kernels both have dimension m_a, as every simple or
 collapsed one does, has them for root subspaces and climbs no further
-(EigenvalueCluster.kernels_are_root_spaces); check_conditions builds no
-RootSpace for it, and the stacked root bases take its kernel columns from
-the spectrum's stacked kernel bases.  When all clusters do, the root spans
-are the eigenvector spans.  span_report ranks the stacked bases of both
+(EigenvalueCluster.kernels_are_root_spaces); the stacked root bases take
+its kernel columns.  When all clusters do, the root spans are the
+eigenvector spans.  span_report ranks the stacked bases of both
 sides: the SVD that ranks V gives kappa_v,
 infinite exactly when the rank falls short of n, and ||V^*V - I||_2, zero
 exactly when V's orthonormal kernel bases are mutually orthogonal.  One
@@ -116,22 +116,12 @@ def _stacked_rank(basis, tol):
     return tol.stacked_rank(s, basis.shape), s
 
 
-def _root_basis(kernels, root_spaces, side):
-    """The stacked root bases of one side (a _Blocks, widths m_a) from its kernels and root_spaces.
-
-    side names the RootSpace field to read, space or adjoint_space; a
-    cluster whose root_spaces entry is None keeps its kernel.
-    """
-    return kernels.replaced({i: getattr(r, side).basis for i, r in enumerate(root_spaces) if r is not None})
-
-
-def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
+def span_report(a, tol=DEFAULT_TOL, spectrum=None):
     """Ranks of the stacked eigenvector and root bases of a matrix and its adjoint.
 
-    spectrum and root_spaces may be passed to reuse existing results;
-    they must belong to the same matrix and tolerance.  root_spaces holds
-    one RootSpace per cluster, or None for a cluster whose kernels are its
-    root spaces.
+    spectrum may be passed to reuse an existing one; it must belong to the
+    same matrix and tolerance.  The root bases are its stacked ones
+    (PointSpectrum._roots).
     """
     if spectrum is None:
         spectrum = point_spectrum(a, tol)
@@ -140,13 +130,12 @@ def span_report(a, tol=DEFAULT_TOL, spectrum=None, root_spaces=None):
     adjoint_eigen, _ = _stacked_rank(spectrum._left.matrix, tol)
     root, adjoint_root = eigen, adjoint_eigen
     if not spectrum._kernels_are_root_spaces.all():
-        if root_spaces is None:
-            root_spaces = [root_space(a, c, tol, spectrum) for c in spectrum.clusters]
-        if len(root_spaces) == 1:
-            root, adjoint_root = root_spaces[0].space.dim, root_spaces[0].adjoint_space.dim
+        spaces, adjoints = spectrum._roots
+        if len(spaces) == 1:
+            root = adjoint_root = n
         else:
-            root, _ = _stacked_rank(_root_basis(spectrum._right, root_spaces, "space").matrix, tol)
-            adjoint_root, _ = _stacked_rank(_root_basis(spectrum._left, root_spaces, "adjoint_space").matrix, tol)
+            root, _ = _stacked_rank(spaces.matrix, tol)
+            adjoint_root, _ = _stacked_rank(adjoints.matrix, tol)
     return SpanReport(
         eigen_span_dim=eigen,
         root_span_dim=root,

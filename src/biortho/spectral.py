@@ -32,8 +32,8 @@ which the residual identity of conditions reads back.  Its sigma_max
 sets the cluster's one cutoff (Tolerance.climb_cutoff), which every
 later level and the left split (one SVD of the shifted adjoint) read.
 The climb keeps only its levels, the cutoff, level 1's Ran-perp and the
-finished root bases (Climb, EigenvalueCluster.climb), which rootspace
-returns.  A cluster that fills its frame with d_1 = 1 skips the later levels when level 1 certifies one
+finished root bases (Climb, EigenvalueCluster.climb), which the spectrum
+stacks (PointSpectrum._roots) and rootspace.root_space returns.  A cluster that fills its frame with d_1 = 1 skips the later levels when level 1 certifies one
 Jordan block (Tolerance.single_block): its scatter is at most the cutoff
 and the smallest kept singular value of B exceeds cutoff + scatter, so by
 Weyl's inequality the nilpotent part of B's Schur form has rank m_a - 1,
@@ -62,9 +62,9 @@ all run in that order and nothing is remapped after.  The certificate's
 columns go into them as they are, after one orthonormality check per
 block width of its certified blocks, and each climb its own block,
 checked as the Subspace it built; the Climb itself is kept beside the
-arrays, by cluster index.  The diagnosis reads these, and builds a view
-(PointSpectrum._cluster) only of a cluster whose kernels are not its root
-spaces, for root_space.  biorthonormalize sets
+arrays, by cluster index.  The diagnosis reads these, and the root bases
+the spectrum stacks from them once (PointSpectrum._roots); it builds no
+cluster's view (PointSpectrum.clusters).  biorthonormalize sets
 point_spectrum's _level_one: a failing cluster with 0 < d_1 < m_a, which
 can never pair, then stops after level 1 and the left split.
 
@@ -78,10 +78,11 @@ to 0 as the eigenvalue nears a defective coalescence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ClusteringError, EigenIterationError
+from .errors import ClusteringError, EigenIterationError, RootSpaceMismatchError
 from .linalg import DEFAULT_TOL, Subspace, _Blocks, as_matrix, phase_normalize
 
 __all__ = [
@@ -129,7 +130,7 @@ class EigenvalueCluster:
     climb is the staircase climb whose level 1 gave the right kernel (see
     _climb), None for a certified cluster, which took no SVD; range_perp
     reads its Ran(A - value I)-perp, kept for the residual identity.  A
-    cluster of point_spectrum is a view (PointSpectrum._cluster), its
+    cluster of point_spectrum is a view (PointSpectrum.clusters), its
     kernels column ranges of the spectrum's stacked bases.
     """
 
@@ -175,11 +176,12 @@ class PointSpectrum:
     _algebraic, _scatter), and the right and left kernel bases side by side
     in one matrix per side (_right and _left, two _Blocks, whose widths are
     the kernel dimensions).  _climbed maps the index of each cluster that
-    climbed to its Climb.  point_spectrum builds every array and record in
-    report order as the clusters form, so a new one needs no remap.  It
-    builds only the arrays; _cluster builds one cluster's view from them,
-    its kernels views of the stacks, and clusters every view when first
-    read.  A spectrum built from its clusters takes its arrays from them.
+    climbed to its Climb; _roots stacks the root bases from them when first
+    read.  point_spectrum builds every array and record in report order as
+    the clusters form, so a new one needs no remap.  It builds only the
+    arrays; clusters builds every cluster's view from them when first read,
+    its kernels views of the stacks.  A spectrum built from its clusters
+    takes its arrays from them.
     """
 
     ambient_dim: int
@@ -211,19 +213,17 @@ class PointSpectrum:
         return ps
 
     def __getattr__(self, name):
-        # only a spectrum made by _of_arrays lacks its clusters, until they are first read
+        # only a spectrum made by _of_arrays lacks its clusters, until they are first read:
+        # each cluster's view is built from the arrays, its kernels views of the stacks
         if name != "clusters" or "_right" not in vars(self):
             raise AttributeError(name)
-        clusters = tuple(self._cluster(i) for i in range(len(self._algebraic)))
-        object.__setattr__(self, "clusters", clusters)
-        return clusters
-
-    def _cluster(self, i):
-        """Cluster i's view: an EigenvalueCluster built from the arrays, its kernels views of the stacks."""
         n = self.ambient_dim
-        return EigenvalueCluster(
+        clusters = tuple(EigenvalueCluster(
             complex(self._values[i]), int(self._algebraic[i]), Subspace._checked(n, self._right[i]),
             Subspace._checked(n, self._left[i]), float(self._scatter[i]), self._climbed.get(i))
+            for i in range(len(self._algebraic)))
+        object.__setattr__(self, "clusters", clusters)
+        return clusters
 
     def values(self):
         return self._values.copy()
@@ -232,6 +232,19 @@ class PointSpectrum:
     def _kernels_are_root_spaces(self):
         # per cluster, EigenvalueCluster.kernels_are_root_spaces
         return (self._right.widths == self._algebraic) & (self._left.widths == self._algebraic)
+
+    @cached_property
+    def _roots(self):
+        """The stacked root bases of A and A^*, two _Blocks of widths m_a: a cluster's kernels where they are
+        its root spaces, else its climb's; RootSpaceMismatchError for the first climb short of m_a."""
+        spaces, adjoints = {}, {}
+        for i in (~self._kernels_are_root_spaces).nonzero()[0].tolist():
+            climb = self._climbed[i]
+            if climb.space is None:
+                raise RootSpaceMismatchError(complex(self._values[i]), climb.levels[-1] if climb.levels else 0,
+                                             int(self._algebraic[i]), climb.cutoff, climb.levels)
+            spaces[i], adjoints[i] = climb.space.basis, climb.adjoint_space.basis
+        return self._right.replaced(spaces), self._left.replaced(adjoints)
 
 
 def _single_linkage_groups(values, radius):
@@ -328,7 +341,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
     u, s, vh = _svd(_shift(np.array(b, dtype=complex), lam), lam)
     cutoff = tol.climb_cutoff(n, float(s[0]), lam)
     if z_r is None and s[0] <= tol.collapse_bound(n, scatter, lam):
-        perp = right = Subspace(n, phase_normalize(np.eye(n, dtype=complex)))
+        perp = right = Subspace._checked(n, np.eye(n, dtype=complex))
         rank = 0
     else:
         rank = int(np.count_nonzero(s > cutoff))
@@ -359,7 +372,8 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
     if d != m_a:
         return right, left, Climb(tuple(levels), cutoff, perp)
     top = np.eye(n_d, dtype=complex) if q is None else q[:, :d]
-    space = adjoint = Subspace(n, phase_normalize(top if z_r is None else z_r @ top))
+    space = adjoint = (Subspace._checked(n, top) if q is None and z_r is None  # I, which phase_normalize keeps
+                       else Subspace(n, phase_normalize(top if z_r is None else z_r @ top)))
     if d < n_d:
         # Ran(B^h) = Q[Y; lead I] with Y = -S by Horner's rule, Y <- (X + N Y) T^-1,
         # kept at most 1 by exact powers of 2, since S may overflow; T^-1 comes

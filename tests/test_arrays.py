@@ -10,12 +10,15 @@ biorthonormalize takes its own spectrum with the level-one switch, so a
 cluster that can never pair stops its climb at level 1.
 """
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biortho import (
+    BiorthoError,
     FamilySpec,
     NotDiagonalizableError,
     PointSpectrum,
@@ -29,12 +32,13 @@ from biortho import (
     root_space,
     skew_link_check,
 )
-from biortho import conditions, linalg, rootspace, spectral
+from biortho import linalg, rootspace, spectral
 from biortho.spectral import Climb
 from conftest import Calls, count_norm2
 from test_frame import CASES as FRAMED
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 DEFAULT = Tolerance()
 WIDE = Tolerance(cluster_eps=1e-2)
 
@@ -111,12 +115,27 @@ def test_clusters_read_after_a_diagnosis_are_what_the_arrays_pair(source, tol):
     assert same.gram_residual == system.gram_residual
 
 
+def _workload_items(name):
+    # the benchmark's workload module, read from its file as the benchmark runs it
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [pytest.param(item.spec, Tolerance(cluster_eps=item.cluster_eps), id="%s-%s" % (name, item.name))
+            for item in workloads.build(name, 1).items if item.diagnose]
+
+
 def _counted(monkeypatch):
     """Subspace constructions, checked (__post_init__) or over a checked stack (_checked), EigenvalueCluster
-    constructions and root_space calls."""
-    counts = {"subspace": 0, "cluster": 0, "root_space": 0}
+    and RootSpace constructions, and the _Blocks each replaced call with blocks to place was made on."""
+    counts = {"subspace": 0, "cluster": 0, "root_space": 0, "replaced": []}
     post_init, checked = linalg.Subspace.__post_init__, getattr(linalg.Subspace, "_checked", None)
     cluster_post_init = spectral.EigenvalueCluster.__post_init__
+    root_init, replaced = rootspace.RootSpace.__init__, linalg._Blocks.replaced
 
     def counted_post_init(self):
         counts["subspace"] += 1
@@ -130,23 +149,26 @@ def _counted(monkeypatch):
         counts["cluster"] += 1
         cluster_post_init(self)
 
+    def counted_root_space(self, *args, **kwargs):
+        counts["root_space"] += 1
+        root_init(self, *args, **kwargs)
+
+    def counted_replaced(self, blocks):
+        if blocks:
+            counts["replaced"].append(self)
+        return replaced(self, blocks)
+
     monkeypatch.setattr(linalg.Subspace, "__post_init__", counted_post_init)
     monkeypatch.setattr(linalg.Subspace, "_checked", counted_checked, raising=False)
     monkeypatch.setattr(spectral.EigenvalueCluster, "__post_init__", counted_cluster)
-    original = rootspace.root_space
-
-    def counted_root_space(*args, **kwargs):
-        counts["root_space"] += 1
-        return original(*args, **kwargs)
-
-    for module in (conditions, rootspace):
-        monkeypatch.setattr(module, "root_space", counted_root_space)
+    monkeypatch.setattr(rootspace.RootSpace, "__init__", counted_root_space)
+    monkeypatch.setattr(linalg._Blocks, "replaced", counted_replaced)
     return counts
 
 
 def test_a_diagnosis_builds_no_per_cluster_object_on_simple_clusters(monkeypatch):
-    # all-simple complex Gaussians: as many Subspaces and RootSpaces at
-    # n = 48 as at n = 16, and the same factorizations as before
+    # all-simple complex Gaussians: as many Subspaces at n = 48 as at n = 16,
+    # no RootSpace, and the same factorizations as before
     counts = {}
     for n in (16, 48):
         a = generate(FamilySpec("random_gaussian", n, {}, 2))
@@ -156,33 +178,39 @@ def test_a_diagnosis_builds_no_per_cluster_object_on_simple_clusters(monkeypatch
             norms = count_norm2(patched)
             report = check_conditions(a)
         counts[n] = made
-        assert made["cluster"] == 0
+        assert made["cluster"] == made["root_space"] == 0
         assert len(report.spectrum.clusters) == n
-        # two eig calls; the spans of V and W, one batched SVD each for the
-        # kernel pairing and the residual identity, and the 2-norm of A;
-        # the two refinements and the residual identity's (R^*)^-1
+        # two eig calls; the spans of V and W, and one batched SVD each for
+        # the kernel pairing and the residual identity; no 2-norm of A, since
+        # normality is decided on Frobenius norms; the two refinements and
+        # the residual identity's (R^*)^-1
         assert calls.shapes["eig"] == [(n, n)] * 2 and calls.shapes["eigvals"] == []
-        assert sorted(calls.shapes["svd"]) == sorted([(n, n)] * 2 + [(2 * n, 1, 1)] * 2) and norms == [(n, n)]
+        assert sorted(calls.shapes["svd"]) == sorted([(n, n)] * 2 + [(2 * n, 1, 1)] * 2) and norms == []
         assert calls.shapes["solve"] == [(n, n)] * 3 and calls.shapes["qr"] == []
     assert counts[48]["subspace"] <= counts[16]["subspace"]
-    assert counts[48]["root_space"] <= counts[16]["root_space"]
 
 
-def test_a_diagnosis_builds_a_view_only_of_a_cluster_whose_kernels_are_not_its_root_spaces(monkeypatch):
-    # defective (2, 1) and (3) blocks among simple and semi-simple ones: one
-    # view, and one root_space call, per cluster that climbs to its root
-    # spaces, and PointSpectrum.clusters is never read
-    spec, tol = MIXES[0].values
+@pytest.mark.parametrize("source, tol", [pytest.param(p, tol, id="%s-%s" % (p.stem, name)) for p in CORPUS
+                                         for name, tol in (("default", DEFAULT), ("wide", WIDE))]
+                         + _workload_items("defective") + [MIXES[0]])
+def test_a_diagnosis_builds_no_cluster_view_or_root_space_and_stacks_each_root_basis_once(source, tol,
+                                                                                          monkeypatch):
+    # the root bases are the spectrum's (PointSpectrum._roots), stacked at
+    # most once per side, and PointSpectrum.clusters is never read
+    a = _matrix(source)
     with monkeypatch.context() as patched:
         made = _counted(patched)
-        report = check_conditions(generate(spec), tol)
+        try:
+            report = check_conditions(a, tol)
+        except BiorthoError:
+            report = None
+    assert made["cluster"] == made["root_space"] == 0
+    if report is None:
+        return
     ps = report.spectrum
     assert "clusters" not in vars(ps)
-    climbing = int((~ps._kernels_are_root_spaces).sum())
-    assert 0 < climbing < len(ps._algebraic)
-    assert made["cluster"] == made["root_space"] == climbing
-
-
+    for side in (ps._right, ps._left):
+        assert sum(receiver is side for receiver in made["replaced"]) <= 1
 def test_reading_a_cluster_builds_its_kernels_as_views():
     a = generate(FamilySpec("random_gaussian", 12, {}, 3))
     ps = point_spectrum(a)

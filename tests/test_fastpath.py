@@ -247,19 +247,19 @@ def test_a_whole_space_root_pair_is_not_paired(monkeypatch):
 
 def test_a_whole_space_root_pair_is_told_by_its_dimension(monkeypatch):
     # C2' leaves out a root space of all of C^n by its dimension, not because
-    # root_space hands back one Subspace for both sides: with a copy of each,
+    # the climb hands back one Subspace for both sides: with a copy of each,
     # a truncated shift still pairs no 64 x 64 bases
     n = 64
     a = generate(FamilySpec("shift_trunc", n, {}))
-    original, copied = conditions.root_space, []
+    original, copied = spectral._climb, []
 
     def copies(*args, **kwargs):
-        r = original(*args, **kwargs)
-        copied.append(r.space.dim)
-        return dataclasses.replace(r, space=Subspace(n, r.space.basis.copy()),
-                                   adjoint_space=Subspace(n, r.adjoint_space.basis.copy()))
+        right, left, climb = original(*args, **kwargs)
+        copied.append(climb.space.dim)
+        return right, left, dataclasses.replace(climb, space=Subspace(n, climb.space.basis.copy()),
+                                                adjoint_space=Subspace(n, climb.adjoint_space.basis.copy()))
 
-    monkeypatch.setattr(conditions, "root_space", copies)
+    monkeypatch.setattr(spectral, "_climb", copies)
     record = _recorded(monkeypatch, ("subspace_pairs",))
     report = check_conditions(a)
     assert copied == [n]
@@ -320,14 +320,14 @@ def test_residual_identity_through_the_inverse_catches_a_wrong_left_kernel():
     a = generate(FamilySpec("random_gaussian", 5, {}, 9))
     ps = point_spectrum(a)
     # every kernel is a root space, so the root bases are V itself
-    roots = [root_space(a, c) for c in ps.clusters]
-    assert residual_identity_check(a, ps, root_spaces=roots) <= 1e-10
+    assert ps._roots[0] is ps._right
+    assert residual_identity_check(a, ps, roots_span=True) <= 1e-10
     # the inverse of V knows nothing of the left kernels, so swapping one
     # for the right kernel of the same (oblique) cluster must show
     bad = list(ps.clusters)
     bad[2] = dataclasses.replace(bad[2], left_kernel=bad[2].right_kernel)
     wrong = dataclasses.replace(ps, clusters=tuple(bad))
-    assert residual_identity_check(a, wrong, root_spaces=roots) == pytest.approx(
+    assert residual_identity_check(a, wrong, roots_span=True) == pytest.approx(
         subspace_angle(ps.clusters[2].left_kernel, ps.clusters[2].right_kernel), rel=1e-6)
 
 
@@ -336,9 +336,9 @@ def test_residual_identity_through_the_root_bases_catches_a_wrong_left_kernel():
     # R^-1 knows nothing of the left kernels either
     a = generate(SMALL_MIXED)
     ps = point_spectrum(a, WIDE)
-    roots = [root_space(a, c, WIDE) for c in ps.clusters]
     assert np.hstack([c.right_kernel.basis for c in ps.clusters]).shape[1] < 9
-    assert residual_identity_check(a, ps, WIDE, root_spaces=roots) <= 1e-10
+    assert ps._roots[0].matrix.shape == (9, 9)
+    assert residual_identity_check(a, ps, WIDE, roots_span=True) <= 1e-10
     # the simple cluster and the semi-simple (2, 2) one are certified
     certified = [i for i, c in enumerate(ps.clusters) if c.range_perp is None]
     assert sorted(ps.clusters[i].algebraic_multiplicity for i in certified) == [1, 2]
@@ -346,7 +346,7 @@ def test_residual_identity_through_the_root_bases_catches_a_wrong_left_kernel():
         bad = list(ps.clusters)
         bad[i] = dataclasses.replace(bad[i], left_kernel=bad[i].right_kernel)
         wrong = dataclasses.replace(ps, clusters=tuple(bad))
-        assert residual_identity_check(a, wrong, WIDE, root_spaces=roots) == pytest.approx(
+        assert residual_identity_check(a, wrong, WIDE, roots_span=True) == pytest.approx(
             subspace_angle(ps.clusters[i].left_kernel, ps.clusters[i].right_kernel), rel=1e-6)
 
 

@@ -20,7 +20,6 @@ from biortho import (
     FamilySpec,
     Tolerance,
     check_conditions,
-    conditions,
     generate,
     point_spectrum,
     root_space,
@@ -142,24 +141,17 @@ def _expected_svds(made, n_d):
 
 
 @pytest.mark.parametrize("source, tol", CASES)
-def test_framed_climbs_match_the_full_size_ones(source, tol, monkeypatch):
+def test_framed_climbs_match_the_full_size_ones(source, tol):
     a = _matrix(source)
-    used = []
-    original = conditions.root_space
-
-    def recorded(*args, **kwargs):
-        used.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(conditions, "root_space", recorded)
     report = check_conditions(a, tol)
-    monkeypatch.undo()
     ps = report.spectrum
     assert _framed(ps) and _climbing(ps)
-    # check_conditions reads the root spaces of each cluster whose kernels are
-    # not its root spaces once, from its own spectrum, and builds none for the rest
-    assert [args[1] for args, _ in used] == _climbing(ps)
-    assert all(args[3] is ps for args, _ in used)
+    # check_conditions reads the root bases its own spectrum stacked: each
+    # cluster whose kernels are not its root spaces has its climb's there
+    spaces, adjoints = vars(ps)["_roots"]
+    for i in (~ps._kernels_are_root_spaces).nonzero()[0]:
+        assert np.array_equal(spaces[i], ps._climbed[i].space.basis)
+        assert np.array_equal(adjoints[i], ps._climbed[i].adjoint_space.basis)
     for c in _climbing(ps):
         framed = root_space(a, c, tol, ps)
         full = root_space(a, c, tol)

@@ -16,6 +16,7 @@ import pytest
 
 from biortho import (
     IncompleteSystemError,
+    PointSpectrum,
     Subspace,
     biorthonormalize,
     check_conditions,
@@ -45,8 +46,10 @@ def test_a_wider_right_kernel_carries_the_multiplicities_with_it():
     assert np.array_equal(spectrum._right.matrix, np.hstack([x.right_kernel.basis for x in clusters]))
     assert np.array_equal(spectrum._left.matrix, np.hstack([x.left_kernel.basis for x in clusters]))
     assert spectrum._kernels_are_root_spaces.tolist() == [x.kernels_are_root_spaces for x in clusters]
-    for i, x in enumerate(clusters):
-        assert spectrum._cluster(i) == x
+    # the views a spectrum of the same arrays builds are these clusters
+    arrays = {name: getattr(spectrum, "_" + name) for name in ("values", "algebraic", "scatter", "right", "left",
+                                                               "climbed")}
+    assert PointSpectrum._of_arrays(spectrum.ambient_dim, None, **arrays).clusters == tuple(clusters)
 
 
 def test_a_prefix_of_the_pairs_is_an_incomplete_system():

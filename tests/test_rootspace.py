@@ -154,8 +154,7 @@ def test_span_report_generic_full():
 def test_span_report_reuses_precomputed_spectrum():
     m = random_complex(4, None, 17)
     ps = point_spectrum(m)
-    roots = [root_space(m, c) for c in ps.clusters]
-    sr = span_report(m, spectrum=ps, root_spaces=roots)
+    sr = span_report(m, spectrum=ps)
     assert sr == span_report(m)
 
 

@@ -165,5 +165,6 @@ def test_each_method_is_its_formula(tol):
     for k in (1, 2, 64):
         assert tol.link_cutoff(k) == tol.rank_eps * k
     assert tol.angle_threshold == 10.0 * tol.residual_eps
-    for norm_a in (0.5, 1.0, 3.0, 1e5):
-        assert tol.normality_threshold(norm_a) == tol.residual_eps * max(1.0, norm_a * norm_a)
+    # the centred matrix's Frobenius norm, with no floor: 0 for a multiple of I
+    for norm_b in (0.0, 0.5, 1.0, 3.0, 1e5):
+        assert tol.normality_threshold(norm_b) == tol.residual_eps * norm_b * norm_b

@@ -8,7 +8,8 @@ trace (sys.settrace), and runs the program's entry points:
 
 - the inputs and calls of tools/report_parity.py, through its own
   enumeration: check_conditions with its JSON report, and
-  biorthonormalize, on the corpus and every diagnosed workload item;
+  biorthonormalize, on the corpus, every diagnosed workload item and
+  the shifted members;
 - the library calls perfbench/run.py makes on every item of each
   workload at seed 1: the Matrix Market read, check_conditions,
   root_space as the Segre oracle of an item of known Jordan structure,
@@ -161,7 +162,7 @@ def trace(src, files=None):
             paths = [Path(f) for f in files] if files else sorted(parity.CORPUS.glob("*.mtx"))
             _files(biortho, parity, paths, work)
             if not files:
-                for _, a, eps in parity._workload_matrices(biortho):
+                for _, a, eps in parity._matrices(biortho):
                     parity._record(biortho, a, biortho.Tolerance(cluster_eps=eps))
                 _workloads(biortho, work)
     finally:

@@ -10,7 +10,10 @@ writes OUT, one JSON object with one record per input:
 - every file of corpus/ at cluster_eps 1e-8 and 1e-2;
 - every diagnosed item of each workload of perfbench/workloads.py at
   seeds 1 and 2, at the item's own cluster_eps, its matrix passed
-  through a Matrix Market round trip as the benchmark passes it.
+  through a Matrix Market round trip as the benchmark passes it;
+- shift_trunc, weighted_shift_trunc and random_gaussian seed 1, n = 8,
+  each plus c I for c in 1e3 and 1e6, at the default tolerance, where a
+  verdict that moves under a shift shows.
 
 Each record holds the check_conditions report JSON (or the error's class
 and message) and the outcome of biorthonormalize: a SHA-256 digest of
@@ -35,10 +38,14 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
 RADII = (1e-8, 1e-2)
 SEEDS = (1, 2)
+SHIFTED = ("shift_trunc", "weighted_shift_trunc", "random_gaussian")
+SHIFTS = (1e3, 1e6)
 
 
 def _import_program(src):
@@ -75,7 +82,8 @@ def _record(biortho, a, tol):
     return out
 
 
-def _workload_matrices(biortho):
+def _matrices(biortho):
+    """(key, matrix, cluster_eps) of every input but the corpus: the workload items, then the shifted members."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -87,6 +95,10 @@ def _workload_matrices(biortho):
                     biortho.write_matrix(biortho.generate(item.spec), buf)
                     a = biortho.read_matrix(io.StringIO(buf.getvalue()))
                     yield "%s/%d/%s" % (name, seed, item.name), a, item.cluster_eps
+    for name in SHIFTED:
+        a = biortho.generate(biortho.FamilySpec(name, 8, {}, 1))
+        for c in SHIFTS:
+            yield "shifted/%s8+%r" % (name, c), a + c * np.eye(8), biortho.Tolerance().cluster_eps
 
 
 def dump(src, out, files=None):
@@ -98,7 +110,7 @@ def dump(src, out, files=None):
         for eps in RADII:
             records["corpus/%s@%r" % (path.name, eps)] = _record(biortho, a, biortho.Tolerance(cluster_eps=eps))
     if not files:
-        for key, a, eps in _workload_matrices(biortho):
+        for key, a, eps in _matrices(biortho):
             records[key] = _record(biortho, a, biortho.Tolerance(cluster_eps=eps))
     Path(out).write_text(json.dumps(records, indent=1) + "\n")
     print("%d records written to %s" % (len(records), out))
