@@ -86,9 +86,9 @@ class NormalityReport:
     V their orthonormal bases side by side (SpanReport.eigen_gram_defect),
     (b) every cluster semi-simple, (c) spectrum conjugation symmetric,
     (d) eigenvectors span, (e) left kernels equal right kernels
-    everywhere.  is_normal is decided from the commutator of the centred
-    B = A - (tr A / n) I, which is A's but rounds at the scale of B, not of
-    a shift A + cI, at Tolerance.normality_threshold.
+    everywhere.  is_normal is decided on the centred B = A - (tr A / n) I, whose commutator
+    is A's but rounds at B's scale, by Tolerance.normality_threshold; B is 0 where the
+    spectrum reads A as a multiple of I (one cluster whose right kernel is C^n), as the marks do.
     """
 
     is_normal: bool
@@ -265,11 +265,12 @@ def check_conditions(a, tol=DEFAULT_TOL):
     c4 = _check_span("C4", "eigenvectors", spans.eigen_span_dim, spans.adjoint_eigen_span_dim, n, defective)
     c4p = _check_span("C4'", "root subspaces", spans.root_span_dim, spans.adjoint_root_span_dim, n, ())
 
-    # the centred B (see NormalityReport), whose commutator is A's
+    # the centred B, whose commutator is A's, and 0 where A reads as a multiple of I (see NormalityReport)
     centred = _shift(a.copy(), np.trace(a) / n)
     commutator = centred @ centred.conj().T - centred.conj().T @ centred
     commutator_norm = float(np.linalg.norm(commutator, "fro"))
-    is_normal = commutator_norm <= tol.normality_threshold(float(np.linalg.norm(centred)))
+    is_normal = ps._right.widths.tolist() == [n] or commutator_norm <= tol.normality_threshold(
+        float(np.linalg.norm(centred)))
     properties = {
         "a": PASS if spans.eigen_gram_defect <= tol.angle_threshold else FAIL,
         "b": FAIL if defective else PASS,

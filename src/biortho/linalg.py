@@ -309,7 +309,7 @@ class _Blocks(Sequence):
         return _Blocks(self.matrix[..., cols], widths)
 
     def replaced(self, blocks):
-        """These blocks with block i replaced by the basis blocks[i], for each i in the dict blocks."""
+        """Block i replaced by the basis blocks[i], for each i in the dict blocks; a lone block by blocks[0] itself."""
         if not blocks:
             return self
         pieces, at, widths = [], 0, self.widths.copy()
@@ -318,7 +318,7 @@ class _Blocks(Sequence):
             at = self.starts[i] + self.widths[i]
             widths[i] = blocks[i].shape[1]
         pieces.append(self.matrix[:, at:])
-        return _Blocks(np.concatenate(pieces, axis=1), widths)
+        return _Blocks(blocks[0] if len(self) == 1 else np.concatenate(pieces, axis=1), widths)
 
 
 def _stacked_by_shape(firsts, seconds):

@@ -32,9 +32,9 @@ which the residual identity of conditions reads back.  Its sigma_max
 sets the cluster's one cutoff (Tolerance.climb_cutoff), which every
 later level and the left split (one SVD of the shifted adjoint) read.
 The climb keeps only its levels, the cutoff, level 1's Ran-perp and the
-finished root bases (Climb, EigenvalueCluster.climb), which the spectrum
-stacks (PointSpectrum._roots) and rootspace.root_space returns.  A cluster that fills its frame with d_1 = 1 skips the later levels when level 1 certifies one
-Jordan block (Tolerance.single_block): its scatter is at most the cutoff
+finished root bases (Climb, EigenvalueCluster.climb), which rootspace
+returns and PointSpectrum._roots stacks.  A cluster that fills its frame with d_1 = 1 skips the later levels
+when level 1 certifies one Jordan block (Tolerance.single_block): its scatter is at most the cutoff
 and the smallest kept singular value of B exceeds cutoff + scatter, so by
 Weyl's inequality the nilpotent part of B's Schur form has rank m_a - 1,
 and the staircase is 1 .. m_a.  A truncated shift thus takes two SVDs
@@ -372,8 +372,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
     if d != m_a:
         return right, left, Climb(tuple(levels), cutoff, perp)
     top = np.eye(n_d, dtype=complex) if q is None else q[:, :d]
-    space = adjoint = (Subspace._checked(n, top) if q is None and z_r is None  # I, which phase_normalize keeps
-                       else Subspace(n, phase_normalize(top if z_r is None else z_r @ top)))
+    space = adjoint = Subspace(n, phase_normalize(top if z_r is None else z_r @ top))
     if d < n_d:
         # Ran(B^h) = Q[Y; lead I] with Y = -S by Horner's rule, Y <- (X + N Y) T^-1,
         # kept at most 1 by exact powers of 2, since S may overflow; T^-1 comes

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from biortho import (
-    BiorthoError,
     FamilySpec,
     NotDiagonalizableError,
     PointSpectrum,
@@ -190,27 +189,29 @@ def test_a_diagnosis_builds_no_per_cluster_object_on_simple_clusters(monkeypatch
     assert counts[48]["subspace"] <= counts[16]["subspace"]
 
 
-@pytest.mark.parametrize("source, tol", [pytest.param(p, tol, id="%s-%s" % (p.stem, name)) for p in CORPUS
-                                         for name, tol in (("default", DEFAULT), ("wide", WIDE))]
-                         + _workload_items("defective") + [MIXES[0]])
+@pytest.mark.parametrize("source, tol", INPUTS + _workload_items("defective"))
 def test_a_diagnosis_builds_no_cluster_view_or_root_space_and_stacks_each_root_basis_once(source, tol,
                                                                                           monkeypatch):
-    # the root bases are the spectrum's (PointSpectrum._roots), stacked at
-    # most once per side, and PointSpectrum.clusters is never read
-    a = _matrix(source)
+    # the root bases are the spectrum's (PointSpectrum._roots), stacked once
+    # per side where some cluster's kernels are not its root spaces and else
+    # never, and PointSpectrum.clusters is never read
     with monkeypatch.context() as patched:
         made = _counted(patched)
-        try:
-            report = check_conditions(a, tol)
-        except BiorthoError:
-            report = None
+        report = check_conditions(_matrix(source), tol)
     assert made["cluster"] == made["root_space"] == 0
-    if report is None:
-        return
     ps = report.spectrum
     assert "clusters" not in vars(ps)
+    climbing = int((~ps._kernels_are_root_spaces).sum())
     for side in (ps._right, ps._left):
-        assert sum(receiver is side for receiver in made["replaced"]) <= 1
+        assert sum(receiver is side for receiver in made["replaced"]) == (climbing > 0)
+    if source is MIXES[0].values[0]:
+        # clusters that climb beside ones whose kernels are their root spaces
+        assert 0 < climbing < len(ps._algebraic)
+    if climbing and len(ps._algebraic) == 1:
+        # a lone cluster's stacked root bases are its climb's own, not copies
+        assert ps._roots[0].matrix is ps._climbed[0].space.basis
+
+
 def test_reading_a_cluster_builds_its_kernels_as_views():
     a = generate(FamilySpec("random_gaussian", 12, {}, 3))
     ps = point_spectrum(a)
