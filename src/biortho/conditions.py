@@ -86,14 +86,19 @@ class NormalityReport:
     V their orthonormal bases side by side (SpanReport.eigen_gram_defect),
     (b) every cluster semi-simple, (c) spectrum conjugation symmetric,
     (d) eigenvectors span, (e) left kernels equal right kernels
-    everywhere.  is_normal is decided on the centred B = A - (tr A / n) I, whose commutator
-    is A's but rounds at B's scale, by Tolerance.normality_threshold; B is 0 where the
-    spectrum reads A as a multiple of I (one cluster whose right kernel is C^n), as the marks do.
+    everywhere.  A matrix is normal exactly when it has an orthonormal
+    eigenbasis, (a), (b) and (d) together, which imply (c) and (e); so
+    is_normal is true exactly when all five PASS.  commutator_norm is
+    ||[B, B^*]||_F for the centred B = A - (tr A / n) I, whose commutator
+    is A's but rounds at B's scale.
     """
 
-    is_normal: bool
     commutator_norm: float
     properties: dict
+
+    @property
+    def is_normal(self):
+        return all(mark == PASS for mark in self.properties.values())
 
 
 @dataclass(frozen=True)
@@ -220,10 +225,8 @@ def check_conditions(a, tol=DEFAULT_TOL):
     decompositions come out internally inconsistent at this tolerance.
     """
     a = as_matrix(a)
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ValueError("diagnosis requires a square matrix")
     ps = point_spectrum(a, tol)
+    n = ps.ambient_dim
     adj_values = ps.adjoint_eigenvalues
     if adj_values is None:
         adj_values = _lapack(np.linalg.eigvals, a.conj().T)
@@ -265,12 +268,9 @@ def check_conditions(a, tol=DEFAULT_TOL):
     c4 = _check_span("C4", "eigenvectors", spans.eigen_span_dim, spans.adjoint_eigen_span_dim, n, defective)
     c4p = _check_span("C4'", "root subspaces", spans.root_span_dim, spans.adjoint_root_span_dim, n, ())
 
-    # the centred B, whose commutator is A's, and 0 where A reads as a multiple of I (see NormalityReport)
+    # the centred B, whose commutator is A's (see NormalityReport)
     centred = _shift(a.copy(), np.trace(a) / n)
     commutator = centred @ centred.conj().T - centred.conj().T @ centred
-    commutator_norm = float(np.linalg.norm(commutator, "fro"))
-    is_normal = ps._right.widths.tolist() == [n] or commutator_norm <= tol.normality_threshold(
-        float(np.linalg.norm(centred)))
     properties = {
         "a": PASS if spans.eigen_gram_defect <= tol.angle_threshold else FAIL,
         "b": FAIL if defective else PASS,
@@ -278,10 +278,11 @@ def check_conditions(a, tol=DEFAULT_TOL):
         "d": PASS if spans.eigen_span_dim == n else FAIL,
         "e": PASS if not sig else FAIL,
     }
-    normality = NormalityReport(is_normal, commutator_norm, properties)
+    normality = NormalityReport(float(np.linalg.norm(commutator, "fro")), properties)
 
-    # exactly when biorthonormalize(a, ps, tol) succeeds
-    exists = not defective and all(link.linked for link in links)
+    # read off the verdicts; with no FAIL in C2 and C3 every cluster links, so
+    # this holds only if biorthonormalize(a, ps, tol) succeeds
+    exists = not defective and FAIL not in (c1.status, c2.status, c3.status, c4.status)
     angle = residual_identity_check(a, ps, tol, roots_span=spans.root_span_dim == n)
 
     return DiagnosisReport(

@@ -2,11 +2,12 @@
 
 check_conditions takes the adjoint's root spaces from the deflation of
 A - lambda I, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its final
-form Q*(A - lambda I)Q = [[N, X], [0, T]], and decides
-biorthonormal_basis_exists from the skew links it has already computed.
-The references here take the long way round: a full point spectrum and
-root staircase of A*, an actual construction, and the defining
-properties of a root space of A*.
+form Q*(A - lambda I)Q = [[N, X], [0, T]], and reads
+biorthonormal_basis_exists off the verdicts C1-C4 it has already
+reached.  That holds only if the construction succeeds; on these inputs
+the two agree.  The references here take the long way round: a full
+point spectrum and root staircase of A*, an actual construction, and the
+defining properties of a root space of A*.
 """
 
 from pathlib import Path

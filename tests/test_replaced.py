@@ -2,11 +2,12 @@
 
 perfbench/tests builds faulty results with dataclasses.replace on
 PointSpectrum.clusters, EigenvalueCluster fields, BiorthonormalSystem.pairs,
-BiorthoPair.chi and DiagnosisReport fields, so those constructors are part
-of the benchmark's contract.  A cluster's geometric multiplicity and
-semi-simplicity are read off its right kernel, and a system's completeness
-off its pairs, so a replaced field carries them along; this test makes a
-break of that a tier-1 failure.
+BiorthoPair.chi and DiagnosisReport fields, among them
+NormalityReport.properties, so those constructors are part of the
+benchmark's contract.  A cluster's geometric multiplicity and
+semi-simplicity are read off its right kernel, a system's completeness
+off its pairs, and is_normal off the normality marks, so a replaced field
+carries them along; this test makes a break of that a tier-1 failure.
 """
 
 from dataclasses import replace
@@ -15,12 +16,16 @@ import numpy as np
 import pytest
 
 from biortho import (
+    FAIL,
     IncompleteSystemError,
     PointSpectrum,
+    ReportDocument,
     Subspace,
+    Tolerance,
     biorthonormalize,
     check_conditions,
     expand,
+    matrix_digest,
 )
 
 # a 2 x 2 Jordan block at 0 beside the simple eigenvalue 1
@@ -62,3 +67,16 @@ def test_a_prefix_of_the_pairs_is_an_incomplete_system():
         expand(partial, [1.0, 0.0])
     # the swapped system reads its completeness off its own pairs too
     assert system.swapped().complete and not partial.swapped().complete
+
+
+def test_a_failed_mark_makes_the_report_non_normal():
+    a = np.diag([1.0, 2.0, 3.0j])
+    report = check_conditions(a)
+    assert report.normality.is_normal
+    for mark in "abcde":
+        # replace calls NormalityReport(commutator_norm, properties), as the benchmark's tests do
+        normality = replace(report.normality, properties=dict(report.normality.properties, **{mark: FAIL}))
+        assert not normality.is_normal
+        document = ReportDocument.from_diagnosis(replace(report, normality=normality), Tolerance(), matrix_digest(a))
+        assert document.body["normality"]["is_normal"] is False
+        assert '"is_normal": false' in document.to_json()

@@ -13,7 +13,11 @@ writes OUT, one JSON object with one record per input:
   through a Matrix Market round trip as the benchmark passes it;
 - shift_trunc, weighted_shift_trunc and random_gaussian seed 1, n = 8,
   each plus c I for c in 1e3 and 1e6, at the default tolerance, where a
-  verdict that moves under a shift shows.
+  verdict that moves under a shift shows; so do two block_jordan n = 8
+  members, one Jordan block of size 4 beside four simple eigenvalues
+  (cond 10, seeds 0 and 1), which raise unshifted;
+- four near-normal matrices, each plus c I for c in 0, 1e3 and 1e6, at
+  the default tolerance, where is_normal and the marks it reads show.
 
 Each record holds the check_conditions report JSON (or the error's class
 and message) and the outcome of biorthonormalize: a SHA-256 digest of
@@ -46,6 +50,8 @@ RADII = (1e-8, 1e-2)
 SEEDS = (1, 2)
 SHIFTED = ("shift_trunc", "weighted_shift_trunc", "random_gaussian")
 SHIFTS = (1e3, 1e6)
+# block_jordan's blocks: a Jordan block of size 4 at 0 and simple eigenvalues 1..4
+JORDAN4 = ((0.0, (4,)),) + tuple((float(k), (1,)) for k in (1, 2, 3, 4))
 
 
 def _import_program(src):
@@ -83,7 +89,7 @@ def _record(biortho, a, tol):
 
 
 def _matrices(biortho):
-    """(key, matrix, cluster_eps) of every input but the corpus: the workload items, then the shifted members."""
+    """(key, matrix, cluster_eps) of every input but the corpus: workload items, shifted and near-normal members."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -95,10 +101,24 @@ def _matrices(biortho):
                     biortho.write_matrix(biortho.generate(item.spec), buf)
                     a = biortho.read_matrix(io.StringIO(buf.getvalue()))
                     yield "%s/%d/%s" % (name, seed, item.name), a, item.cluster_eps
-    for name in SHIFTED:
-        a = biortho.generate(biortho.FamilySpec(name, 8, {}, 1))
+    eps = biortho.Tolerance().cluster_eps
+    shifted = {"%s8" % name: biortho.generate(biortho.FamilySpec(name, 8, {}, 1)) for name in SHIFTED}
+    for seed in (0, 1):
+        spec = biortho.FamilySpec("block_jordan", 8, {"blocks": JORDAN4, "cond": 10.0}, seed)
+        shifted["block_jordan8-seed%d" % seed] = biortho.generate(spec)
+    for name, a in shifted.items():
         for c in SHIFTS:
-            yield "shifted/%s8+%r" % (name, c), a + c * np.eye(8), biortho.Tolerance().cluster_eps
+            yield "shifted/%s+%r" % (name, c), a + c * np.eye(8), eps
+    normal = biortho.generate(biortho.FamilySpec("random_normal", 32, {}, 3))
+    near_normal = {
+        "normal32+gaussian": normal + 3e-9 * biortho.generate(biortho.FamilySpec("random_gaussian", 32, {}, 4)),
+        "diag2+1e-8": np.array([[1.0, 1e-8], [0.0, 2.0]]),
+        "diag2+3e-8": np.array([[1.0, 3e-8], [0.0, 2.0]]),
+        "framed-collapse": np.array([[1e6, 0.0, 0.0], [0.0, 1e6 + 0.1, 3e-5], [0.0, 0.0, 1e6 + 0.1]]),
+    }
+    for name, a in near_normal.items():
+        for c in (0.0,) + SHIFTS:
+            yield "near_normal/%s+%r" % (name, c), a + c * np.eye(len(a)), eps
 
 
 def dump(src, out, files=None):
