@@ -11,6 +11,16 @@ of ``A - lambda I`` and ``A^* - conj(lambda) I`` must have equal dimension
 and a nonsingular cross-Gram.  Sectors of non-semi-simple clusters can
 never pass that test in exact arithmetic, so the skew-link screen runs
 first and the diagonalizability check remains as a backstop.
+
+Given no spectrum, biorthonormalize computes its own with point_spectrum's
+_construction switch.  Its left kernels then come from the dual basis
+V^-* of the right eigenvectors V, one solve in place of a second eig;
+each still passes the residual certificate on A^*, and a solve that
+raises or a dual block that fails where its right block passes sends
+that call to eig(A^*) (see spectral).  For simple clusters the dual
+columns are already biorthogonal to V, so the cross-Gram solve only
+rescales them, and the system is biorthonormal to rounding even where
+eig(A^*)'s vectors drift, as under a large shift.
 """
 
 from __future__ import annotations
@@ -155,7 +165,8 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
     """Build the biorthonormal eigenvector system of a diagnosed matrix.
 
     spectrum may be passed to reuse an existing clustering; it is
-    computed from a at the given tolerance otherwise.  Raises
+    computed from a at the given tolerance otherwise, its left kernels
+    from the dual basis of the right eigenvectors.  Raises
     SkewLinkFailureError as soon as one sector's kernels cannot be
     paired (carrying that sector's index and self-orthogonality), and
     NotDiagonalizableError if every sector pairs but some cluster is
@@ -166,7 +177,7 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
     n = a.shape[0]
     if spectrum is None:
         # a cluster that can never pair climbs no staircase past level 1
-        spectrum = point_spectrum(a, tol, _level_one=True)
+        spectrum = point_spectrum(a, tol, _construction=True)
     if spectrum.ambient_dim != n:
         raise ValueError("spectrum belongs to a matrix of different size")
     right, left = spectrum._right, spectrum._left

@@ -7,25 +7,32 @@ eigenvalues connects them.  The closure is order independent.  Each
 cluster carries the kernels of ``A - lambda I`` and
 ``A^* - conj(lambda) I`` at the cluster centroid.
 
-When there is more than one cluster, eig(A^*) runs too, and every
-cluster first tries a residual certificate.  A cluster of m raw
-eigenvalues takes its members' eig(A) columns as its right block and
-the eig(A^*) columns at the m adjoint eigenvalues nearest conj(lambda)
-as its left block; each side's blocks are orthonormalized in one call
-(_Blocks.orthonormalized: unit columns, then a thin QR of each multiple
-block, one stacked QR per block size).  When every cluster is simple,
-each side's vectors first take one correction against their own
-residuals (see _refined).  Both blocks Q must then pass
+When there is more than one cluster, every cluster first tries a
+residual certificate.  A cluster of m raw eigenvalues takes its members'
+eig(A) columns as its right block.  Its left block comes by one of two
+routes.  The diagnosis runs eig(A^*) and takes its columns at the m
+adjoint eigenvalues nearest conj(lambda), so C1 and C3' compare against
+an independent adjoint spectrum.  The construction (biorthonormalize)
+takes the same members' columns of V^-*, V the eig vectors: one solve in
+place of a second eig, with the left vectors dual to the right ones
+(Wilkinson's view of left eigenvectors).  It falls back to eig(A^*) when
+that solve raises, or when some cluster's right block passes while its
+dual left block fails.  Each side's blocks are orthonormalized in one
+call (_Blocks.orthonormalized: unit columns, then a thin QR of each
+multiple block, one stacked QR per block size).  When every cluster is
+simple, V first takes one correction against its own residuals (see
+_refined), and so do eig(A^*)'s vectors.  Both blocks Q must then pass
 ||(A - lambda I) Q||_F <= Tolerance.certificate_cutoff, scaled by
 max(||A - lambda I||_F / sqrt(n), |lambda|).  By Courant-Fischer,
 sigma_(n-m+1)(A - lambda I) <= ||(A - lambda I) Q||_2 <= ||.||_F, and
 the Frobenius norm over sqrt(n) bounds sigma_max from below, so a
 certified Q proves the SVD would find a kernel of dimension at least m
-there too.  A defective cluster fails: its eig vectors are nearly
-parallel, and the QR keeps a noise direction with a large residual.  A
-cluster that fails on either side, and the one cluster of an input
-whose spectrum is a single cluster, climb Kublanovskaya's staircase
-once (_climb), and one rank rule decides every level.  Level 1 factors
+there too, whichever route gave it.  A defective cluster fails: its eig
+vectors are nearly parallel, and the QR keeps a noise direction with a
+large residual.  A cluster that fails on either side, and the one
+cluster of an input whose spectrum is a single cluster, climb
+Kublanovskaya's staircase once (_climb), and one rank rule decides every
+level.  Level 1 factors
 the shifted matrix: its kernel is the right kernel, so m_g = d_1 by
 construction, and the complement of its range is Ran(A - lambda I)-perp,
 which the residual identity of conditions reads back.  Its sigma_max
@@ -65,8 +72,9 @@ checked as the Subspace it built; the Climb itself is kept beside the
 arrays, by cluster index.  The diagnosis reads these, and the root bases
 the spectrum stacks from them once (PointSpectrum._roots); it builds no
 cluster's view (PointSpectrum.clusters).  biorthonormalize sets
-point_spectrum's _level_one: a failing cluster with 0 < d_1 < m_a, which
-can never pair, then stops after level 1 and the left split.
+point_spectrum's _construction: the left blocks then come from V^-*, and a
+failing cluster with 0 < d_1 < m_a, which can never pair, stops after
+level 1 and the left split.
 
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
@@ -169,7 +177,8 @@ class PointSpectrum:
 
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
     eig(A^*) call of the certificate, which runs whenever there is more
-    than one cluster, and is None otherwise.
+    than one cluster, and is None otherwise; a construction's spectrum
+    takes its left blocks from V^-* and runs eig(A^*) only as a fallback.
 
     The clusters are also held as arrays, which the diagnosis reads: per
     cluster its value, algebraic multiplicity and scatter (_values,
@@ -445,47 +454,70 @@ def _block_norms(r, starts):
     return np.sqrt(np.add.reduceat((r.conj() * r).real.sum(axis=0), starts))
 
 
-def _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, lam, members, tol):
-    """Right and left kernel blocks of eigenvalue groups, and which groups they certify.
+def _certified(b, blocks, shift, cutoff):
+    """(blocks orthonormalized and phase-normalized, which pass): the residual certificate of one side.
+
+    b is A or A^*, and blocks its candidate kernel columns, one block per
+    group, with each column's eigenvalue in shift; each block is
+    orthonormalized by one _Blocks.orthonormalized call and passes when
+    ||(b - lambda I) Q||_F is at most its cutoff (and finite).
+    """
+    q = blocks.orthonormalized().matrix
+    residual = _block_norms(b @ q - q * shift, blocks.starts)
+    # each column takes its own phase, so one call serves every block
+    return _Blocks(phase_normalize(q), blocks.widths), residual <= cutoff
+
+
+def _certified_kernels(a, raw, vecs, lam, members, tol, dual=False):
+    """(adjoint eigenvalues, right blocks, left blocks, certified): the kernel blocks of eigenvalue groups.
 
     A group of m raw eigenvalues (members, a _Blocks of their indices) at
-    centroid lam takes its members' eig(A)
-    columns as its right block, and the eig(A^*) columns at the m adjoint
-    eigenvalues nearest conj(lam) as its left block, each side's blocks
-    orthonormalized by one _Blocks.orthonormalized call.
-    When every group is simple, each side's vectors are first refined
-    against that side's own residuals.  Returns the two sides as _Blocks,
-    one block per group in the order of members (point_spectrum's report
-    order), and a boolean array: a group is certified unless either
-    block's residual ||(A - lam I) Q||_F exceeds
-    Tolerance.certificate_cutoff (or is not finite), and the caller takes
-    the SVD route for it.
+    centroid lam takes its members' eig(A) columns as its right block.
+    With dual, its left block is the same members' columns of V^-* (V the
+    eig vectors, refined when every group is simple), whose columns are
+    the left eigenvectors dual to V's: (V^-* e_j)^* V e_i = delta_ij.
+    Otherwise, and when that solve raises or some group's right block
+    passes while its dual left block fails, it is the eig(A^*) columns at
+    the m adjoint eigenvalues nearest conj(lam), and the adjoint
+    eigenvalues are returned (else None).  Every block passes or fails the
+    same residual certificate (_certified at Tolerance.certificate_cutoff).
+    Both sides come as _Blocks, one block per group in the order of
+    members (point_spectrum's report order); a group is certified when
+    both its blocks pass, and the caller takes the SVD route for the others.
     """
     n = a.shape[0]
     adj = a.conj().T
-    sizes, starts = members.widths, members.starts
-    if len(sizes) == n:
+    sizes = members.widths
+    simple = len(sizes) == n
+    if simple:
         vecs = _refined(a, raw, vecs)
-        adj_vecs = _refined(adj, adj_raw, adj_vecs)
-    shift = lam.repeat(sizes)
-    # one stable sort gives every group's nearest adjoint eigenvalues, m of
-    # them; when every group is simple, the first of each row is its argmin
-    distance = np.abs(adj_raw[None, :] - lam.conj()[:, None])
-    if len(sizes) == n:
-        nearest = distance.argmin(axis=1)
-    else:
-        nearest = np.argsort(distance, axis=1, kind="stable")[np.arange(n)[None, :] < sizes[:, None]]
-    right = _Blocks(vecs[:, members.matrix], sizes).orthonormalized().matrix
-    left = _Blocks(adj_vecs[:, nearest], sizes).orthonormalized().matrix
-    right_res = _block_norms(a @ right - right * shift, starts)
-    left_res = _block_norms(adj @ left - left * shift.conj(), starts)
     diag = np.diag(a)
     off = a - np.diag(diag)
     fro = np.sqrt(np.vdot(off, off).real + (np.abs(diag[None, :] - lam[:, None]) ** 2).sum(axis=1))
     cutoff = tol.certificate_cutoff(n, fro, lam)
-    # each column takes its own phase, so one call per side serves every block
-    return (_Blocks(phase_normalize(right), sizes), _Blocks(phase_normalize(left), sizes),
-            (right_res <= cutoff) & (left_res <= cutoff))
+    shift = lam.repeat(sizes)
+    right, right_ok = _certified(a, _Blocks(vecs[:, members.matrix], sizes), shift, cutoff)
+    if dual:
+        try:
+            duals = np.linalg.solve(vecs.conj().T, np.eye(n))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            left, left_ok = _certified(adj, _Blocks(duals[:, members.matrix], sizes), shift.conj(), cutoff)
+            if not (right_ok & ~left_ok).any():
+                return None, right, left, right_ok & left_ok
+    adj_raw, adj_vecs = _lapack(np.linalg.eig, adj)
+    if simple:
+        adj_vecs = _refined(adj, adj_raw, adj_vecs)
+    # one stable sort gives every group's nearest adjoint eigenvalues, m of
+    # them; when every group is simple, the first of each row is its argmin
+    distance = np.abs(adj_raw[None, :] - lam.conj()[:, None])
+    if simple:
+        nearest = distance.argmin(axis=1)
+    else:
+        nearest = np.argsort(distance, axis=1, kind="stable")[np.arange(n)[None, :] < sizes[:, None]]
+    left, left_ok = _certified(adj, _Blocks(adj_vecs[:, nearest], sizes), shift.conj(), cutoff)
+    return adj_raw, right, left, right_ok & left_ok
 
 
 def _shrunk(a, frame, rights, lefts):
@@ -509,15 +541,18 @@ def _shrunk(a, frame, rights, lefts):
     return shrunk
 
 
-def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
+def point_spectrum(a, tol=DEFAULT_TOL, *, _construction=False):
     """Compute the clustered point spectrum of a square matrix.
 
     Raises EigenIterationError if the QR iteration fails to converge and
     ClusteringError if a cluster's kernel dimension is inconsistent with
     its cardinality (a sign the tolerances cut a coalescing group apart).
-    With _level_one, which biorthonormalize sets, a cluster whose climb
-    finds 0 < d_1 < m_a, and so can never pair, climbs no further than level
-    1 and the left split (_climb's level_one).
+    With _construction, which biorthonormalize sets, the certificate's left
+    blocks come from the dual basis V^-* of the eig vectors, with eig(A^*)
+    as the fallback (_certified_kernels), and adjoint_eigenvalues is None
+    unless the fallback ran; and a cluster whose climb finds 0 < d_1 < m_a,
+    and so can never pair, climbs no further than level 1 and the left
+    split (_climb's level_one).
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -533,11 +568,9 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
     adj_raw = right = left = None
     certified = np.zeros(len(members), dtype=bool)
     if len(members) > 1:
-        adj_raw, adj_vecs = _lapack(np.linalg.eig, a.conj().T)
-        right, left, certified = _certified_kernels(a, raw, vecs, adj_raw, adj_vecs, values, members, tol)
+        adj_raw, right, left, certified = _certified_kernels(a, raw, vecs, values, members, tol, _construction)
         right.check(certified)
         left.check(certified)
-        del adj_vecs
     # the eig vectors are spent: the climbs below run without them in memory
     del vecs
     failing = (~certified).nonzero()[0]
@@ -549,7 +582,7 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _level_one=False):
     for k in failing.tolist():
         lam, m_a = complex(values[k]), int(members.widths[k])
         kernel, left_kernel, climb = _climb(a, lam, float(scatters[k]), tol, m_a, frame, with_left=True,
-                                            level_one=_level_one)
+                                            level_one=_construction)
         _check_multiplicity(lam, m_a, kernel.dim)
         # each climb's kernels take its cluster's block of the certificate's stacks
         climbed[k], rights[k], lefts[k] = climb, kernel.basis, left_kernel.basis

@@ -6,8 +6,9 @@ those.  An EigenvalueCluster, with its kernels as views of the stacks, is
 built only when PointSpectrum.clusters is read.  The references here are
 the per-cluster routes: skew_link_check on each cluster's own kernels,
 root_space on each cluster, and one solve per cluster's cross-Gram.
-biorthonormalize takes its own spectrum with the level-one switch, so a
-cluster that can never pair stops its climb at level 1.
+biorthonormalize takes its own spectrum with the construction switch, so
+its left blocks come from V^-* and a cluster that can never pair stops its
+climb at level 1.
 """
 
 import importlib.util
@@ -268,25 +269,28 @@ def test_a_refusal_of_deep_blocks_takes_only_level_one_and_the_left_split(monkey
 
 
 @pytest.mark.parametrize("source, tol", INPUTS)
-def test_the_level_one_switch_keeps_every_outcome(source, tol):
-    # success: the same pairs bit for bit; refusal: the same error and
-    # cluster, with a self-orthogonality that may move at rounding level
+def test_the_construction_switch_keeps_every_outcome(source, tol):
+    # the construction's own spectrum takes its left blocks from V^-*, the
+    # diagnosis's from eig(A^*).  Success: the same psi bit for bit, chi
+    # within rounding and both systems biorthonormal; refusal: the same
+    # error and cluster
     a = _matrix(source)
     full = point_spectrum(a, tol)
     outcomes = []
     for spectrum in (full, None):
         try:
             system = biorthonormalize(a, spectrum, tol)
-            outcomes.append(("ok", system.gram_residual, np.column_stack([p.psi for p in system.pairs]).tobytes(),
-                             np.column_stack([p.chi for p in system.pairs]).tobytes()))
+            outcomes.append(("ok", system.gram_residual, system.psi_matrix(), system.chi_matrix()))
         except SkewLinkFailureError as exc:
-            outcomes.append(("skew", exc.cluster_index, exc.self_orthogonality))
+            outcomes.append(("skew", exc.cluster_index))
         except NotDiagonalizableError as exc:
             outcomes.append(("defective", exc.cluster_indices))
-    (kind, *first), (_, *second) = outcomes
-    assert outcomes[0][0] == outcomes[1][0]
-    if kind == "skew":
-        assert first[0] == second[0]
-        assert abs(first[1] - second[1]) <= 1e-12 * max(1.0, abs(first[1]))
-    else:
+    (kind, *first), (other, *second) = outcomes
+    assert kind == other
+    if kind != "ok":
         assert first == second
+        return
+    (residual, psi, chi), (dual_residual, dual_psi, dual_chi) = first, second
+    assert np.array_equal(psi, dual_psi)
+    assert np.all(np.linalg.norm(chi - dual_chi, axis=0) <= 1e-10 * np.linalg.norm(chi, axis=0))
+    assert residual <= 1e-10 and dual_residual <= 1e-10

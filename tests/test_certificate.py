@@ -6,7 +6,10 @@ kernel from the eig(A^*) columns at the m nearest conjugate eigenvalues,
 each block orthonormalized and certified by ||(A - lambda I) Q||_F.  The
 references here are kernel_split's kernels of the shifted matrix and of
 its adjoint, which every multiple cluster took before and which a
-failed certificate still takes.
+failed certificate still takes.  A construction (biorthonormalize) takes
+its left blocks from V^-* instead, V the eig(A) vectors, and runs
+eig(A^*) only when that solve raises or a dual left block fails where
+its right block passes.
 """
 
 from pathlib import Path
@@ -14,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biortho import FamilySpec, Tolerance, check_conditions, generate, point_spectrum, read_matrix, subspace_angle
+from biortho import (FamilySpec, Tolerance, biorthonormalize, check_conditions, generate, point_spectrum, read_matrix,
+                     subspace_angle)
 from biortho.spectral import kernel_split
 from conftest import Calls
 
@@ -160,3 +164,65 @@ def test_semi_simple_clusters_take_no_full_size_svd(n, monkeypatch):
     # eigenvectors; the SVD route would add two per cluster
     assert calls.square("svd", n) == 2
     assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
+
+
+def test_a_construction_takes_one_eig_and_a_diagnosis_two(monkeypatch):
+    n = 48
+    a = generate(FamilySpec("random_gaussian", n, {}, 0))
+    with monkeypatch.context() as patched:
+        calls = Calls(patched, names=("eig",))
+        biorthonormalize(a)
+    # the left blocks come from one solve against V^*, not from eig(A^*)
+    assert calls.shapes["eig"] == [(n, n)]
+    assert point_spectrum(a, _construction=True).adjoint_eigenvalues is None
+    with monkeypatch.context() as patched:
+        calls = Calls(patched, names=("eig",))
+        check_conditions(a)
+    # C1 and C3' compare against an independent adjoint spectrum
+    assert calls.shapes["eig"] == [(n, n)] * 2
+
+
+# a Jordan block of size 4 at 0 beside simple 1..4, shifted by 1e3: it
+# splits into simple clusters whose dual left blocks all fail
+JORDAN4 = ((0.0, (4,)),) + tuple((float(k), (1,)) for k in (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_dual_left_block_that_fails_sends_the_construction_to_eig_of_the_adjoint(seed, monkeypatch):
+    a = generate(FamilySpec("block_jordan", 8, {"blocks": JORDAN4, "cond": 10.0}, seed)) + 1e3 * np.eye(8)
+    reference = biorthonormalize(a, point_spectrum(a))
+    with monkeypatch.context() as patched:
+        calls = Calls(patched, names=("eig",))
+        system = biorthonormalize(a)
+    assert calls.shapes["eig"] == [(8, 8)] * 2
+    # the outcome of the eig(A^*) route, bit for bit: a system, although the
+    # eigenvectors span 7 of 8 dimensions (gram_residual about 1e-3)
+    assert system == reference and system.gram_residual > 1e-4
+
+
+def test_a_dual_solve_that_raises_sends_the_construction_to_eig_of_the_adjoint(monkeypatch):
+    n = 16
+    a = generate(FamilySpec("random_gaussian", n, {}, 4))
+    reference = biorthonormalize(a, point_spectrum(a))
+    solve = np.linalg.solve
+
+    def singular(m, b):
+        if np.ndim(b) == 2 and np.array_equal(b, np.eye(n)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(m, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    calls = Calls(monkeypatch, names=("eig",))
+    assert biorthonormalize(a) == reference
+    assert calls.shapes["eig"] == [(n, n)] * 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_left_blocks_stay_biorthogonal_under_a_large_shift(seed):
+    # eig(A^*)'s vectors at c = 1e6 left a gram_residual of about 2e-9; the
+    # dual basis is biorthogonal to V by construction
+    n = 32
+    a = generate(FamilySpec("random_gaussian", n, {}, seed)) + 1e6 * np.eye(n)
+    system = biorthonormalize(a)
+    assert system.gram_residual <= 1e-12
+    assert np.linalg.norm(system.psi_matrix() @ system.chi_matrix().conj().T - np.eye(n), 2) <= 1e-12
