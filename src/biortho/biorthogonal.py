@@ -15,9 +15,9 @@ first and the diagonalizability check remains as a backstop.
 Given no spectrum, biorthonormalize computes its own with point_spectrum's
 _construction switch.  Its left kernels then come from the dual basis
 V^-* of the right eigenvectors V, one solve in place of a second eig;
-each still passes the residual certificate on A^*, and a solve that
-raises or a dual block that fails where its right block passes sends
-that call to eig(A^*) (see spectral).  For simple clusters the dual
+each must pass the residual certificate on A^*, a cluster whose dual
+block fails climbs like any other, and only a solve that raises sends
+the call to eig(A^*) (see spectral).  For simple clusters the dual
 columns are already biorthogonal to V, so the cross-Gram solve only
 rescales them, and the system is biorthonormal to rounding even where
 eig(A^*)'s vectors drift, as under a large shift.

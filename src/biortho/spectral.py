@@ -15,9 +15,9 @@ adjoint eigenvalues nearest conj(lambda), so C1 and C3' compare against
 an independent adjoint spectrum.  The construction (biorthonormalize)
 takes the same members' columns of V^-*, V the eig vectors: one solve in
 place of a second eig, with the left vectors dual to the right ones
-(Wilkinson's view of left eigenvectors).  It falls back to eig(A^*) when
-that solve raises, or when some cluster's right block passes while its
-dual left block fails.  Each side's blocks are orthonormalized in one
+(Wilkinson's view of left eigenvectors).  It takes eig(A^*) only when
+that solve raises; a dual left block that fails its certificate climbs
+like any other.  Each side's blocks are orthonormalized in one
 call (_Blocks.orthonormalized: unit columns, then a thin QR of each
 multiple block, one stacked QR per block size).  When every cluster is
 simple, V first takes one correction against its own residuals (see
@@ -178,7 +178,8 @@ class PointSpectrum:
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
     eig(A^*) call of the certificate, which runs whenever there is more
     than one cluster, and is None otherwise; a construction's spectrum
-    takes its left blocks from V^-* and runs eig(A^*) only as a fallback.
+    takes its left blocks from V^-* and runs eig(A^*) only when that
+    solve raises.
 
     The clusters are also held as arrays, which the diagnosis reads: per
     cluster its value, algebraic multiplicity and scatter (_values,
@@ -476,8 +477,7 @@ def _certified_kernels(a, raw, vecs, lam, members, tol, dual=False):
     With dual, its left block is the same members' columns of V^-* (V the
     eig vectors, refined when every group is simple), whose columns are
     the left eigenvectors dual to V's: (V^-* e_j)^* V e_i = delta_ij.
-    Otherwise, and when that solve raises or some group's right block
-    passes while its dual left block fails, it is the eig(A^*) columns at
+    Otherwise, and when that solve raises, it is the eig(A^*) columns at
     the m adjoint eigenvalues nearest conj(lam), and the adjoint
     eigenvalues are returned (else None).  Every block passes or fails the
     same residual certificate (_certified at Tolerance.certificate_cutoff).
@@ -504,8 +504,7 @@ def _certified_kernels(a, raw, vecs, lam, members, tol, dual=False):
             pass
         else:
             left, left_ok = _certified(adj, _Blocks(duals[:, members.matrix], sizes), shift.conj(), cutoff)
-            if not (right_ok & ~left_ok).any():
-                return None, right, left, right_ok & left_ok
+            return None, right, left, right_ok & left_ok
     adj_raw, adj_vecs = _lapack(np.linalg.eig, adj)
     if simple:
         adj_vecs = _refined(adj, adj_raw, adj_vecs)
@@ -548,11 +547,11 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _construction=False):
     ClusteringError if a cluster's kernel dimension is inconsistent with
     its cardinality (a sign the tolerances cut a coalescing group apart).
     With _construction, which biorthonormalize sets, the certificate's left
-    blocks come from the dual basis V^-* of the eig vectors, with eig(A^*)
-    as the fallback (_certified_kernels), and adjoint_eigenvalues is None
-    unless the fallback ran; and a cluster whose climb finds 0 < d_1 < m_a,
-    and so can never pair, climbs no further than level 1 and the left
-    split (_climb's level_one).
+    blocks come from the dual basis V^-* of the eig vectors, and
+    adjoint_eigenvalues is None unless that solve raised and eig(A^*) ran
+    instead (_certified_kernels); and a cluster whose climb finds
+    0 < d_1 < m_a, and so can never pair, climbs no further than level 1
+    and the left split (_climb's level_one).
     """
     a = as_matrix(a)
     n, m = a.shape

@@ -8,8 +8,7 @@ references here are kernel_split's kernels of the shifted matrix and of
 its adjoint, which every multiple cluster took before and which a
 failed certificate still takes.  A construction (biorthonormalize) takes
 its left blocks from V^-* instead, V the eig(A) vectors, and runs
-eig(A^*) only when that solve raises or a dual left block fails where
-its right block passes.
+eig(A^*) only when that solve raises.
 """
 
 from pathlib import Path
@@ -17,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biortho import (FamilySpec, Tolerance, biorthonormalize, check_conditions, generate, point_spectrum, read_matrix,
-                     subspace_angle)
+from biortho import (FamilySpec, SkewLinkFailureError, Tolerance, biorthonormalize, check_conditions, generate,
+                     point_spectrum, read_matrix, subspace_angle)
 from biortho.spectral import kernel_split
 from conftest import Calls
 
@@ -183,21 +182,23 @@ def test_a_construction_takes_one_eig_and_a_diagnosis_two(monkeypatch):
 
 
 # a Jordan block of size 4 at 0 beside simple 1..4, shifted by 1e3: it
-# splits into simple clusters whose dual left blocks all fail
+# splits into simple clusters whose dual left blocks all fail, while the
+# eigenvectors span 7 of 8 dimensions
 JORDAN4 = ((0.0, (4,)),) + tuple((float(k), (1,)) for k in (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_a_dual_left_block_that_fails_sends_the_construction_to_eig_of_the_adjoint(seed, monkeypatch):
+def test_dual_left_blocks_that_fail_climb_and_the_construction_refuses(seed, monkeypatch):
     a = generate(FamilySpec("block_jordan", 8, {"blocks": JORDAN4, "cond": 10.0}, seed)) + 1e3 * np.eye(8)
-    reference = biorthonormalize(a, point_spectrum(a))
     with monkeypatch.context() as patched:
         calls = Calls(patched, names=("eig",))
-        system = biorthonormalize(a)
-    assert calls.shapes["eig"] == [(8, 8)] * 2
-    # the outcome of the eig(A^*) route, bit for bit: a system, although the
-    # eigenvectors span 7 of 8 dimensions (gram_residual about 1e-3)
-    assert system == reference and system.gram_residual > 1e-4
+        with pytest.raises(SkewLinkFailureError) as refusal:
+            biorthonormalize(a)
+    # the failing blocks take the climb, not eig(A^*)
+    assert calls.shapes["eig"] == [(8, 8)]
+    assert refusal.value.cluster_index == 4
+    # the refusal agrees with the diagnosis's verdict (C1 and C4 FAIL)
+    assert not check_conditions(a).biorthonormal_basis_exists
 
 
 def test_a_dual_solve_that_raises_sends_the_construction_to_eig_of_the_adjoint(monkeypatch):
