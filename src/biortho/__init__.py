@@ -32,6 +32,7 @@ from .errors import (
     BiorthoError,
     ClusteringError,
     EigenIterationError,
+    EigenvectorSpanError,
     IncompleteSystemError,
     MatrixParseError,
     NotDiagonalizableError,

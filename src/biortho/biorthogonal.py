@@ -10,7 +10,10 @@ Whether a system exists at all is decided sector by sector: the kernels
 of ``A - lambda I`` and ``A^* - conj(lambda) I`` must have equal dimension
 and a nonsingular cross-Gram.  Sectors of non-semi-simple clusters can
 never pass that test in exact arithmetic, so the skew-link screen runs
-first and the diagonalizability check remains as a backstop.
+first and the diagonalizability check remains as a backstop.  Linked
+sectors need not add up to a basis: on a given spectrum, whose left
+kernels may come from eig(A^*), the stacked right kernels must also
+span C^n by C4's rule.
 
 Given no spectrum, biorthonormalize computes its own with point_spectrum's
 _construction switch.  Its left kernels then come from the dual basis
@@ -30,11 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    EigenvectorSpanError,
     IncompleteSystemError,
     NotDiagonalizableError,
     SkewLinkFailureError,
 )
 from .linalg import DEFAULT_TOL, _Blocks, _stacked_by_shape, as_matrix, subspace_pairs
+from .rootspace import _stacked_rank
 from .spectral import point_spectrum
 
 __all__ = [
@@ -171,11 +176,18 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
     paired (carrying that sector's index and self-orthogonality), and
     NotDiagonalizableError if every sector pairs but some cluster is
     defective, which cannot happen for genuinely linked sectors and so
-    only guards against inconsistent inputs.
+    only guards against inconsistent inputs.  A given spectrum's right
+    kernels must also span C^n by C4's rule (Tolerance.stacked_rank, one
+    SVD of their stacked bases), else EigenvectorSpanError names the span
+    and the cutoff: its left kernels may come from eig(A^*), whose vectors
+    can pair with V's cluster by cluster where V is numerically singular.
+    Computed here, the left kernels come from V^-*, whose blocks then fail
+    their certificates, and the call refuses at a cluster that cannot pair.
     """
     a = as_matrix(a)
     n = a.shape[0]
-    if spectrum is None:
+    given = spectrum is not None
+    if not given:
         # a cluster that can never pair climbs no staircase past level 1
         spectrum = point_spectrum(a, tol, _construction=True)
     if spectrum.ambient_dim != n:
@@ -187,6 +199,10 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
     defective = (right.widths != spectrum._algebraic).nonzero()[0].tolist()
     if defective:
         raise NotDiagonalizableError(defective)
+    if given:
+        span, s = _stacked_rank(right.matrix, tol)
+        if span < n:
+            raise EigenvectorSpanError(span, n, tol.stacked_cutoff(s, right.matrix.shape))
     # clusters of one kernel dimension share one stacked solve; every pair
     # is linked, so both sides have the same widths
     v, w = right.matrix, np.empty_like(left.matrix)

@@ -268,8 +268,11 @@ def check_conditions(a, tol=DEFAULT_TOL):
     c4 = _check_span("C4", "eigenvectors", spans.eigen_span_dim, spans.adjoint_eigen_span_dim, n, defective)
     c4p = _check_span("C4'", "root subspaces", spans.root_span_dim, spans.adjoint_root_span_dim, n, ())
 
-    # the centred B, whose commutator is A's (see NormalityReport)
+    # the centred B, whose commutator is A's (see NormalityReport), in real
+    # arithmetic when its entries are all real
     centred = _shift(a.copy(), np.trace(a) / n)
+    if not centred.imag.any():
+        centred = centred.real
     commutator = centred @ centred.conj().T - centred.conj().T @ centred
     properties = {
         "a": PASS if spans.eigen_gram_defect <= tol.angle_threshold else FAIL,

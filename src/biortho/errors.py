@@ -62,6 +62,19 @@ class SkewLinkFailureError(BiorthoError):
         )
 
 
+class EigenvectorSpanError(BiorthoError):
+    """The eigenvectors of a given spectrum span fewer dimensions than the space at the stacked rank cutoff."""
+
+    def __init__(self, span, ambient_dim, cutoff):
+        self.span = span
+        self.ambient_dim = ambient_dim
+        self.cutoff = float(cutoff)
+        super().__init__(
+            "eigenvectors span %d of %d dimensions at rank cutoff %.3e; no "
+            "biorthonormal system exists at this tolerance" % (span, ambient_dim, cutoff)
+        )
+
+
 class IncompleteSystemError(BiorthoError):
     """Expansion was requested from a system that does not span the space."""
 

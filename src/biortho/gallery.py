@@ -27,6 +27,7 @@ import numpy as np
 from .conditions import check_conditions
 from .errors import BiorthoError, StudyError
 from .linalg import DEFAULT_TOL, as_matrix
+from .spectral import _lapack
 
 __all__ = [
     "FAMILIES",
@@ -193,8 +194,9 @@ def truncation_study(template, sizes, probe_grid=(), tol=DEFAULT_TOL):
             a = as_matrix(generate(replace(template, size=size)))
             report = check_conditions(a, tol)
             eye = np.eye(size, dtype=complex)
+            # real arithmetic for a real A at a real z (spectral._lapack)
             sig_min = tuple(
-                float(np.linalg.svd(a - z * eye, compute_uv=False)[-1])
+                float(_lapack(np.linalg.svd, a - z * eye, z, compute_uv=False)[-1])
                 for z in probe_grid
             )
             min_self = min([1.0] + [v.self_orthogonality for v in report.skew_links])

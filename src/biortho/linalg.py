@@ -59,9 +59,13 @@ class Tolerance:
                     "%s must lie strictly inside (0, 1), got %r" % (name, value)
                 )
 
+    def stacked_cutoff(self, s, shape):
+        """rank_eps * s[0] * max(shape), for the nonempty singular values s of a matrix of this shape."""
+        return self.rank_eps * float(s[0]) * max(shape)
+
     def stacked_rank(self, s, shape):
-        """Rank from the singular values s of a matrix of this shape: the count above rank_eps * s[0] * max(shape)."""
-        return int(np.count_nonzero(s > self.rank_eps * float(s[0]) * max(shape))) if s.size else 0
+        """Rank from the singular values s of a matrix of this shape: the count above stacked_cutoff."""
+        return int(np.count_nonzero(s > self.stacked_cutoff(s, shape))) if s.size else 0
 
     def climb_cutoff(self, n, sigma_max, lam):
         """A staircase climb's one cutoff, rank_eps * n * max(sigma_max, |lam|), for an n x n A."""

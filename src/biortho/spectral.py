@@ -7,6 +7,17 @@ eigenvalues connects them.  The closure is order independent.  Each
 cluster carries the kernels of ``A - lambda I`` and
 ``A^* - conj(lambda) I`` at the cluster centroid.
 
+Every factorization of A, of A^*, and of their shifts and compressions
+goes through _lapack, which holds one rule: a matrix whose entries are
+all real is factored in real arithmetic.  A real A so takes dgeev on
+both sides, whose eigenvalues come in exact conjugate pairs, and a
+cluster closed under conjugation keeps its real centroid (_clustered).
+Its shifts at a real lambda take dgesdd; where every resolved eigenvalue
+is real, the certified kernels, and so the frame and its compressions,
+have zero imaginary parts, and a defective cluster's staircase takes
+dgesdd framed or not.  The rule reads the matrix, not an option, and
+the bases are complex again where they are stacked (phase_normalize).
+
 When there is more than one cluster, every cluster first tries a
 residual certificate.  A cluster of m raw eigenvalues takes its members'
 eig(A) columns as its right block.  Its left block comes by one of two
@@ -54,10 +65,7 @@ dimension n_d, n less the multiplicities resolved before it: it climbs
 Z_R^* A Z_R and takes its left kernel from (Z_L^* A Z_L)^*, so it takes no
 n x n SVD.  Only a single cluster, and the first climb when no cluster is
 certified, climb unframed, at n.  The collapse test of kernel_split runs
-only without a frame.  Every SVD goes through
-_svd: a shifted matrix whose entries are all real (a real A at a real
-lambda) is factored in real arithmetic, and phase_normalize makes every
-basis complex again.
+only without a frame.
 
 The spectrum is held as arrays (PointSpectrum): one right and one left
 kernel basis matrix, n x sum(m_g), each cluster a column range of them,
@@ -279,10 +287,19 @@ def _single_linkage_groups(values, radius):
     return _Blocks(labels.argsort(kind="stable"), sizes[sizes > 0])
 
 
-def _lapack(solver, a, lam=None):
-    # lam, when given, names the eigenvalue whose shifted matrix failed
+def _lapack(solver, m, lam=None, **options):
+    """solver(m, **options), on m.real when no entry of m has an imaginary part.
+
+    A matrix whose entries are all real (A or A^* of a real A, their
+    shifts at a real lambda, and compressions onto real frames) is factored
+    in real arithmetic: dgeev, not zgeev, whose eigenvalues come in exact
+    conjugate pairs, and dgesdd, not zgesdd, whose singular vectors are
+    real.  The results are complex again only where they are stacked.  A
+    LinAlgError becomes EigenIterationError, naming lam, when given, as
+    the eigenvalue whose shifted matrix failed.
+    """
     try:
-        return solver(a)
+        return solver(m if m.imag.any() else m.real, **options)
     except np.linalg.LinAlgError as exc:
         where = "" if lam is None else " at %.6g%+.6gj" % (lam.real, lam.imag)
         raise EigenIterationError(str(exc) + where) from exc
@@ -293,12 +310,6 @@ def _shift(m, lam):
     # without that expression's two further n x n temporaries
     m -= lam * np.eye(len(m))
     return m
-
-
-def _svd(b, lam=None):
-    # a shifted matrix whose entries are all real is factored in real
-    # arithmetic (dgesdd, not zgesdd); its singular vectors come out real
-    return _lapack(np.linalg.svd, b if b.imag.any() else b.real, lam)
 
 
 def kernel_split(a, lam, scatter, tol=DEFAULT_TOL):
@@ -348,7 +359,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
     n = a.shape[0]
     z_r, b, z_l, _ = (None, a, None, None) if frame is None else frame
     n_d = b.shape[0]
-    u, s, vh = _svd(_shift(np.array(b, dtype=complex), lam), lam)
+    u, s, vh = _lapack(np.linalg.svd, _shift(np.array(b, dtype=complex), lam), lam)
     cutoff = tol.climb_cutoff(n, float(s[0]), lam)
     if z_r is None and s[0] <= tol.collapse_bound(n, scatter, lam):
         perp = right = Subspace._checked(n, np.eye(n, dtype=complex))
@@ -377,7 +388,7 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
         d = n_d - rank
         levels.append(d)
         if d < n_d:
-            u, s, vh = _svd(trailing, lam)
+            u, s, vh = _lapack(np.linalg.svd, trailing, lam)
             rank = int(np.count_nonzero(s > cutoff))
     if d != m_a:
         return right, left, Climb(tuple(levels), cutoff, perp)
@@ -403,7 +414,8 @@ def _climb(a, lam, scatter, tol, m_a=None, frame=None, with_left=False, level_on
 
 def _left_kernel(a, lam, cutoff, frame):
     # Ker(a^* - conj(lam) I) at a climb's cutoff, from one SVD, in the frame if any
-    _, s, vh = _svd(_shift((a if frame is None else frame[3]).conj().T, lam.conjugate()), lam.conjugate())
+    _, s, vh = _lapack(np.linalg.svd, _shift((a if frame is None else frame[3]).conj().T, lam.conjugate()),
+                        lam.conjugate())
     left = vh[np.count_nonzero(s > cutoff):].conj().T
     return Subspace(a.shape[0], phase_normalize(left if frame is None else frame[2] @ left))
 
@@ -415,15 +427,26 @@ def _clustered(values, tol):
     groups in order of their smallest member (point_spectrum then sorts
     them into report order).  A group's centroid is its members' mean, a
     single value's own bits, and its scatter the largest distance of a
-    member from the centroid.
+    member from the centroid.  The mean of a group closed under
+    conjugation is real, and is kept real: the summation's rounding would
+    leave an imaginary part on a real A's real cluster.  dgeev returns a
+    real A's values in exact conjugate pairs, and linkage commutes with
+    conjugation, so when the values are closed under it, so is every
+    group that holds the conjugate of one of its members.
     """
     members = _single_linkage_groups(values, tol.cluster_radius(values))
     centroids = values[members.matrix[members.starts]].astype(complex, copy=False)
     scatters = np.zeros(len(members))
-    for k in (members.widths > 1).nonzero()[0].tolist():
-        idx = members[k]
-        centroids[k] = values[idx].mean()
-        scatters[k] = np.abs(values[idx] - centroids[k]).max()
+    multiple = (members.widths > 1).nonzero()[0].tolist()
+    symmetric = bool(multiple) and values.dtype.kind == "c" and np.array_equal(
+        np.sort(values), np.sort(values.conj()))
+    for k in multiple:
+        group = values[members[k]]
+        centroid = group.mean()
+        if centroid.imag and symmetric and (group == group[0].conjugate()).any():
+            centroid = centroid.real
+        centroids[k] = centroid
+        scatters[k] = np.abs(group - centroid).max()
     return centroids, scatters, members
 
 
@@ -591,5 +614,7 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _construction=False):
         right, left = _Blocks.of([rights[0]]), _Blocks.of([lefts[0]])
     else:
         right, left = right.replaced(rights), left.replaced(lefts)
+    if adj_raw is not None:
+        adj_raw = adj_raw.astype(complex, copy=False)
     return PointSpectrum._of_arrays(n, adj_raw, values=values, algebraic=members.widths, scatter=scatters,
                                     right=right, left=left, climbed=climbed)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from biortho import (
+    EigenvectorSpanError,
     FamilySpec,
     NotDiagonalizableError,
     SkewLinkFailureError,
@@ -84,6 +85,25 @@ def test_existence_verdict_matches_construction(source, tol):
     except (SkewLinkFailureError, NotDiagonalizableError):
         constructed = False
     assert check_conditions(a, tol).biorthonormal_basis_exists == constructed
+
+
+# a Jordan block of size 4 at 0 beside simple 1..4, shifted by 1e3: simple
+# clusters that link, while the eigenvectors span 7 of 8 dimensions
+JORDAN4 = ((0.0, (4,)),) + tuple((float(k), (1,)) for k in (1, 2, 3, 4))
+SHIFTED = [pytest.param(generate(FamilySpec("block_jordan", 8, {"blocks": JORDAN4, "cond": 10.0}, seed))
+                        + 1e3 * np.eye(8), DEFAULT, id="block_jordan8-seed%d+1e3" % seed) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("source, tol", CASES + SHIFTED)
+def test_existence_verdict_matches_construction_from_the_diagnosis_spectrum(source, tol):
+    a = _matrix(source)
+    report = check_conditions(a, tol)
+    try:
+        biorthonormalize(a, report.spectrum, tol)
+        constructed = True
+    except (SkewLinkFailureError, NotDiagonalizableError, EigenvectorSpanError):
+        constructed = False
+    assert report.biorthonormal_basis_exists == constructed
 
 
 @pytest.mark.parametrize("source, tol", CASES)

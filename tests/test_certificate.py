@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biortho import (FamilySpec, SkewLinkFailureError, Tolerance, biorthonormalize, check_conditions, generate,
-                     point_spectrum, read_matrix, subspace_angle)
+from biortho import (EigenvectorSpanError, FamilySpec, SkewLinkFailureError, Tolerance, biorthonormalize,
+                     check_conditions, generate, point_spectrum, read_matrix, subspace_angle)
 from biortho.spectral import kernel_split
 from conftest import Calls
 
@@ -199,6 +199,37 @@ def test_dual_left_blocks_that_fail_climb_and_the_construction_refuses(seed, mon
     assert refusal.value.cluster_index == 4
     # the refusal agrees with the diagnosis's verdict (C1 and C4 FAIL)
     assert not check_conditions(a).biorthonormal_basis_exists
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_given_spectrum_whose_eigenvectors_do_not_span_is_refused(seed):
+    a = generate(FamilySpec("block_jordan", 8, {"blocks": JORDAN4, "cond": 10.0}, seed)) + 1e3 * np.eye(8)
+    report = check_conditions(a)
+    assert report.condition("C4").status == "FAIL" and not report.biorthonormal_basis_exists
+    # eig(A^*)'s left blocks pair with V's, so only the span refuses, by C4's rule
+    for spectrum in (report.spectrum, point_spectrum(a)):
+        with pytest.raises(EigenvectorSpanError) as refusal:
+            biorthonormalize(a, spectrum)
+        s = np.linalg.svd(spectrum._right.matrix, compute_uv=False)
+        cutoff = Tolerance().stacked_cutoff(s, (8, 8))
+        assert (refusal.value.span, refusal.value.ambient_dim, refusal.value.cutoff) == (7, 8, cutoff)
+        assert s[7] <= cutoff < s[6]
+        assert "span 7 of 8 dimensions at rank cutoff %.3e" % cutoff in str(refusal.value)
+
+
+def test_only_a_given_spectrum_takes_the_span_svd(monkeypatch):
+    n = 16
+    a = generate(FamilySpec("random_gaussian", n, {}, 2))
+    spectrum = point_spectrum(a)
+    with monkeypatch.context() as patched:
+        calls = Calls(patched, names=("svd",))
+        given = biorthonormalize(a, spectrum)
+    assert calls.square("svd", n) == 1
+    with monkeypatch.context() as patched:
+        calls = Calls(patched, names=("svd",))
+        biorthonormalize(a)
+    assert calls.square("svd", n) == 0
+    assert given.gram_residual <= 1e-12
 
 
 def test_a_dual_solve_that_raises_sends_the_construction_to_eig_of_the_adjoint(monkeypatch):

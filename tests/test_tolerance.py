@@ -64,7 +64,7 @@ def test_a_stacked_singular_value_at_the_cutoff_counts_as_zero():
 
 def test_a_climb_singular_value_at_the_cutoff_counts_as_zero():
     a = np.diag([1.0, 0.5]).astype(complex)
-    # the same call _svd makes on a real shifted matrix, so the same bits
+    # the same call _lapack makes on a real shifted matrix, so the same bits
     s = np.linalg.svd(a.real)[1]
     assert kernel_split(a, 0j, 0.0, _pinned("climb_cutoff", s[1]))[1].dim == 1
     assert kernel_split(a, 0j, 0.0, _pinned("climb_cutoff", np.nextafter(s[1], 0.0)))[1].dim == 0
@@ -144,6 +144,7 @@ def test_eigenspaces_overlapping_at_the_angle_threshold_count_as_orthogonal():
 def test_each_method_is_its_formula(tol):
     s = np.array([7.5, 2.0, 3e-9, 1e-10, 0.0])
     for shape in ((5, 5), (9, 5), (5, 2)):
+        assert tol.stacked_cutoff(s, shape) == tol.rank_eps * float(s[0]) * max(shape)
         assert tol.stacked_rank(s, shape) == int(np.count_nonzero(s > tol.rank_eps * float(s[0]) * max(shape)))
     for n, sigma, lam in ((3, 1.0, 0j), (32, 0.25, 1e6 + 0j), (7, 5.0, 3 - 4j), (128, 2.5e3, -2e3j)):
         assert tol.climb_cutoff(n, sigma, lam) == tol.rank_eps * n * max(sigma, abs(lam))

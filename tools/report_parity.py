@@ -17,7 +17,15 @@ writes OUT, one JSON object with one record per input:
   members, one Jordan block of size 4 beside four simple eigenvalues
   (cond 10, seeds 0 and 1), which raise unshifted;
 - four near-normal matrices, each plus c I for c in 0, 1e3 and 1e6, at
-  the default tolerance, where is_normal and the marks it reads show.
+  the default tolerance, where is_normal and the marks it reads show;
+- real inputs, which are factored in real arithmetic: the real parts of
+  random_gaussian n = 8 and 32, seeds 1 and 2, whose eigenvalues come in
+  conjugate pairs, at the default tolerance; and at cluster_eps 1e-2, a
+  Jordan block of length 3, 4 or 5 at 2.0 beside simple 3, 4, ..., under
+  a real orthogonal similarity (n = 12), and S J S^-1 for a real
+  Gaussian S and J with Segres (2, 1), (1), (3), (1, 1) at 0, 1, 2, 3
+  (n = 9), whose defective clusters are real but come out of a dense
+  similarity.
 
 Each record holds the check_conditions report JSON (or the error's class
 and message) and the outcome of biorthonormalize: a SHA-256 digest of
@@ -119,6 +127,30 @@ def _matrices(biortho):
     for name, a in near_normal.items():
         for c in (0.0,) + SHIFTS:
             yield "near_normal/%s+%r" % (name, c), a + c * np.eye(len(a)), eps
+    for n in (8, 32):
+        for seed in SEEDS:
+            yield "real/gaussian%d-seed%d" % (n, seed), biortho.generate(
+                biortho.FamilySpec("random_gaussian", n, {}, seed)).real, eps
+    for length in (3, 4, 5):
+        yield "real/jordan%d-at-2" % length, _real_similarity(length), 1e-2
+    yield "real/similarity9", _real_similarity9(), 1e-2
+
+
+def _real_similarity(length, n=12):
+    # a Jordan block of the given length at 2.0 beside simple 3, 4, ..., under a real orthogonal similarity
+    j = np.diag(np.r_[np.full(length, 2.0), 3.0 + np.arange(n - length)]) + np.diag(
+        np.r_[np.ones(length - 1), np.zeros(n - length)], 1)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+    return q @ j @ q.T
+
+
+def _real_similarity9():
+    # S J S^-1 with a real Gaussian S, J of Segres (2, 1) at 0, (1) at 1, (3) at 2 and (1, 1) at 3
+    j = np.zeros((9, 9))
+    for lo, width, lam in ((0, 2, 0.0), (2, 1, 0.0), (3, 1, 1.0), (4, 3, 2.0), (7, 1, 3.0), (8, 1, 3.0)):
+        j[lo:lo + width, lo:lo + width] = lam * np.eye(width) + np.eye(width, k=1)
+    s = np.random.default_rng(9).standard_normal((9, 9))
+    return s @ j @ np.linalg.inv(s)
 
 
 def dump(src, out, files=None):
