@@ -20,7 +20,9 @@ _construction switch.  Its left kernels then come from the dual basis
 V^-* of the right eigenvectors V, one solve in place of a second eig;
 each must pass the residual certificate on A^*, a cluster whose dual
 block fails climbs like any other, and only a solve that raises sends
-the call to eig(A^*) (see spectral).  For simple clusters the dual
+the call to eig(A^*) (see spectral).  A diagnosis whose clusters all
+certify keeps the same dual blocks, so its spectrum gives the same
+system bit for bit; one that fell back to eig(A^*) gives it to rounding.  For simple clusters the dual
 columns are already biorthogonal to V, so the cross-Gram solve only
 rescales them, and the system is biorthonormal to rounding even where
 eig(A^*)'s vectors drift, as under a large shift.
@@ -179,8 +181,9 @@ def biorthonormalize(a, spectrum=None, tol=DEFAULT_TOL):
     only guards against inconsistent inputs.  A given spectrum's right
     kernels must also span C^n by C4's rule (Tolerance.stacked_rank, one
     SVD of their stacked bases), else EigenvectorSpanError names the span
-    and the cutoff: its left kernels may come from eig(A^*), whose vectors
-    can pair with V's cluster by cluster where V is numerically singular.
+    and the cutoff: its left kernels may come from eig(A^*) (a diagnosis
+    where some cluster fails its certificate), whose vectors can pair with
+    V's cluster by cluster where V is numerically singular.
     Computed here, the left kernels come from V^-*, whose blocks then fail
     their certificates, and the call refuses at a cluster that cannot pair.
     """

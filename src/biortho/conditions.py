@@ -10,15 +10,18 @@ FAIL names the clusters responsible.
 
 A^* has no kernel, staircase or span of its own.  Its eigenvectors at
 conj(lambda) are the clusters' left kernels: for a certified cluster
-its eig vectors of A^* (see spectral), otherwise the left null vectors
-of A - lambda I at the cutoff of the cluster's climb.  Its root vectors come from the deflation that
+its columns of V^-* when every cluster certified, else its eig vectors
+of A^* (see spectral), otherwise the left null vectors of A - lambda I
+at the cutoff of the cluster's climb.  Its root vectors come from the deflation that
 climbs A's staircase, as Q[I; S*] = Ran((A - lambda I)^h)-perp off its
 final form Q*(A - lambda I)Q = [[N, X], [0, T]] (see spectral._climb), or are
 the left kernel again where a cluster's kernels are its root subspaces,
 and C2' then reuses its C2 verdict.
 Its spectrum comes from a separate computation, so that C1 and C3'
-compare independent results: the eig(A^*) call point_spectrum already
-made when there is more than one cluster, else one eigvals call.
+compare independent results: the eig(A^*) call point_spectrum made when
+some cluster failed its certificate, else one eigvals(A^*) call, with a
+single cluster or when every cluster certified with its dual left block
+from V^-*, a solve that yields no adjoint eigenvalues.
 
 The residual identity takes no SVD of its own when the root bases span:
 Ran(A - lambda I)-perp comes from level 1 of each non-certified cluster's
@@ -149,6 +152,12 @@ def residual_identity_check(a, spectrum=None, tol=DEFAULT_TOL, roots_span=False)
     R^-1, orthonormalized as the certificate's kernels are
     (_Blocks.orthonormalized) before the climbed clusters' Ran-perps
     replace theirs.  Else it takes one SVD of its shifted matrix.
+    Where the left kernels came from eig(A^*) or a climb's left split,
+    the angle compares independent computations.  Where they came from
+    V^-* (every cluster certified), R is V blockwise orthonormalized and
+    its rows of R^-1 span what the dual left block spans, so the angle is
+    a rounding-level bookkeeping check; there the left certificate on A^*
+    is the independent test.
     """
     a = as_matrix(a)
     if spectrum is None:

@@ -20,19 +20,23 @@ the bases are complex again where they are stacked (phase_normalize).
 
 When there is more than one cluster, every cluster first tries a
 residual certificate.  A cluster of m raw eigenvalues takes its members'
-eig(A) columns as its right block.  Its left block comes by one of two
-routes.  The diagnosis runs eig(A^*) and takes its columns at the m
-adjoint eigenvalues nearest conj(lambda), so C1 and C3' compare against
-an independent adjoint spectrum.  The construction (biorthonormalize)
-takes the same members' columns of V^-*, V the eig vectors: one solve in
-place of a second eig, with the left vectors dual to the right ones
-(Wilkinson's view of left eigenvectors).  It takes eig(A^*) only when
-that solve raises; a dual left block that fails its certificate climbs
-like any other.  Each side's blocks are orthonormalized in one
-call (_Blocks.orthonormalized: unit columns, then a thin QR of each
-multiple block, one stacked QR per block size).  When every cluster is
-simple, V first takes one correction against its own residuals (see
-_refined), and so do eig(A^*)'s vectors.  Both blocks Q must then pass
+eig(A) columns as its right block, and as its left block the same
+members' columns of V^-*, V the eig vectors: one solve in place of a
+second eig, with the left vectors dual to the right ones (Wilkinson's
+view of left eigenvectors).  The construction (biorthonormalize) keeps
+the dual left blocks whatever their certificates say, and takes eig(A^*)
+only when the solve raises; a dual left block that fails climbs like any
+other.  The diagnosis keeps them only when every block on both sides
+passes, and check_conditions then takes the independent adjoint spectrum
+of C1 and C3' from one eigvals(A^*).  Otherwise, when some right block
+fails, some dual block fails or the solve raises, it runs eig(A^*) and
+takes its columns at the m adjoint eigenvalues nearest conj(lambda),
+whose eigenvalues are that spectrum.  Each side's blocks are
+orthonormalized in one call (_Blocks.orthonormalized: unit columns, then
+a thin QR of each multiple block, one stacked QR per block size).  When
+every cluster is simple, V first takes one correction against its own
+residuals (see _refined), before its dual basis is solved for, and so do
+eig(A^*)'s vectors.  Both blocks Q must then pass
 ||(A - lambda I) Q||_F <= Tolerance.certificate_cutoff, scaled by
 max(||A - lambda I||_F / sqrt(n), |lambda|).  By Courant-Fischer,
 sigma_(n-m+1)(A - lambda I) <= ||(A - lambda I) Q||_2 <= ||.||_F, and
@@ -80,9 +84,9 @@ checked as the Subspace it built; the Climb itself is kept beside the
 arrays, by cluster index.  The diagnosis reads these, and the root bases
 the spectrum stacks from them once (PointSpectrum._roots); it builds no
 cluster's view (PointSpectrum.clusters).  biorthonormalize sets
-point_spectrum's _construction: the left blocks then come from V^-*, and a
-failing cluster with 0 < d_1 < m_a, which can never pair, stops after
-level 1 and the left split.
+point_spectrum's _construction: the left blocks then come from V^-* even
+where some block fails, and a failing cluster with 0 < d_1 < m_a, which
+can never pair, stops after level 1 and the left split.
 
 For a simple cluster the self-orthogonality |(chi, psi)| of the unit
 left and right vectors is Wilkinson's reciprocal condition number of the
@@ -184,10 +188,12 @@ class PointSpectrum:
     """All eigenvalue clusters of one matrix, sorted by centroid (Re, Im).
 
     adjoint_eigenvalues holds the raw eigenvalues of the adjoint from the
-    eig(A^*) call of the certificate, which runs whenever there is more
-    than one cluster, and is None otherwise; a construction's spectrum
-    takes its left blocks from V^-* and runs eig(A^*) only when that
-    solve raises.
+    eig(A^*) call of the certificate, and is None when no such call ran:
+    with a single cluster, and when the left blocks came from V^-*.  A
+    diagnosis's spectrum takes them from V^-* when every block of more
+    than one cluster certifies, and runs eig(A^*) otherwise; a
+    construction's always takes them from V^-* and runs eig(A^*) only when
+    that solve raises.
 
     The clusters are also held as arrays, which the diagnosis reads: per
     cluster its value, algebraic multiplicity and scatter (_values,
@@ -497,13 +503,16 @@ def _certified_kernels(a, raw, vecs, lam, members, tol, dual=False):
 
     A group of m raw eigenvalues (members, a _Blocks of their indices) at
     centroid lam takes its members' eig(A) columns as its right block.
-    With dual, its left block is the same members' columns of V^-* (V the
-    eig vectors, refined when every group is simple), whose columns are
-    the left eigenvectors dual to V's: (V^-* e_j)^* V e_i = delta_ij.
-    Otherwise, and when that solve raises, it is the eig(A^*) columns at
-    the m adjoint eigenvalues nearest conj(lam), and the adjoint
-    eigenvalues are returned (else None).  Every block passes or fails the
-    same residual certificate (_certified at Tolerance.certificate_cutoff).
+    Its left block is the same members' columns of V^-* (V the eig
+    vectors, refined when every group is simple), whose columns are the
+    left eigenvectors dual to V's: (V^-* e_j)^* V e_i = delta_ij.  With
+    dual they are kept whatever their certificates say.  Without it they
+    are tried only when every right block passes, and kept only when
+    every dual block passes too.  Otherwise, and when the solve raises, the
+    left block is the eig(A^*) columns at the m adjoint eigenvalues nearest
+    conj(lam), and the adjoint eigenvalues are returned (else None).
+    Every block passes or fails the same residual certificate (_certified
+    at Tolerance.certificate_cutoff).
     Both sides come as _Blocks, one block per group in the order of
     members (point_spectrum's report order); a group is certified when
     both its blocks pass, and the caller takes the SVD route for the others.
@@ -520,14 +529,15 @@ def _certified_kernels(a, raw, vecs, lam, members, tol, dual=False):
     cutoff = tol.certificate_cutoff(n, fro, lam)
     shift = lam.repeat(sizes)
     right, right_ok = _certified(a, _Blocks(vecs[:, members.matrix], sizes), shift, cutoff)
-    if dual:
+    if dual or right_ok.all():
         try:
             duals = np.linalg.solve(vecs.conj().T, np.eye(n))
         except np.linalg.LinAlgError:
             pass
         else:
             left, left_ok = _certified(adj, _Blocks(duals[:, members.matrix], sizes), shift.conj(), cutoff)
-            return None, right, left, right_ok & left_ok
+            if dual or left_ok.all():
+                return None, right, left, right_ok & left_ok
     adj_raw, adj_vecs = _lapack(np.linalg.eig, adj)
     if simple:
         adj_vecs = _refined(adj, adj_raw, adj_vecs)
@@ -569,12 +579,15 @@ def point_spectrum(a, tol=DEFAULT_TOL, *, _construction=False):
     Raises EigenIterationError if the QR iteration fails to converge and
     ClusteringError if a cluster's kernel dimension is inconsistent with
     its cardinality (a sign the tolerances cut a coalescing group apart).
-    With _construction, which biorthonormalize sets, the certificate's left
-    blocks come from the dual basis V^-* of the eig vectors, and
+    With more than one cluster, the certificate's left blocks come from the
+    dual basis V^-* of the eig vectors when every block certifies, and
+    adjoint_eigenvalues is then None; when some block fails, from eig(A^*)
+    (_certified_kernels).  With _construction, which biorthonormalize sets,
+    they come from V^-* whatever their certificates say, and
     adjoint_eigenvalues is None unless that solve raised and eig(A^*) ran
-    instead (_certified_kernels); and a cluster whose climb finds
-    0 < d_1 < m_a, and so can never pair, climbs no further than level 1
-    and the left split (_climb's level_one).
+    instead; and a cluster whose climb finds 0 < d_1 < m_a, and so can
+    never pair, climbs no further than level 1 and the left split (_climb's
+    level_one).
     """
     a = as_matrix(a)
     n, m = a.shape

@@ -180,11 +180,12 @@ def test_a_diagnosis_builds_no_per_cluster_object_on_simple_clusters(monkeypatch
         counts[n] = made
         assert made["cluster"] == made["root_space"] == 0
         assert len(report.spectrum.clusters) == n
-        # two eig calls; the spans of V and W, and one batched SVD each for
-        # the kernel pairing and the residual identity; no 2-norm of A, since
-        # normality is decided on Frobenius norms; the two refinements and
-        # the residual identity's (R^*)^-1
-        assert calls.shapes["eig"] == [(n, n)] * 2 and calls.shapes["eigvals"] == []
+        # one eig and one eigvals of A^*, the left blocks coming from V's dual
+        # basis; the spans of V and W, and one batched SVD each for the kernel
+        # pairing and the residual identity; no 2-norm of A, since normality
+        # is decided on Frobenius norms; V's refinement, the dual basis V^-*
+        # and the residual identity's (R^*)^-1
+        assert calls.shapes["eig"] == [(n, n)] and calls.shapes["eigvals"] == [(n, n)]
         assert sorted(calls.shapes["svd"]) == sorted([(n, n)] * 2 + [(2 * n, 1, 1)] * 2) and norms == []
         assert calls.shapes["solve"] == [(n, n)] * 3 and calls.shapes["qr"] == []
     assert counts[48]["subspace"] <= counts[16]["subspace"]

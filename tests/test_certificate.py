@@ -2,13 +2,15 @@
 
 A cluster of m raw eigenvalues in an input with more than one cluster
 takes its right kernel from its members' eig(A) columns and its left
-kernel from the eig(A^*) columns at the m nearest conjugate eigenvalues,
+kernel from the same members' columns of V^-*, V the eig(A) vectors,
 each block orthonormalized and certified by ||(A - lambda I) Q||_F.  The
 references here are kernel_split's kernels of the shifted matrix and of
 its adjoint, which every multiple cluster took before and which a
-failed certificate still takes.  A construction (biorthonormalize) takes
-its left blocks from V^-* instead, V the eig(A) vectors, and runs
-eig(A^*) only when that solve raises.
+failed certificate still takes.  A diagnosis keeps the dual left blocks
+only when every block certifies, and otherwise takes the eig(A^*)
+columns at the m nearest conjugate eigenvalues; a construction
+(biorthonormalize) always keeps them, and runs eig(A^*) only when the
+solve raises.
 """
 
 from pathlib import Path
@@ -19,7 +21,7 @@ import pytest
 from biortho import (EigenvectorSpanError, FamilySpec, SkewLinkFailureError, Tolerance, biorthonormalize,
                      check_conditions, generate, point_spectrum, read_matrix, subspace_angle)
 from biortho.spectral import kernel_split
-from conftest import Calls
+from conftest import Calls, Spoiled
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
@@ -91,26 +93,23 @@ def _verdicts(report):
             report.normality.properties, report.biorthonormal_basis_exists)
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["right", "left"])
+def _parallel_at_one(values, vectors):
+    # the two columns at the double eigenvalue near 1 made equal
+    i, j = np.flatnonzero(np.abs(values - 1.0) < 1e-6)
+    vectors[:, j] = vectors[:, i]
+    return values[i]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
 def test_parallel_eig_columns_send_a_double_eigenvalue_down_the_svd_route(side, monkeypatch):
     a = SEMI_SIMPLE["diag11223"]
     reference = check_conditions(a)
-    eig = np.linalg.eig
-    calls = []
-
-    def spoiled(m):
-        values, vectors = eig(m)
-        if len(calls) == side:
-            # the two columns at the double eigenvalue near 1 made equal
-            i, j = np.flatnonzero(np.abs(values - 1.0) < 1e-6)
-            vectors = vectors.copy()
-            vectors[:, j] = vectors[:, i]
-        calls.append(m.shape)
-        return values, vectors
-
-    monkeypatch.setattr(np.linalg, "eig", spoiled)
+    spoiled = Spoiled(monkeypatch, side, _parallel_at_one)
     report = check_conditions(a)
     monkeypatch.undo()
+    # a failing block on either side sends the diagnosis to eig(A^*); on
+    # the left its block fails too, as the dual one did
+    assert spoiled.eigs == [(5, 5)] * 2 and report.spectrum.adjoint_eigenvalues is not None
     for c, ref in zip(report.spectrum.clusters, reference.spectrum.clusters):
         if abs(c.value - 1.0) < 1e-6:
             assert c.range_perp is not None
@@ -160,25 +159,30 @@ def test_semi_simple_clusters_take_no_full_size_svd(n, monkeypatch):
     assert [c.algebraic_multiplicity for c in report.spectrum.clusters] == [2] * (n // 2)
     assert report.diagonalizable
     # the only n x n SVDs are span_report's, of V and of the left
-    # eigenvectors; the SVD route would add two per cluster
+    # eigenvectors; the SVD route would add two per cluster.  Every block
+    # certifies, so the left ones come from V's dual basis and the adjoint
+    # spectrum from one eigvals
     assert calls.square("svd", n) == 2
-    assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
+    assert calls.square("eig", n) == 1 and calls.shapes["eigvals"] == [(n, n)]
 
 
-def test_a_construction_takes_one_eig_and_a_diagnosis_two(monkeypatch):
+def test_a_construction_takes_one_eig_and_a_certified_diagnosis_one_eig_and_one_eigvals(monkeypatch):
     n = 48
     a = generate(FamilySpec("random_gaussian", n, {}, 0))
     with monkeypatch.context() as patched:
-        calls = Calls(patched, names=("eig",))
+        calls = Calls(patched)
         biorthonormalize(a)
     # the left blocks come from one solve against V^*, not from eig(A^*)
-    assert calls.shapes["eig"] == [(n, n)]
+    assert calls.shapes["eig"] == [(n, n)] and calls.shapes["eigvals"] == []
     assert point_spectrum(a, _construction=True).adjoint_eigenvalues is None
     with monkeypatch.context() as patched:
-        calls = Calls(patched, names=("eig",))
-        check_conditions(a)
-    # C1 and C3' compare against an independent adjoint spectrum
-    assert calls.shapes["eig"] == [(n, n)] * 2
+        calls = Calls(patched)
+        report = check_conditions(a)
+    # every block certifies, so the diagnosis takes the same dual left
+    # blocks, and C1 and C3' compare against an independent adjoint
+    # spectrum from one eigvals(A^*)
+    assert calls.shapes["eig"] == [(n, n)] and calls.shapes["eigvals"] == [(n, n)]
+    assert report.spectrum.adjoint_eigenvalues is None
 
 
 # a Jordan block of size 4 at 0 beside simple 1..4, shifted by 1e3: it
@@ -199,6 +203,51 @@ def test_dual_left_blocks_that_fail_climb_and_the_construction_refuses(seed, mon
     assert refusal.value.cluster_index == 4
     # the refusal agrees with the diagnosis's verdict (C1 and C4 FAIL)
     assert not check_conditions(a).biorthonormal_basis_exists
+
+
+# every block of these certifies on both sides
+CERTIFIED = {
+    "gaussian48": (generate(FamilySpec("random_gaussian", 48, {}, 0)), DEFAULT),
+    "normal32": (generate(FamilySpec("random_normal", 32, {}, 4)), DEFAULT),
+    "pairs32-cond30": (_block_jordan(_pairs(16), 32, 30.0, seed=32), WIDE),
+    "real-gaussian32": (generate(FamilySpec("random_gaussian", 32, {}, 1)).real, DEFAULT),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_certified_diagnosis_keeps_the_construction_s_dual_left_blocks(name, monkeypatch):
+    a, tol = CERTIFIED[name]
+    n = len(a)
+    with monkeypatch.context() as patched:
+        calls = Calls(patched)
+        report = check_conditions(a, tol)
+    assert calls.shapes["eig"] == [(n, n)] and calls.shapes["eigvals"] == [(n, n)]
+    assert report.spectrum._climbed == {} and report.spectrum.adjoint_eigenvalues is None
+    # the same solve of the same V: equal bit for bit, and so is the system
+    # built on either spectrum
+    assert np.array_equal(report.spectrum._left.matrix, point_spectrum(a, tol, _construction=True)._left.matrix)
+    assert biorthonormalize(a, tol=tol) == biorthonormalize(a, report.spectrum, tol)
+
+
+# some right block of these fails: the four simple clusters the shifted
+# Jordan block splits into, and the (2, 1) and (3) clusters of the mixed input
+FALLBACK = {"jordan4+1e3-seed%d" % seed: (
+    generate(FamilySpec("block_jordan", 8, {"blocks": JORDAN4, "cond": 10.0}, seed)) + 1e3 * np.eye(8), DEFAULT)
+    for seed in (0, 1)}
+FALLBACK["mixed9"] = (generate(FamilySpec("block_jordan", 9, {
+    "blocks": ((0.0, (2, 1)), (1.0, (1, 1)), (2.0, (3,)), (3.0, (1,))), "cond": 10.0}, 4)), WIDE)
+
+
+@pytest.mark.parametrize("name", FALLBACK)
+def test_a_diagnosis_with_a_failing_block_takes_eig_of_the_adjoint(name, monkeypatch):
+    a, tol = FALLBACK[name]
+    n = len(a)
+    with monkeypatch.context() as patched:
+        calls = Calls(patched)
+        report = check_conditions(a, tol)
+    # eig(A^*) gives both the left blocks and the adjoint spectrum, so no eigvals runs
+    assert calls.shapes["eig"] == [(n, n)] * 2 and calls.shapes["eigvals"] == []
+    assert report.spectrum.adjoint_eigenvalues is not None
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -235,7 +284,6 @@ def test_only_a_given_spectrum_takes_the_span_svd(monkeypatch):
 def test_a_dual_solve_that_raises_sends_the_construction_to_eig_of_the_adjoint(monkeypatch):
     n = 16
     a = generate(FamilySpec("random_gaussian", n, {}, 4))
-    reference = biorthonormalize(a, point_spectrum(a))
     solve = np.linalg.solve
 
     def singular(m, b):
@@ -244,6 +292,11 @@ def test_a_dual_solve_that_raises_sends_the_construction_to_eig_of_the_adjoint(m
         return solve(m, b)
 
     monkeypatch.setattr(np.linalg, "solve", singular)
+    # the reference's left blocks come from eig(A^*): the diagnosis's dual
+    # solve raises too, and it falls back
+    spectrum = point_spectrum(a)
+    assert spectrum.adjoint_eigenvalues is not None
+    reference = biorthonormalize(a, spectrum)
     calls = Calls(monkeypatch, names=("eig",))
     assert biorthonormalize(a) == reference
     assert calls.shapes["eig"] == [(n, n)] * 2

@@ -1,11 +1,12 @@
 """The eig certificate of simple clusters against the SVD route it replaces.
 
 A cluster with one raw eigenvalue takes its right kernel from eig(A) and
-its left kernel from eig(A^*), each certified by its residual, as every
-cluster of an input with more than one cluster does (test_certificate
-covers the multiple ones); the references here are the SVD kernels of
-the shifted matrix and its adjoint, which every cluster took before and
-which the fallback still takes.  The SVD route itself, kernel_split, is checked against a
+its left kernel from V's dual basis V^-*, or from eig(A^*) once some
+block fails, each certified by its residual, as every cluster of an
+input with more than one cluster does (test_certificate covers the
+multiple ones); the references here are the SVD kernels of the shifted
+matrix and its adjoint, which every cluster took before and which the
+fallback still takes.  The SVD route itself, kernel_split, is checked against a
 reference that takes the 2-norm collapse test, the null space and the
 complement of the range each on its own.
 """
@@ -32,7 +33,7 @@ from biortho import (
 )
 from biortho import biorthogonal, conditions, linalg, rootspace, spectral
 from biortho.spectral import kernel_split
-from conftest import Calls, count_norm2
+from conftest import Calls, Spoiled, count_norm2
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.mtx"))
 DEFAULT = Tolerance()
@@ -86,7 +87,10 @@ def test_fast_kernels_match_svd_kernels_without_an_svd(spec, monkeypatch):
     calls = Calls(monkeypatch)
     ps = point_spectrum(a)
     assert calls.shapes["svd"] == []
-    assert calls.shapes["eig"] == [(spec.size, spec.size)] * 2
+    # every block certifies, so the left ones come from V's dual basis and
+    # no eig(A^*) runs
+    assert calls.shapes["eig"] == [(spec.size, spec.size)] and calls.shapes["eigvals"] == []
+    assert ps.adjoint_eigenvalues is None
     monkeypatch.undo()
     assert len(ps.clusters) == spec.size
     for c in ps.clusters:
@@ -118,48 +122,45 @@ def _spoil_lean(values, vectors):
 
 
 def _spoil_duplicate(values, vectors):
-    # a copy of another eigenvector: V is singular, so no refinement can
-    # repair it, and its residual is of the size of the eigenvalue gap
-    vectors[:, 0] = vectors[:, 1]
-    return values[0]
+    # the column at the smallest real part a copy of the next one's: a
+    # copied eigenvector leaves V singular, so no refinement can repair it,
+    # and either copy's residual is of the size of the eigenvalue gap
+    k, j = np.argsort(values.real)[:2]
+    vectors[:, k] = vectors[:, j]
+    return values[k]
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["right", "left"])
+@pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("spec, spoil", [(MIXED, _spoil_lean),
                                          (FamilySpec("random_gaussian", 6, {}, 8), _spoil_duplicate)],
                          ids=["lean-mixed", "duplicate-generic"])
 def test_failed_certificate_falls_back_to_svd_route(spec, spoil, side, monkeypatch):
     a = generate(spec)
+    n = spec.size
     reference = point_spectrum(a)
-    eig = np.linalg.eig
-    spoiled = []
-
-    def perturbed(m):
-        values, vectors = eig(m)
-        if len(spoiled) == side:
-            vectors = vectors.copy()
-            value = spoil(values, vectors)
-            spoiled.append(value if side == 0 else np.conj(value))
-        else:
-            spoiled.append(None)
-        return values, vectors
-
-    monkeypatch.setattr(np.linalg, "eig", perturbed)
-    ps = point_spectrum(a)
-    monkeypatch.undo()
-    target = min(range(len(ps.clusters)), key=lambda i: abs(ps.clusters[i].value - spoiled[side]))
-    assert ps.clusters[target].algebraic_multiplicity == 1
-    for i, (c, ref) in enumerate(zip(ps.clusters, reference.clusters)):
-        if i == target:
-            right, left = _svd_kernels(a, c)
-            # the climb's level 1 and the left split run on A and A^* compressed
-            # past the certified clusters, so they agree with the full-size
-            # kernels up to rounding
-            assert c.right_kernel.dim == right.dim and subspace_angle(c.right_kernel, right) <= 1e-10
-            assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
-        else:
-            assert subspace_angle(c.right_kernel, ref.right_kernel) <= 1e-10
-            assert subspace_angle(c.left_kernel, ref.left_kernel) <= 1e-10
+    # a failing block on either side sends the diagnosis to eig(A^*), where
+    # the left one fails again; the construction climbs a failing dual
+    # block at once
+    routes = [(False, [(n, n)] * 2)] + ([(True, [(n, n)])] if side == "left" else [])
+    for construction, eigs in routes:
+        with monkeypatch.context() as patched:
+            spoiled = Spoiled(patched, side, spoil)
+            ps = point_spectrum(a, _construction=construction)
+        assert spoiled.eigs == eigs
+        target = min(range(len(ps.clusters)), key=lambda i: abs(ps.clusters[i].value - spoiled.value))
+        assert ps.clusters[target].algebraic_multiplicity == 1
+        for i, (c, ref) in enumerate(zip(ps.clusters, reference.clusters)):
+            if i == target:
+                right, left = _svd_kernels(a, c)
+                # the climb's level 1 and the left split run on A and A^* compressed
+                # past the certified clusters, so they agree with the full-size
+                # kernels up to rounding
+                assert c.climb is not None
+                assert c.right_kernel.dim == right.dim and subspace_angle(c.right_kernel, right) <= 1e-10
+                assert c.left_kernel.dim == left.dim and subspace_angle(c.left_kernel, left) <= 1e-10
+            else:
+                assert subspace_angle(c.right_kernel, ref.right_kernel) <= 1e-10
+                assert subspace_angle(c.left_kernel, ref.left_kernel) <= 1e-10
 
 
 def test_refinement_takes_off_the_lean_towards_near_eigenvectors():
@@ -196,8 +197,9 @@ def test_full_size_svds_do_not_grow_with_the_cluster_count(monkeypatch):
         # one SVD of V gives C4's span and kappa_v, one of W the adjoint
         # span; C4' reuses both, since every root space is a kernel
         assert calls.square("svd", n) == 2
-        # eig(A) and eig(A^*) serve the clusters and C1/C3' alike
-        assert calls.square("eig", n) == 2 and calls.shapes["eigvals"] == []
+        # eig(A) and its dual basis serve the clusters, and one eigvals(A^*)
+        # gives C1 and C3' their independent adjoint spectrum
+        assert calls.square("eig", n) == 1 and calls.shapes["eigvals"] == [(n, n)]
         # one pairing of the kernels gives the sigma set and the C2 links, and
         # the residual identity pairs all n clusters in one more call; each
         # takes one batched SVD of its (1, 1) cross-Grams and leak Grams.  No
@@ -223,7 +225,8 @@ def test_per_cluster_steps_take_one_call_per_diagnosis(monkeypatch):
         # one phase_normalize per side of the certificate; one pairing each
         # for the kernels, C2' and the residual identity
         assert [name for name, _ in record] == ["phase_normalize"] * 2 + ["subspace_pairs"] * 3
-        # the two refinements and the residual identity's (R^*)^-1; no QR,
+        # V's refinement, its dual basis V^-* and the residual identity's
+        # (R^*)^-1; no QR,
         # since every block is a single column
         assert calls.shapes == {"solve": [(n, n)] * 3, "qr": []}
         with monkeypatch.context() as patched:

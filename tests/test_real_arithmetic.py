@@ -3,8 +3,8 @@
 spectral._lapack factors every matrix whose entries are all real by a
 real LAPACK driver: A and A^* of a real A (dgeev, whose eigenvalues come
 in exact conjugate pairs), their shifts at a real lambda, their
-compressions onto a real frame (dgesdd), check_conditions' eigvals(A^*)
-of a one-cluster input, and a truncation study's probes at a real z.  The
+compressions onto a real frame (dgesdd), check_conditions' eigvals(A^*),
+and a truncation study's probes at a real z.  The
 choice is read off the matrix; a complex input is factored as before.
 The references below force the helper's matrices complex, as every
 factorization was before.  With the SVDs alone forced, the report bytes
@@ -136,8 +136,9 @@ def test_a_real_input_takes_real_eigs_on_both_sides(n, monkeypatch):
     with monkeypatch.context() as patched:
         calls = Calls(patched)
         check_conditions(a)
-    # eig(A) and the certificate's eig(A^*); a multi-cluster input takes no eigvals
-    assert calls.dtypes["eig"] == [FLOAT] * 2 and calls.dtypes["eigvals"] == []
+    # eig(A), whose dual basis gives the certified left blocks, and the
+    # adjoint spectrum's eigvals(A^*)
+    assert calls.dtypes["eig"] == [FLOAT] and calls.dtypes["eigvals"] == [FLOAT]
     with monkeypatch.context() as patched:
         calls = Calls(patched)
         biorthonormalize(a)
@@ -180,7 +181,9 @@ def test_a_complex_input_stays_complex(monkeypatch):
     check_conditions(a)
     biorthonormalize(a)
     truncation_study(FamilySpec("random_gaussian", 2, {}, 1), (6, 8), probe_grid=(0.5,))
-    assert len(calls.dtypes["eig"]) == 7 and len(calls.dtypes["svd"]) > 4
+    # check_conditions' eig and eigvals, biorthonormalize's eig, and an
+    # eig and an eigvals per study size
+    assert len(calls.dtypes["eig"]) == 4 and len(calls.dtypes["eigvals"]) == 3 and len(calls.dtypes["svd"]) > 4
     assert {d for ds in calls.dtypes.values() for d in ds} == {COMPLEX}
 
 

@@ -97,13 +97,21 @@ def test_a_certificate_residual_at_the_cutoff_passes(monkeypatch):
 
     block_norms = spectral._block_norms
     monkeypatch.setattr(spectral, "_block_norms", recorded)
-    assert all(c.climb is None for c in point_spectrum(a).clusters)
-    # right then left residuals; at the larger one both sides pass
+    ps = point_spectrum(a)
+    assert all(c.climb is None for c in ps.clusters) and ps.adjoint_eigenvalues is None
+    # right then dual left residuals; at the larger one both sides pass
     worst = np.maximum(*residuals[:2])
     assert worst.min() > 0.0
-    assert all(c.climb is None for c in point_spectrum(a, _pinned("certificate_cutoff", worst)).clusters)
+    at = _pinned("certificate_cutoff", worst)
+    for construction in (False, True):
+        ps = point_spectrum(a, at, _construction=construction)
+        assert all(c.climb is None for c in ps.clusters) and ps.adjoint_eigenvalues is None
+    # just below it every cluster fails on one side: the construction keeps
+    # its dual left blocks, and every cluster climbs
     below = _pinned("certificate_cutoff", np.nextafter(worst, 0.0))
-    assert all(c.climb is not None for c in point_spectrum(a, below).clusters)
+    assert all(c.climb is not None for c in point_spectrum(a, below, _construction=True).clusters)
+    # the diagnosis then takes its left blocks from eig(A^*) instead
+    assert point_spectrum(a, below).adjoint_eigenvalues is not None
 
 
 def test_two_eigenvalues_at_the_radius_are_one_cluster():
